@@ -15,7 +15,9 @@ cascade iterations, correlation polynomials and Gram sections are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CapExceededError,
@@ -26,11 +28,13 @@ from .errors import (
 from .filterbank import build_bank, canonical_lowpass, pairing
 from .ifs import CylinderAddress, DigitSystem, cylinder_translate_index
 from .laurent import LaurentPolynomial
-from .scalars import Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 from .transfer import TransferOperator
 
 CASCADE_STEP_CAP = 12
 GRAM_SECTION_CAP = 10 ** 4
+# terms in one generator refined to the section's top resolution
+GRAM_PATTERN_CAP = 2 ** 16
 
 
 class LatticeVector:
@@ -262,31 +266,58 @@ def wavelet_generators(sys: DigitSystem) -> list[LatticeVector]:
 
 @dataclass
 class GramSection:
-    """Finite Gram matrix of dilated translates of a family of generators."""
+    """Finite Gram matrix of dilated translates of a family of generators.
+
+    Only the nonzero entries are stored, keyed (row, column) in row-major
+    order; `matrix` is the dense view, built on first use."""
 
     labels: tuple[tuple[int, int, int], ...]  # (generator index, scale j, translate k)
-    matrix: tuple[tuple[Scalar, ...], ...]
+    entries: dict[tuple[int, int], Scalar]
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        rows = [[ZERO] * self.size for _ in range(self.size)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return tuple(tuple(row) for row in rows)
+
     def max_identity_deviation(self) -> float:
-        dev = 0.0
-        for i in range(self.size):
-            for j in range(self.size):
-                target = 1 if i == j else 0
-                d = self.matrix[i][j] - Scalar(target)
-                if not d.is_zero():
-                    dev = max(dev, abs(d.to_complex()))
+        diagonal = sum(1 for r, c in self.entries if r == c)
+        # a diagonal entry that is not stored is 0, one away from the identity
+        dev = 0.0 if diagonal == self.size else 1.0
+        for (r, c), v in self.entries.items():
+            d = v - ONE if r == c else v
+            if not d.is_zero():
+                dev = max(dev, abs(d.to_complex()))
         return dev
 
     def is_identity(self) -> bool:
-        return all(
-            self.matrix[i][j] == Scalar(1 if i == j else 0)
-            for i in range(self.size)
-            for j in range(self.size)
+        return len(self.entries) == self.size and all(
+            r == c and v == ONE for (r, c), v in self.entries.items()
         )
+
+
+def _lag_inner(a: dict, b: dict, d: int) -> Scalar:
+    """<A | B> for A = a and B = b translated by -d (so B[x] = b[x + d]).
+
+    Sums over the smaller pattern in its own order, conjugating the A side,
+    exactly as `inner` would on the two translated vectors."""
+    total = ZERO
+    if len(a) <= len(b):
+        for x, c in a.items():
+            o = b.get(x + d)
+            if o is not None:
+                total = total + c.conjugate() * o
+    else:
+        for y, c in b.items():
+            o = a.get(y - d)
+            if o is not None:
+                total = total + o.conjugate() * c
+    return total
 
 
 def gram_section(
@@ -295,43 +326,90 @@ def gram_section(
     j_range,
     k_range,
 ) -> GramSection:
-    """Exact Gram of {U^-j T^k psi_i} over the requested index ranges."""
+    """Exact Gram of {U^-j T^k psi_i} over the requested index ranges.
+
+    Translation covariance, T^k U^-j = U^-j T^(k N^j), makes the vector
+    U^-j T^k psi_i refined to the top resolution t the refinement of
+    U^-j psi_i translated by k N^(t-j).  So each (generator, scale) pattern
+    is refined once, and each entry is one lag of the correlation of two
+    patterns, computed once per lag.  Only the label pairs whose lag falls
+    inside the two patterns' support window are visited."""
     generators = list(generators)
     j_range = list(j_range)
     k_range = list(k_range)
-    labels = []
-    vectors = []
+    n = len(generators) * len(j_range) * len(k_range)
+    if n > GRAM_SECTION_CAP:
+        raise CapExceededError(
+            f"section of {n} vectors exceeds cap {GRAM_SECTION_CAP}"
+        )
+    labels = tuple(
+        (i, j, k)
+        for i in range(len(generators))
+        for j in j_range
+        for k in k_range
+    )
+    if not n:
+        return GramSection(labels, {})
+    # apply_shift refines a vector below resolution 0 up to 0 unless k = 0
+    top = max(
+        psi.resolution + j if k == 0 else max(psi.resolution, 0) + j
+        for psi in generators
+        for j in j_range
+        for k in set(k_range)
+    )
+    top = max(top, 0)
+    steps = max(top - psi.resolution - j for psi in generators for j in j_range)
+    largest = max(len(psi.coeffs) * psi.system.p ** steps for psi in generators)
+    if largest > GRAM_PATTERN_CAP:
+        raise CapExceededError(
+            f"section refines generators by {steps} levels; "
+            f"patterns would exceed cap {GRAM_PATTERN_CAP} terms"
+        )
+    # U^-j psi refined to `top`, each coarser scale one more refinement of
+    # the next finer one
+    patterns = {}
+    for i, psi in enumerate(generators):
+        v, at = psi, 0
+        for j in sorted(set(j_range), reverse=True):
+            v = refine_to(dilate_power(v, j - at), top)
+            at = j
+            patterns[i, j] = v.coeffs
+    # one group of labels per (generator, scale): its pattern, support bounds,
+    # and its members' translates (sorted) with their label indices
+    groups = []
+    row = 0
     for i, psi in enumerate(generators):
         for j in j_range:
-            for k in k_range:
-                labels.append((i, j, k))
-                vectors.append(dilate_power(apply_shift(psi, k), j))
-    if len(labels) > GRAM_SECTION_CAP:
-        raise CapExceededError(
-            f"section of {len(labels)} vectors exceeds cap {GRAM_SECTION_CAP}"
-        )
-    top = max((v.resolution for v in vectors), default=0)
-    refined = [refine_to(v, max(top, 0)) for v in vectors]
-    n = len(refined)
-    rows = []
-    for i in range(n):
-        vi = refined[i].coeffs
-        row = []
-        for j in range(n):
-            wj = refined[j].coeffs
-            total = ZERO
-            small, big = (vi, wj) if len(vi) <= len(wj) else (wj, vi)
-            for k, c in small.items():
-                o = big.get(k)
-                if o is None:
-                    continue
-                if small is vi:
-                    total = total + c.conjugate() * o
-                else:
-                    total = total + o.conjugate() * c
-            row.append(total)
-        rows.append(tuple(row))
-    return GramSection(tuple(labels), tuple(rows))
+            pattern = patterns[i, j]
+            members = sorted(
+                (k * psi.system.scale ** (top - j) if k else 0, row + m)
+                for m, k in enumerate(k_range)
+            )
+            row += len(k_range)
+            if pattern:
+                groups.append((
+                    pattern, min(pattern), max(pattern),
+                    [s for s, _ in members], [r for _, r in members],
+                ))
+    entries: dict[tuple[int, int], Scalar] = {}
+    for pa, lo_a, hi_a, shifts_a, rows_a in groups:
+        for pb, lo_b, hi_b, shifts_b, cols_b in groups:
+            memo: dict[int, Scalar | None] = {}
+            for sa, r in zip(shifts_a, rows_a):
+                # the translates overlap only at lags sa - sb in
+                # [lo_b - hi_a, hi_b - lo_a]
+                start = bisect_left(shifts_b, sa - hi_b + lo_a)
+                stop = bisect_right(shifts_b, sa - lo_b + hi_a)
+                for m in range(start, stop):
+                    d = sa - shifts_b[m]
+                    if d in memo:
+                        value = memo[d]
+                    else:
+                        value = _lag_inner(pa, pb, d)
+                        value = memo[d] = None if value.is_zero() else value
+                    if value is not None:
+                        entries[r, cols_b[m]] = value
+    return GramSection(labels, dict(sorted(entries.items())))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -141,6 +142,17 @@ def test_exit_code_cap_exceeded():
     code, _, err = run_cli("cascade", "--scale", "3", "--digits", "0,2",
                            "--steps", "13")
     assert code == 3
+    assert "cap" in err
+
+
+def test_gram_deep_jrange_refused_quickly():
+    # 7442 vectors, under the section cap, whose patterns would need 2^60 terms
+    start = time.perf_counter()
+    code, out, err = run_cli("gram", "--scale", "3", "--digits", "0,2",
+                             "--jrange", "30", "--krange", "30")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
     assert "cap" in err
 
 

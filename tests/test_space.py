@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fractalmra.errors import CoarseningError, SystemMismatchError
+from fractalmra import space
+from fractalmra.errors import CapExceededError, CoarseningError, SystemMismatchError
 from fractalmra.filterbank import canonical_lowpass, pairing
 from fractalmra.ifs import CylinderAddress, DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import moment
 from fractalmra.scalars import Scalar
 from fractalmra.space import (
+    GRAM_SECTION_CAP,
     LatticeVector,
     apply_dilation,
     apply_filter,
@@ -217,6 +220,166 @@ def test_gram_sections_identity(cantor3, cantor4):
     assert section4.is_identity()
     single = gram_section(cantor3, wavelet_generators(cantor3)[:1], [0], [0])
     assert single.matrix == ((Scalar(1),),)
+
+
+def _reference_gram(generators, j_range, k_range):
+    """Dense Gram from explicit vectors and pairwise `inner`.
+
+    The vectors are first refined to the section's top resolution, where the
+    section sums its entries: the approximate tier's floats depend on the
+    resolution a sum runs at, the exact values do not."""
+    vectors = [
+        dilate_power(apply_shift(psi, k), j)
+        for psi in generators
+        for j in j_range
+        for k in k_range
+    ]
+    top = max((v.resolution for v in vectors), default=0)
+    refined = [refine_to(v, max(top, 0)) for v in vectors]
+    return [[inner(v, w) for w in refined] for v in refined]
+
+
+def _reference_deviation(matrix) -> float:
+    dev = 0.0
+    for r, row in enumerate(matrix):
+        for c, value in enumerate(row):
+            d = value - Scalar(1 if r == c else 0)
+            if not d.is_zero():
+                dev = max(dev, abs(d.to_complex()))
+    return dev
+
+
+CANTOR3 = DigitSystem(3, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "system, generators, j_range, k_range",
+    [
+        (CANTOR3, None, range(-1, 2), range(-3, 4)),
+        (DigitSystem(4, (1, 3)), None, [2, -1], [0, 5, -3]),
+        (DigitSystem(5, (0, 3)), None, [0, 2], [4, -4, 0]),
+        (DigitSystem(3, (0, 1, 2)), None, range(-1, 2), range(-2, 3)),
+        (DigitSystem(4, (0, 1, 3)), None, [2, -1], [0, 5, -3]),
+        (CANTOR3, None, [], range(3)),
+        (CANTOR3, None, range(2), []),
+        # generators below resolution 0 and translates k = 0 stay unrefined
+        (
+            CANTOR3,
+            [LatticeVector(CANTOR3, -1, {0: 1, 2: R2}), basis_delta(CANTOR3, 2, 1)],
+            [1, 0, -2],
+            [0, 1, -2],
+        ),
+    ],
+)
+def test_gram_section_matches_pairwise_reference(system, generators, j_range, k_range):
+    if generators is None:
+        generators = wavelet_generators(system)
+    section = gram_section(system, generators, j_range, k_range)
+    reference = _reference_gram(generators, j_range, k_range)
+    assert section.labels == tuple(
+        (i, j, k) for i in range(len(generators)) for j in j_range for k in k_range
+    )
+    assert section.size == len(reference)
+    assert len(section.matrix) == section.size
+    for r, row in enumerate(reference):
+        assert len(section.matrix[r]) == section.size
+        for c, value in enumerate(row):
+            assert section.matrix[r][c] == value, (r, c)
+    assert set(section.entries) == {
+        (r, c)
+        for r, row in enumerate(reference)
+        for c, value in enumerate(row)
+        if not value.is_zero()
+    }
+    dev = section.max_identity_deviation()
+    assert dev.hex() == _reference_deviation(reference).hex()
+    assert section.is_identity() == all(
+        value == Scalar(1 if r == c else 0)
+        for r, row in enumerate(reference)
+        for c, value in enumerate(row)
+    )
+
+
+def test_gram_section_sparse_verdicts(cantor3):
+    psi = wavelet_generators(cantor3)[0]
+    assert gram_section(cantor3, [psi], [], []).is_identity()
+    # a zero generator leaves a zero diagonal: one away from the identity
+    zero = LatticeVector(cantor3, 1)
+    section = gram_section(cantor3, [psi, zero], [0], [0, 1])
+    assert section.entries == {(0, 0): Scalar(1), (1, 1): Scalar(1)}
+    assert not section.is_identity()
+    assert section.max_identity_deviation() == 1.0
+    # the same vector twice: an off-diagonal 1
+    twice = gram_section(cantor3, [psi, psi], [0], [0])
+    assert twice.matrix == ((Scalar(1), Scalar(1)), (Scalar(1), Scalar(1)))
+    assert not twice.is_identity()
+    assert twice.max_identity_deviation() == 1.0
+
+
+P2_SYSTEMS = (
+    DigitSystem(2, (0, 1)),
+    DigitSystem(3, (0, 2)),
+    DigitSystem(4, (0, 2)),
+    DigitSystem(5, (1, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=st.sampled_from(P2_SYSTEMS),
+    data=st.data(),
+    j=st.integers(-2, 2),
+    delta=st.integers(0, 2),
+    k=st.integers(-4, 4),
+    k2=st.integers(-4, 4),
+)
+def test_translation_covariance(system, data, j, delta, k, k2):
+    """<U^-j T^k psi_i, U^-j' T^k' psi_i'> = <psi_i, U^-D T^(k' - k N^D) psi_i'>, D = j' - j."""
+    gens = wavelet_generators(system)
+    i = data.draw(st.integers(0, len(gens) - 1))
+    i2 = data.draw(st.integers(0, len(gens) - 1))
+    j2 = j + delta
+    lhs = inner(
+        dilate_power(apply_shift(gens[i], k), j),
+        dilate_power(apply_shift(gens[i2], k2), j2),
+    )
+    rhs = inner(
+        gens[i],
+        dilate_power(apply_shift(gens[i2], k2 - k * system.scale ** delta), delta),
+    )
+    assert lhs == rhs
+    section = gram_section(system, gens, [j, j2], [k, k2])
+    row = (i * 2 + 0) * 2 + 0
+    col = (i2 * 2 + 1) * 2 + 1
+    assert section.matrix[row][col] == lhs
+
+
+class _Refined(Exception):
+    pass
+
+
+def _refuse_refinement(v, m):
+    raise _Refined
+
+
+def test_gram_section_caps_checked_before_refining(cantor3, monkeypatch):
+    full3 = DigitSystem(3, (0, 1, 2))
+    gens = wavelet_generators(cantor3)
+    gens_full3 = wavelet_generators(full3)
+    monkeypatch.setattr(space, "refine_to", _refuse_refinement)
+    monkeypatch.setattr(space, "dilate_power", _refuse_refinement)
+    with pytest.raises(CapExceededError, match="exceeds cap 10000"):
+        gram_section(cantor3, gens, range(-4, 5), range(-600, 601))
+    # 7442 vectors, under the section cap, but 2^60-term patterns
+    assert 2 * 61 * 61 <= GRAM_SECTION_CAP
+    with pytest.raises(CapExceededError, match="patterns would exceed"):
+        gram_section(cantor3, gens, range(-30, 31), range(-30, 31))
+    # the refinement bound admits (3,{0,2}) to jrange 7 and (3,{0,1,2}) to 4
+    for system, generators, jrange in ((cantor3, gens, 7), (full3, gens_full3, 4)):
+        with pytest.raises(_Refined):
+            gram_section(system, generators, range(-jrange, jrange + 1), [0])
+        with pytest.raises(CapExceededError):
+            gram_section(system, generators, range(-jrange - 1, jrange + 2), [0])
 
 
 def test_gram_section_bessel_parseval(cantor3):
