@@ -91,7 +91,6 @@ from .space import (
     correlation,
     cylinder_vector,
     dilate_power,
-    filter_power_product,
     gram_section,
     inner,
     refine_to,

@@ -428,20 +428,17 @@ def _run_replimit(args):
 def _table_row_one(N, S, B):
     sys_ = DigitSystem(N, S)
     pair = dual_mod.dual_matrix(sys_, B)
-    matrix = []
-    for a in sys_.digits:
-        row = []
-        for b in B:
-            turns = Fraction(a * b, N)
-            z = pair.matrix()[sys_.digits.index(a)][B.index(b)]
-            row.append(
-                {
-                    "phase_turns": str(turns % 1),
-                    "re": float(z.real),
-                    "im": float(z.imag),
-                }
-            )
-        matrix.append(row)
+    matrix = [
+        [
+            {
+                "phase_turns": str(Fraction(a * b, N) % 1),
+                "re": float(z.real),
+                "im": float(z.imag),
+            }
+            for b, z in zip(B, row)
+        ]
+        for a, row in zip(sys_.digits, pair.matrix())
+    ]
     return {
         "scale": N,
         "p": sys_.p,
@@ -555,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
-        p.add_argument("--seed", type=int, default=0, help="reserved; outputs are deterministic")
 
     p = sub.add_parser("dimension", help="Hausdorff dimension of the attractor")
     _add_system_args(p); common(p)

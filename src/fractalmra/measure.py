@@ -12,9 +12,7 @@ compares two filters through their invariant measures.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,17 +41,6 @@ DEFAULT_MAX_ITER = 64
 DEFAULT_TOL = 1e-12
 DEFAULT_CYCLE_LENGTH = 12
 CYCLE_POINT_CAP = 10 ** 9
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FRACTALMRA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"FRACTALMRA_THREADS must be an integer: {raw!r}") from exc
-    if n < 1:
-        raise PreconditionError("FRACTALMRA_THREADS must be >= 1")
-    return n
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
     limit, or None when no such finite proof exists.
 
     Step k adds sum_{j!=0} W^(j) * coeff_k(idx - j N^k); every term vanishes
-    once j_min N^k - |idx| exceeds the support bound deg W (N^k - 1)/(N - 1),
+    once j_min N^k - |idx| exceeds the support bound `op.support_bound(k)`,
     and for j_min > deg W/(N - 1) that condition persists for all later k.
     Consecutive equal iterates alone can be accidental (a later product
     factor may still reach the index), so only this structural criterion
@@ -119,7 +106,7 @@ def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
     if j_min == c:
         return 1 if abs(idx) < c else None
     k = 1
-    while j_min * N ** k - Fraction(deg * (N ** k - 1), N - 1) <= abs(idx):
+    while j_min * N ** k - op.support_bound(k) <= abs(idx):
         k += 1
     return k
 
@@ -142,11 +129,10 @@ def moment(
         raise PreconditionError("max_iter must be >= 2")
     threshold = _stabilization_threshold(op, -n) if op.is_exact else None
     # deltas are uninformative while |n| still lies beyond the product
-    # support deg W (N^k - 1)/(N - 1): the coefficient is structurally zero
-    deg, N = op.weight.degree(), op.scale
+    # support bound: the coefficient is structurally zero
     inside = 1
-    if deg and n:
-        while Fraction(deg * (N ** inside - 1), N - 1) < abs(n):
+    if op.weight.degree() and n:
+        while op.support_bound(inside) < abs(n):
             inside += 1
     history: list[Scalar] = []
     prev_small = False
@@ -183,15 +169,9 @@ def moment_table(
     """Batch of moments for |n| <= moment_range, negatives by conjugation."""
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
-    ns = list(range(moment_range + 1))
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(lambda n: moment(op, n, max_iter, tol), ns))
-    else:
-        computed = [moment(op, n, max_iter, tol) for n in ns]
     table = MomentTable(scale=op.scale, weight=op.weight)
-    for entry in computed:
+    for n in range(moment_range + 1):
+        entry = moment(op, n, max_iter, tol)
         table.entries[entry.n] = entry
         if entry.n:
             table.entries[-entry.n] = MomentEntry(

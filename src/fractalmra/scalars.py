@@ -13,24 +13,35 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
-
+@lru_cache(maxsize=256)
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, q) with n = s*s*q and q squarefree."""
+    """Return (s, q) with n = s*s*q and q squarefree.
+
+    Trial division takes out every factor d with d^3 <= the unfactored rest;
+    what remains then has at most two prime factors, so it is squarefree
+    unless it is a perfect square.  Every exact result re-splits its
+    radicand, so the splits are cached."""
     if n <= 0:
         raise ValueError("radicand must be positive")
-    s, q = 1, n
-    for p in _SMALL_PRIMES:
-        while q % (p * p) == 0:
-            q //= p * p
-            s *= p
-    # residual square factors beyond the small-prime table
-    r = math.isqrt(q)
-    if r * r == q:
-        return s * r, 1
-    return s, q
+    s, q, rest = 1, 1, n
+    d = 2
+    while d * d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                q *= d
+        d += 1
+    r = math.isqrt(rest)
+    if r * r == rest:
+        return s * r, q
+    return s, q * rest
 
 
 class Scalar:

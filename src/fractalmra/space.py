@@ -451,28 +451,19 @@ def cascade_experiment(
     return rows
 
 
-def filter_power_product(
-    m0: LaurentPolynomial, N: int, n: int
-) -> LaurentPolynomial:
-    """The n-fold product m0(z) m0(z^N) ... m0(z^(N^(n-1)))."""
-    out = LaurentPolynomial({0: 1})
-    for j in range(n):
-        out = out * m0.compose_power(N ** j)
-    return out
-
-
 def representation_limit(
     sys: DigitSystem, m0: LaurentPolynomial, n: int, exponent: int
 ) -> Scalar:
-    """<phi | U^-n T^exponent-functional U^n phi> computed exactly.
+    """<U^n phi | T^exponent U^n phi> computed exactly.
 
-    U^n phi = (n-fold filter product)(T) phi, so the value is the lag
-    `exponent` autocorrelation of the product filter; as n grows it converges
-    to the invariant-measure moment at `exponent`."""
+    U^n phi = P_n(T) phi with P_n(z) = m0(z) m0(z^N) ... m0(z^(N^(n-1))), so
+    the value is the coefficient at -exponent of |P_n|^2 = W(z) W(z^N) ...
+    W(z^(N^(n-1))), the n-fold product weight of the transfer operator; as n
+    grows it converges to the invariant-measure moment at `exponent`."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     if n > CASCADE_STEP_CAP:
         raise CapExceededError(f"n capped at {CASCADE_STEP_CAP}")
-    phi = scaling_vector(sys)
-    w = apply_filter(phi, filter_power_product(m0, sys.scale, n))
-    return inner(w, apply_shift(w, exponent))
+    if n == 0:
+        return ONE if exponent == 0 else ZERO
+    return TransferOperator.from_filter(m0, sys.scale)._iterate_coefficient(n, -exponent)

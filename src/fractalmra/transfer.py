@@ -64,6 +64,11 @@ class TransferOperator:
         d = self.weight.degree()
         return -(-d // (self.scale - 1))
 
+    def support_bound(self, k: int) -> int:
+        """Largest |exponent| in the k-fold product weight's support:
+        deg W (1 + N + ... + N^(k-1)) = deg W (N^k - 1)/(N - 1)."""
+        return self.weight.degree() * (self.scale ** k - 1) // (self.scale - 1)
+
     def normalization_defect(self) -> float:
         """Max deviation of R(1) from 1 (0.0 when R(1) = 1 exactly)."""
         r1 = self.apply(one())
@@ -112,13 +117,12 @@ class TransferOperator:
         """
         if k == 1:
             return self.weight[idx]
-        bound = self.weight.degree() * (self.scale ** k - 1) // (self.scale - 1)
-        if abs(idx) > bound:
-            return ZERO
         key = (k, idx)
         hit = self._wk_cache.get(key)
         if hit is not None:
             return hit
+        if abs(idx) > self.support_bound(k):
+            return ZERO
         N = self.scale
         total = ZERO
         for w_exp, w in self.weight.coeffs.items():

@@ -208,18 +208,9 @@ def test_help_shows_defaults():
     assert "default: 256" in buf.getvalue()
 
 
-def test_threads_env_preserves_results(monkeypatch):
-    monkeypatch.setenv("FRACTALMRA_THREADS", "4")
-    _, threaded, _ = run_cli("moments", "--scale", "3", "--digits", "0,2",
-                             "--range", "16")
-    monkeypatch.setenv("FRACTALMRA_THREADS", "1")
-    _, single, _ = run_cli("moments", "--scale", "3", "--digits", "0,2",
-                           "--range", "16")
-    assert threaded == single
-
-
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("FRACTALMRA_THREADS", "0")
-    code, _, err = run_cli("moments", "--scale", "3", "--digits", "0,2",
-                           "--range", "2")
-    assert code == 2
+def test_seed_flag_removed():
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        cli.main(["dimension", "--scale", "3", "--digits", "0,2", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in err.getvalue()

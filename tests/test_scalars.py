@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fractalmra.scalars import Scalar
+from fractalmra.scalars import Scalar, _squarefree_split
 
 
 def test_rational_construction():
@@ -77,3 +78,30 @@ def test_exact_str_rendering():
     assert Scalar(1, -1, 2).exact_str() == "1-√2"
     assert Scalar(-1, Fraction(1, 2), 2).exact_str() == "-1+1/2√2"
     assert Scalar.approx(1j).exact_str() is None
+
+
+def _is_squarefree(q: int) -> bool:
+    return all(q % (d * d) for d in range(2, math.isqrt(q) + 1))
+
+
+def test_squarefree_split_beyond_small_primes():
+    assert _squarefree_split(74 ** 3) == (74, 74)
+    assert _squarefree_split(37 ** 2 * 3) == (37, 3)
+    assert Scalar.inv_sqrt(74 ** 3).exact_str() == "1/5476√74"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 5).filter(_is_squarefree))
+def test_squarefree_split_complete(s, q):
+    assert _squarefree_split(s * s * q) == (s, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 6))
+def test_inv_sqrt_power_equals_product(a, k):
+    product = Scalar(1)
+    for _ in range(k):
+        product = product * Scalar.inv_sqrt(a)
+    power = Scalar.inv_sqrt(a ** k)
+    assert power == product
+    assert hash(power) == hash(product)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractalmra import space
 from fractalmra.errors import CapExceededError, CoarseningError, SystemMismatchError
-from fractalmra.filterbank import canonical_lowpass, pairing
+from fractalmra.filterbank import build_bank, canonical_lowpass, pairing
 from fractalmra.ifs import CylinderAddress, DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import moment
@@ -451,6 +451,41 @@ def test_representation_limit(cantor3):
         value = representation_limit(cantor3, m0, 8, m)
         target = moment(op, m).value
         assert abs(value.to_complex() - target.to_complex()) < 1e-6
+
+
+def _lattice_representation_limits(sys, m, n, lags):
+    """<U^n phi | T^l U^n phi> through the lattice: U^n phi = P_n(T) phi with
+    the expanded product filter P_n(z) = m(z) m(z^N) ... m(z^(N^(n-1)))."""
+    product = one()
+    for j in range(n):
+        product = product * m.compose_power(sys.scale ** j)
+    w = apply_filter(scaling_vector(sys), product)
+    return {lag: inner(w, apply_shift(w, lag)) for lag in lags}
+
+
+@pytest.mark.parametrize("system", [DigitSystem(3, (0, 2)), DigitSystem(7, (0, 1, 6))])
+def test_representation_limit_matches_lattice_route(system):
+    m0 = canonical_lowpass(system)
+    lags = range(-12, 13)
+    for m in (m0, monomial(2) * m0, monomial(-3) * m0, m0 * (-1)):
+        for n in range(7):
+            expected = _lattice_representation_limits(system, m, n, lags)
+            for lag in lags:
+                value = representation_limit(system, m, n, lag)
+                assert value == expected[lag]
+                assert value.exact_str() == expected[lag].exact_str()
+
+
+def test_representation_limit_matches_lattice_route_approximate():
+    system = DigitSystem(3, (0, 1, 2))
+    detail = build_bank(system).filters[1]
+    assert not detail.is_exact
+    lags = range(-12, 13)
+    for n in range(7):
+        expected = _lattice_representation_limits(system, detail, n, lags)
+        for lag in lags:
+            value = representation_limit(system, detail, n, lag)
+            assert abs(value.to_complex() - expected[lag].to_complex()) < 1e-12
 
 
 def test_cylinder_norm(cantor3):
