@@ -76,7 +76,6 @@ from .duality import (
     frequency_sum,
     lambda_set,
     onb_defect,
-    spectrum_sum,
 )
 from .space import (
     CascadeRow,

@@ -48,7 +48,6 @@ SUBCOMMANDS = (
 )
 
 DEFAULT_MOMENT_RANGE = 256
-DEFAULT_CYCLE_LENGTH = 12
 DEFAULT_CASCADE_STEPS = 8
 DEFAULT_PRODUCT_DEPTH = 40
 
@@ -219,9 +218,7 @@ def _feasible_cycle_length(N: int, requested: int) -> int:
 def _run_cycles(args):
     sys_ = _system(args)
     length = _feasible_cycle_length(sys_.scale, args.length)
-    report = measure_mod.find_cycles(
-        canonical_lowpass(sys_), sys_.scale, length, args.tol
-    )
+    report = measure_mod.find_cycles(canonical_lowpass(sys_), sys_.scale, length)
     obj = {
         "scale": sys_.scale,
         "digits": list(sys_.digits),
@@ -575,13 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="cycles of theta -> N theta carrying peak weight")
     _add_system_args(p)
-    p.add_argument("--length", type=int, default=DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
-    p.add_argument("--tol", type=float, default=1e-9, help="peak-weight tolerance")
+    p.add_argument("--length", type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
     common(p)
 
     p = sub.add_parser("classify", help="support dichotomy of the invariant measure")
     _add_system_args(p)
-    p.add_argument("--length", type=int, default=DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
+    p.add_argument("--length", type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
     common(p)
 
     p = sub.add_parser("duality", help="dual matrix, spectrum prefix, and dual-digit cycles")

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CapExceededError, PreconditionError
 from .filterbank import canonical_lowpass
 from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
+from .laurent import _cyclotomic, _poly_divmod, _poly_trim
 
 DUAL_TOL = 1e-10
 LAMBDA_CAP = 10 ** 6
@@ -30,52 +31,6 @@ SIGNED_LAMBDA_DEPTH = 12
 
 
 # -- exact vanishing of root-of-unity sums ----------------------------------
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division by a monic integer polynomial."""
-    num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        coef = num[-1]
-        q[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        _poly_trim(num)
-    return _poly_trim(q), num
-
-
-def _cyclotomic(N: int, _cache={1: [-1, 1]}) -> list[int]:
-    """Coefficients of the N-th cyclotomic polynomial (ascending)."""
-    if N in _cache:
-        return _cache[N]
-    num = [0] * (N + 1)
-    num[0], num[N] = -1, 1
-    den = [1]
-    for d in range(1, N):
-        if N % d == 0:
-            den = _poly_mul(den, _cyclotomic(d))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise AssertionError(f"cyclotomic division left a remainder for N={N}")
-    _cache[N] = q
-    return q
-
 
 def _root_sum_vanishes(exponents, N: int) -> bool:
     """Whether sum_j omega^(e_j) = 0 for omega a primitive N-th root of 1."""
@@ -225,13 +180,16 @@ class BCycleReport:
 
 
 def b_cycles(
-    pair: SpectralPair, K: int = 6, tol: float = 1e-9, word_cap: int = 10 ** 6
+    pair: SpectralPair, K: int = 6, word_cap: int = 10 ** 6
 ) -> BCycleReport:
     """Enumerate dual-digit cycles up to word length K.
 
     A word (b_1, ..., b_k) closes at xi_1 = (b_k + N b_{k-1} + ... +
     N^(k-1) b_1)/(N^k - 1); the cycle is kept when the canonical low-pass
-    modulus |m0|^2 equals p (within tol) at every point."""
+    modulus |m0|^2 equals p at every point.  That happens at xi exactly when
+    all p terms of m0 share one phase, i.e. when g xi is an integer for g the
+    gcd of the digit differences; the orbit N^i xi_1 then stays on (1/g)Z, so
+    the test at xi_1 decides the whole cycle."""
     if K < 1:
         raise PreconditionError("K must be >= 1")
     sys = pair.system
@@ -239,9 +197,7 @@ def b_cycles(
     if p ** K > word_cap:
         raise CapExceededError(f"p^K exceeds cap {word_cap}")
     m0 = canonical_lowpass(sys)
-
-    def weight(theta: Fraction) -> float:
-        return abs(m0.eval_turns(float(theta % 1))) ** 2
+    g = math.gcd(*(a - sys.digits[0] for a in sys.digits))
 
     seen: set[frozenset] = set()
     found: list[BCycle] = []
@@ -255,29 +211,27 @@ def b_cycles(
             c = 0
             for b in word:
                 c = c * N + b
+            if g * c % modulus:
+                continue
             angles = []
-            rotated = word
             cs = c
             for _ in range(k):
                 angles.append(Fraction(cs, modulus) % 1)
                 # rotating the word multiplies the value by N mod (N^k - 1)
-                cs = (cs * N) % modulus if modulus else 0
-                rotated = rotated[1:] + rotated[:1]
+                cs = (cs * N) % modulus
             key = frozenset(angles)
             if key in seen:
                 continue
-            values = [weight(a) for a in angles]
-            if all(abs(v - p) <= tol for v in values):
-                seen.add(key)
-                start = angles.index(min(angles))
-                order = list(range(start, len(angles))) + list(range(start))
-                found.append(
-                    BCycle(
-                        tuple(angles[i] for i in order),
-                        word,
-                        tuple(values[i] for i in order),
-                    )
+            seen.add(key)
+            start = angles.index(min(angles))
+            ordered = angles[start:] + angles[:start]
+            found.append(
+                BCycle(
+                    tuple(ordered),
+                    word,
+                    tuple(abs(m0.eval_turns(float(a))) ** 2 for a in ordered),
                 )
+            )
     found.sort(key=lambda cyc: cyc.angles)
     trivial_only = all(c.is_trivial() for c in found)
     return BCycleReport(max_length=K, cycles=tuple(found), trivial_only=trivial_only)
@@ -319,24 +273,6 @@ def onb_defect(
         acc += abs(transform.value(xi - n)) ** 2
         sums.append(acc)
     return sums
-
-
-def spectrum_sum(
-    pair: SpectralPair,
-    xi: float,
-    count: int,
-    depth: int = DEFAULT_TRANSFORM_DEPTH,
-) -> float:
-    """Truncated spectral sum F(xi) = sum over the Lambda prefix of
-    |B(xi - n)|^2.
-
-    The full sum is the canonical fixed point of the dual transfer operator,
-    and equals 1 a.e. exactly when the exponentials form an ONB.  Truncations
-    transport exactly: R_B applied to the sum over a finite P gives the sum
-    over B + N P."""
-    transform = HutchinsonTransform(pair.system, depth)
-    prefix = lambda_set(pair, count).prefix
-    return sum(abs(transform.value(xi - n)) ** 2 for n in prefix)
 
 
 def frequency_sum(

@@ -105,27 +105,21 @@ def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolyn
     return LaurentPolynomial(out)
 
 
-def _gram(bank: FilterBank) -> list[list[LaurentPolynomial]]:
-    return [
-        [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
-    ]
+def _identity_defect(
+    gram: list[list[LaurentPolynomial]], exact: bool, samples: int
+) -> float:
+    """Distance of the N x N Laurent matrix G(z) from the identity.
 
-
-def unitarity_defect(bank: FilterBank, samples: int = 64) -> float:
-    """Distance of the polyphase matrix from unitary.
-
-    The pairing Gram G_ij = <m_i, m_j>_N equals the identity iff the bank is
-    unitary.  For exact banks the Gram is checked coefficient-by-coefficient
-    and a clean pass reports exactly 0.  Otherwise the defect is the larger of
-    the maximal coefficient deviation and the maximal spectral norm of
-    G(z) - I over `samples` points of the torus.
+    For exact inputs G is checked coefficient-by-coefficient and a clean pass
+    reports exactly 0.  Otherwise the defect is the larger of the maximal
+    coefficient deviation and the maximal spectral norm of G(z) - I over
+    `samples` points of the torus.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    N = bank.scale
-    gram = _gram(bank)
+    N = len(gram)
     coeff_dev = 0.0
-    exact_pass = bank.is_exact
+    exact_pass = exact
     for i in range(N):
         for j in range(N):
             diff = gram[i][j] - (one() if i == j else zero())
@@ -144,6 +138,15 @@ def unitarity_defect(bank: FilterBank, samples: int = 64) -> float:
         g = np.array([[values[i][j][s] for j in range(N)] for i in range(N)])
         sample_dev = max(sample_dev, float(np.linalg.norm(g - np.eye(N), 2)))
     return max(coeff_dev, sample_dev)
+
+
+def unitarity_defect(bank: FilterBank, samples: int = 64) -> float:
+    """Distance of the polyphase matrix from unitary: the pairing Gram
+    G_ij = <m_i, m_j>_N equals the identity iff the bank is unitary."""
+    gram = [
+        [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
+    ]
+    return _identity_defect(gram, bank.is_exact, samples)
 
 
 @dataclass(frozen=True)
@@ -186,34 +189,20 @@ class LoopMatrix:
         return all(e.is_exact for row in self.entries for e in row)
 
     def unitarity_defect(self, samples: int = 64) -> float:
-        """Distance of A(z) from unitary on the torus (0 when exactly unitary)."""
+        """Distance of A(z) from unitary on the torus: A(z) A(z)* against I."""
         N = self.scale
-        coeff_dev = 0.0
-        exact_pass = self.is_exact
-        prods = {}
-        for i in range(N):
-            for j in range(N):
-                acc = zero()
-                for k in range(N):
-                    acc = acc + self.entries[i][k] * self.entries[j][k].conj_reciprocal()
-                diff = acc - (one() if i == j else zero())
-                prods[i, j] = diff
-                if not diff.is_zero():
-                    exact_pass = False
-                    coeff_dev = max(
-                        coeff_dev,
-                        max(abs(c.to_complex()) for c in diff.coeffs.values()),
-                    )
-        if exact_pass:
-            return 0.0
-        ts = np.arange(samples) / samples
-        dev = coeff_dev
-        for t in ts:
-            d = np.array(
-                [[prods[i, j].eval_turns(float(t)) for j in range(N)] for i in range(N)]
-            )
-            dev = max(dev, float(np.linalg.norm(d, 2)))
-        return dev
+        gram = [
+            [
+                sum(
+                    (self.entries[i][k] * self.entries[j][k].conj_reciprocal()
+                     for k in range(N)),
+                    zero(),
+                )
+                for j in range(N)
+            ]
+            for i in range(N)
+        ]
+        return _identity_defect(gram, self.is_exact, samples)
 
 
 def loop_apply(A: LoopMatrix, bank: FilterBank) -> FilterBank:

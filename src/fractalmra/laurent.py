@@ -3,6 +3,8 @@
 These carry the low-pass/high-pass filters, the transfer-operator weights
 |m0|^2, correlation functions of lattice vectors, and loop-matrix entries.
 Coefficients are Scalars, so arithmetic is exact whenever the inputs are.
+Dense integer polynomials with cyclotomic reduction decide exactly which
+roots of unity a rational weight or a root-of-unity sum vanishes at.
 """
 
 from __future__ import annotations
@@ -175,3 +177,51 @@ def one() -> LaurentPolynomial:
 
 def monomial(k: int, c=1) -> LaurentPolynomial:
     return LaurentPolynomial({k: c})
+
+
+# -- dense integer polynomials (ascending coefficients) ---------------------
+
+def _poly_trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Division by a monic integer polynomial."""
+    num = list(num)
+    q = [0] * max(len(num) - len(den) + 1, 1)
+    while len(num) >= len(den) and any(num):
+        shift = len(num) - len(den)
+        coef = num[-1]
+        q[shift] = coef
+        for i, d in enumerate(den):
+            num[shift + i] -= coef * d
+        _poly_trim(num)
+    return _poly_trim(q), num
+
+
+def _cyclotomic(N: int, _cache={1: [-1, 1]}) -> list[int]:
+    """Coefficients of the N-th cyclotomic polynomial (ascending)."""
+    if N in _cache:
+        return _cache[N]
+    num = [0] * (N + 1)
+    num[0], num[N] = -1, 1
+    den = [1]
+    for d in range(1, N):
+        if N % d == 0:
+            den = _poly_mul(den, _cyclotomic(d))
+    q, r = _poly_divmod(num, den)
+    if r:
+        raise AssertionError(f"cyclotomic division left a remainder for N={N}")
+    _cache[N] = q
+    return q

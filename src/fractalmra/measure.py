@@ -24,7 +24,7 @@ from .errors import (
     NotNormalizedError,
     PreconditionError,
 )
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _cyclotomic, _poly_divmod
 from .scalars import Scalar, ZERO
 from .transfer import (
     TransferOperator,
@@ -220,88 +220,85 @@ def _orbit_from(j: int, modulus: int, N: int) -> list[int]:
     return orbit
 
 
-CYCLE_GRID_LIMIT = 2 * 10 ** 6
+def _divisors_with_small_totient(n: int, bound: int) -> list[int]:
+    """Divisors M of n with phi(M) <= bound.
 
-
-def _peak_angles(weight: LaurentPolynomial, N: int) -> list[float]:
-    """Unit-circle roots of W - N, as angles in [0, 1).
-
-    The weight satisfies W <= N wherever it is normalized, so every point of
-    a qualifying orbit is a peak of W and hence a root of W - N."""
-    diff = weight - LaurentPolynomial({0: N})
-    if diff.is_zero():
-        raise PreconditionError("weight is identically N; every orbit qualifies")
-    d = max(-min(diff.coeffs), 0)
-    top = max(diff.coeffs)
-    coeffs = np.zeros(top + d + 1, dtype=complex)
-    for k, v in diff.coeffs.items():
-        coeffs[k + d] = v.to_complex()
-    roots = np.roots(coeffs[::-1])
-    angles = []
-    for r in roots:
-        if abs(abs(r) - 1.0) < 1e-6:
-            angles.append(float(np.angle(r) / (2.0 * math.pi)) % 1.0)
-    return sorted(set(angles))
+    A prime q dividing M adds the factor q - 1 to phi(M), so only primes up
+    to bound + 1 are divided out of n; trial division also stops at the
+    square root of what remains, which is then 1 or prime."""
+    factors = []
+    rest = n
+    q = 2
+    while q <= bound + 1 and q * q <= rest:
+        if rest % q == 0:
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            factors.append((q, e))
+        q += 1
+    if 1 < rest <= bound + 1:
+        factors.append((rest, 1))
+    divisors = [(1, 1)]
+    for q, e in factors:
+        divisors += [
+            (m * q ** i, phi * (q - 1) * q ** (i - 1))
+            for m, phi in divisors
+            for i in range(1, e + 1)
+        ]
+    return [m for m, phi in divisors if phi <= bound]
 
 
 def find_cycles(
     m0: LaurentPolynomial,
     N: int,
     L: int = DEFAULT_CYCLE_LENGTH,
-    tol: float = 1e-9,
 ) -> CycleReport:
-    """All orbits of theta -> N theta on which |m0|^2 stays within tol of N.
+    """All orbits of theta -> N theta of length <= L on which |m0|^2 equals N.
 
-    Period-l points are exactly the rationals j/(N^l - 1).  Small levels are
-    scanned with vectorized evaluation over the full grid; levels beyond the
-    grid limit are searched only near the unit-circle roots of |m0|^2 - N,
-    which every point of a qualifying orbit must approach within tol.
-    Orbits are deduplicated across divisor lengths by their exact angle sets.
+    The weight W = |m0|^2 must have rational coefficients.  A point j/M in
+    lowest terms is a root of P = z^D (W - N), D = deg W, exactly when the
+    cyclotomic polynomial Phi_M divides P; then every primitive M-th root is
+    a root, so one exact division decides every orbit with denominator M, and
+    it can only succeed when phi(M) <= 2D.  Period-l points have M dividing
+    N^l - 1, and the orbits of denominator M are as long as the first l at
+    which M divides N^l - 1.
     """
     if L < 1:
         raise PreconditionError("cycle length must be >= 1")
     if N ** L - 1 > CYCLE_POINT_CAP:
         raise CapExceededError(f"N^L - 1 exceeds cap {CYCLE_POINT_CAP}")
     weight = weight_from_filter(m0)
-    seen: set[frozenset] = set()
+    if not all(c.is_rational for c in weight.coeffs.values()):
+        raise PreconditionError("cycle search needs a weight with rational coefficients")
+    D = weight.degree()
+    P = [Fraction(0)] * (2 * D + 1)
+    for k, c in weight.coeffs.items():
+        P[k + D] = c.a
+    P[D] -= N
+    if not any(P):
+        raise PreconditionError("weight is identically N; every orbit qualifies")
+    den = math.lcm(*(c.denominator for c in P))
+    P = [int(c * den) for c in P]
+    visited: set[int] = set()
     cycles: list[Cycle] = []
-    peak_angles: list[float] | None = None
-
-    def consider(j: int, modulus: int, values=None):
-        orbit = _orbit_from(j, modulus, N)
-        if values is None:
-            vals = {
-                q: float(weight.eval_turns(q / modulus).real) for q in orbit
-            }
-        else:
-            vals = {q: float(values[q]) for q in orbit}
-        if any(abs(v - N) > tol for v in vals.values()):
-            return
-        key = frozenset(Fraction(q, modulus) for q in orbit)
-        if key in seen:
-            return
-        seen.add(key)
-        start = min(orbit, key=lambda q: Fraction(q, modulus))
-        ordered = _orbit_from(start, modulus, N)
-        cycles.append(
-            Cycle(
-                tuple(Fraction(q, modulus) for q in ordered),
-                tuple(vals[q] for q in ordered),
-            )
-        )
-
     for ell in range(1, L + 1):
-        modulus = N ** ell - 1
-        if modulus <= CYCLE_GRID_LIMIT:
-            thetas = np.arange(modulus) / modulus
-            values = weight.eval_turns(thetas).real
-            for j in np.flatnonzero(np.abs(values - N) <= tol):
-                consider(int(j), modulus, values)
-        else:
-            if peak_angles is None:
-                peak_angles = _peak_angles(weight, N)
-            for theta in peak_angles:
-                consider(round(theta * modulus) % modulus, modulus)
+        for M in _divisors_with_small_totient(N ** ell - 1, 2 * D):
+            if M in visited:
+                continue
+            visited.add(M)
+            if _poly_divmod(P, _cyclotomic(M))[1]:
+                continue
+            todo = {j for j in range(M) if math.gcd(j, M) == 1}
+            while todo:
+                orbit = _orbit_from(min(todo), M, N)
+                todo.difference_update(orbit)
+                cycles.append(
+                    Cycle(
+                        tuple(Fraction(q, M) for q in orbit),
+                        tuple(float(weight.eval_turns(q / M).real) for q in orbit),
+                    )
+                )
     cycles.sort(key=lambda c: c.angles)
     return CycleReport(searched_length=L, scale=N, cycles=tuple(cycles))
 
@@ -329,7 +326,6 @@ def classify_support(
     m0: LaurentPolynomial,
     N: int,
     L: int = DEFAULT_CYCLE_LENGTH,
-    tol: float = 1e-9,
     table_range: int = 16,
 ) -> SupportClassification:
     """Support dichotomy for the invariant measures of a normalized filter.
@@ -346,7 +342,7 @@ def classify_support(
         raise NotNormalizedError(
             f"filter is not transfer-normalized: R(1) deviates by {defect:.3e}"
         )
-    report = find_cycles(m0, N, L, tol)
+    report = find_cycles(m0, N, L)
     block = spectral_block(op)
     diagnostics = {
         "eigenvalue_one_multiplicity": block.eigenvalue_one_multiplicity,

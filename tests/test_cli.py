@@ -214,3 +214,21 @@ def test_seed_flag_removed():
         cli.main(["dimension", "--scale", "3", "--digits", "0,2", "--seed", "0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in err.getvalue()
+
+
+def test_cycles_tol_flag_removed():
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        cli.main(["cycles", "--scale", "2", "--digits", "0,1", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["duality", "onb-check"])
+def test_one_digit_dual_pair(command):
+    code, out, err = run_cli(command, "--scale", "3", "--digits", "1", "--dual", "0")
+    assert code == 0, err
+    obj = json.loads(out)
+    jsonschema.validate(obj, load_schema(command))
+    key = "lambda_prefix" if command == "duality" else "exponents"
+    assert obj[key] == [0]

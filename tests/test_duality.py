@@ -15,7 +15,6 @@ from fractalmra.duality import (
     frequency_sum,
     lambda_set,
     onb_defect,
-    spectrum_sum,
 )
 from fractalmra.filterbank import canonical_lowpass
 from fractalmra.ifs import DigitSystem
@@ -155,6 +154,66 @@ def test_b_cycle_word_rejection(c4_pair):
     )
 
 
+def float_b_cycles(pair, K, tol=1e-9):
+    """Reference: every dual-digit word up to length K, kept when |m0|^2 is
+    within tol of p at each point of its cycle (first word per cycle)."""
+    sys = pair.system
+    N, p = sys.scale, sys.p
+    m0 = canonical_lowpass(sys)
+    found = {}
+    for k in range(1, K + 1):
+        modulus = N ** k - 1
+        for word in itertools.product(pair.dual, repeat=k):
+            c = sum(b * N ** (k - 1 - i) for i, b in enumerate(word))
+            angles = [Fraction(c * N ** i, modulus) % 1 for i in range(k)]
+            values = [abs(m0.eval_turns(float(a))) ** 2 for a in angles]
+            key = frozenset(angles)
+            if key in found or any(abs(v - p) > tol for v in values):
+                continue
+            start = angles.index(min(angles))
+            found[key] = (
+                tuple(angles[start:] + angles[:start]),
+                word,
+                tuple(values[start:] + values[:start]),
+            )
+    return sorted(found.values())
+
+
+def small_dual_pairs():
+    """Every Dual pair with N <= 6, 0 in both digit sets, p = 2 or 3 and dual
+    digits in [-3, 2N), plus the one-digit pair (3, {1}), (0,)."""
+    yield dual_matrix(DigitSystem(3, (1,)), (0,))
+    for N in range(2, 7):
+        for p in range(2, min(N, 3) + 1):
+            for rest in itertools.combinations(range(1, N), p - 1):
+                sys = DigitSystem(N, (0,) + rest)
+                for dual in itertools.combinations(range(-3, 2 * N), p - 1):
+                    if 0 in dual:
+                        continue
+                    pair = dual_matrix(sys, (0,) + dual)
+                    if pair.is_dual:
+                        yield pair
+
+
+def test_b_cycles_match_float_word_enumeration(c4_pair):
+    pairs = [(pair, 3) for pair in small_dual_pairs()]
+    pairs += [(dual_matrix(DigitSystem(N, S), B), 6) for N, S, B in TABLE_PAIRS]
+    pairs += [(c4_pair, 7), (dual_matrix(DigitSystem(6, (0, 5)), (0, -3)), 6)]
+    nontrivial = 0
+    for pair, K in pairs:
+        report = b_cycles(pair, K)
+        expected = float_b_cycles(pair, K)
+        assert [(c.angles, c.word, c.values) for c in report.cycles] == expected
+        nontrivial += not report.trivial_only
+    assert len(pairs) > 80 and nontrivial >= 5
+
+
+def test_one_digit_dual_spectrum_stops_growing():
+    # B = {0} maps Lambda = {0} onto itself; the growth loop must stop
+    pair = dual_matrix(DigitSystem(3, (1,)), (0,))
+    assert lambda_set(pair, 8).prefix == (0,)
+
+
 def test_exponential_gram_identity(c4_pair):
     prefix = lambda_set(c4_pair, 8).prefix
     gram = exponential_gram(c4_pair.system, prefix, depth=40)
@@ -233,7 +292,7 @@ def test_dual_transfer_not_periodic(c4_pair):
 
 def test_spectrum_sum_near_one_for_onb(c4_pair):
     for xi in (0.1, 0.45, 0.8):
-        assert spectrum_sum(c4_pair, xi, 1024) == pytest.approx(1.0, abs=1e-3)
+        assert onb_defect(c4_pair, xi, 1024)[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_table_pairs_cycle_gating():

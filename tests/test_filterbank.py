@@ -187,6 +187,17 @@ def test_loop_round_trip_numeric():
                 assert dev < 1e-10
 
 
+def test_unitarity_defect_rejects_sample_counts_below_one():
+    half = LoopMatrix.diagonal([LaurentPolynomial({0: Fraction(1, 2)}), one()])
+    bank = build_bank(DigitSystem(3, (0, 2)))
+    for samples in (0, -3):
+        with pytest.raises(PreconditionError):
+            half.unitarity_defect(samples=samples)
+        with pytest.raises(PreconditionError):
+            unitarity_defect(bank, samples=samples)
+    assert half.unitarity_defect(samples=1) == 0.75
+
+
 def test_reordered():
     bank = build_bank(DigitSystem(4, (0, 2)))
     perm = bank.reordered((0, 3, 1, 2))

@@ -1,9 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fractalmra.errors import CyclesFoundError, NotNormalizedError
+from fractalmra.errors import (
+    CapExceededError,
+    CyclesFoundError,
+    NotNormalizedError,
+    PreconditionError,
+)
 from fractalmra.filterbank import canonical_lowpass
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
@@ -11,6 +18,7 @@ from fractalmra.measure import (
     CONVERGED,
     STABILIZED,
     UNSETTLED,
+    _divisors_with_small_totient,
     classify_support,
     compare_filters,
     find_cycles,
@@ -21,7 +29,7 @@ from fractalmra.measure import (
     wiener_profile,
 )
 from fractalmra.scalars import Scalar
-from fractalmra.transfer import TransferOperator
+from fractalmra.transfer import TransferOperator, weight_from_filter
 
 HALF = Scalar(Fraction(1, 2))
 R2 = Scalar.inv_sqrt(2)
@@ -189,22 +197,115 @@ def test_find_cycles_examples(cantor3, haar2):
     ]
 
 
-def test_find_cycles_root_targeted_path_matches_grid(monkeypatch, haar2):
-    """Levels beyond the grid limit search near the peaks of the weight and
-    must find exactly the same orbits."""
-    import fractalmra.measure as measure_mod
+def grid_cycles(m0, N, L, tol=1e-9):
+    """Reference: scan every j/(N^l - 1), l <= L, with float weights and keep
+    the orbits whose points all lie within tol of N."""
+    weight = weight_from_filter(m0)
+    found = {}
+    for ell in range(1, L + 1):
+        modulus = N ** ell - 1
+        values = weight.eval_turns(np.arange(modulus) / modulus).real
+        peak = np.abs(values - N) <= tol
+        for j in np.flatnonzero(peak):
+            orbit = [int(j)]
+            while orbit[-1] * N % modulus != orbit[0]:
+                orbit.append(orbit[-1] * N % modulus)
+            key = frozenset(Fraction(q, modulus) for q in orbit)
+            if key in found or not all(peak[q] for q in orbit):
+                continue
+            start = orbit.index(min(orbit))
+            orbit = orbit[start:] + orbit[:start]
+            found[key] = (
+                tuple(Fraction(q, modulus) for q in orbit),
+                tuple(float(values[q]) for q in orbit),
+            )
+    return sorted(found.values())
 
-    for m0, N in ((stretched_haar(), 2), (canonical_lowpass(haar2), 2)):
-        full = find_cycles(m0, N, 10)
-        monkeypatch.setattr(measure_mod, "CYCLE_GRID_LIMIT", 10)
-        hybrid = measure_mod.find_cycles(m0, N, 10)
-        monkeypatch.undo()
-        assert [c.angles for c in hybrid.cycles] == [c.angles for c in full.cycles]
+
+def reference_filters():
+    """(m0, N, L): canonical filters of every digit set containing 0 for
+    N <= 5, complete-residue filters N^(-1/2) sum z^(r + N k_r),
+    (1 +- z^k)/sqrt(2), and unnormalized filters whose |m0|^2 - N has simple
+    roots filling a whole cyclotomic factor (phi(M) = 2 deg W); L keeps each
+    grid below 7000 points."""
+    lengths = {2: 12, 3: 8, 4: 6, 5: 5}
+    for N, L in lengths.items():
+        for p in range(1, N + 1):
+            for rest in itertools.combinations(range(1, N), p - 1):
+                yield canonical_lowpass(DigitSystem(N, (0,) + rest)), N, L
+    for N in (2, 3):
+        for shifts in itertools.product(range(-1, 3), repeat=N - 1):
+            exps = (0,) + tuple(r + N * k for r, k in zip(range(1, N), shifts))
+            c = Scalar.inv_sqrt(N)
+            yield LaurentPolynomial({e: c for e in exps}), N, lengths[N]
+    for k in range(1, 7):
+        for sign in (1, -1):
+            yield LaurentPolynomial({0: R2, k: R2 * sign}), 2, 12
+    for N in (2, 4, 5):  # |m0|^2 - N = N z^-1 Phi_3
+        yield LaurentPolynomial({0: Scalar.sqrt(N), 1: Scalar.sqrt(N)}), N, lengths[N]
+    for N in (3, 5):  # |m0|^2 - N = (N/2) z^-1 Phi_4
+        c = Scalar(0, Fraction(1, 2), 2 * N)
+        yield LaurentPolynomial({0: c, 1: c}), N, lengths[N]
+    for N in (2, 3, 4):  # |m0|^2 - N = (4N/5) z^-2 Phi_5
+        a = Scalar(0, Fraction(2, 5), 5 * N)
+        yield LaurentPolynomial({0: a, 1: a * HALF, 2: a}), N, lengths[N]
+
+
+def test_find_cycles_matches_float_grid_scan():
+    with_cycles = 0
+    for m0, N, L in reference_filters():
+        expected = grid_cycles(m0, N, L)
+        for length in range(1, L + 1):
+            report = find_cycles(m0, N, length)
+            assert [(c.angles, c.values) for c in report.cycles] == [
+                cycle for cycle in expected if len(cycle[0]) <= length
+            ]
+        with_cycles += bool(expected)
+    assert with_cycles >= 30
+
+
+def test_divisors_with_small_totient():
+    for n in range(1, 800):
+        phis = {
+            m: sum(math.gcd(j, m) == 1 for j in range(m))
+            for m in range(1, n + 1)
+            if n % m == 0
+        }
+        for bound in (0, 1, 2, 4, 6, 12, 40):
+            assert sorted(_divisors_with_small_totient(n, bound)) == [
+                m for m in sorted(phis) if phis[m] <= bound
+            ]
+
+
+def test_find_cycles_beyond_the_float_grid():
+    # 2^29 - 1 points would not fit a grid; the exact search visits only the
+    # divisors M with phi(M) <= 2 deg W
+    for m0, lengths in (
+        (stretched_haar(), [1, 2]),
+        (LaurentPolynomial({0: R2, 5: R2}), [1, 4]),
+    ):
+        report = find_cycles(m0, 2, 29)
+        assert [c.length for c in report.cycles] == lengths
+        assert report.cycles == find_cycles(m0, 2, 10).cycles
+    with pytest.raises(CapExceededError):
+        find_cycles(stretched_haar(), 2, 30)
+
+
+def test_find_cycles_rejects_weights_it_cannot_decide():
+    irrational = LaurentPolynomial({0: HALF, 1: Scalar(0, Fraction(1, 2), 2)})
+    approximate = LaurentPolynomial({0: Scalar.approx(R2.to_complex()), 1: R2})
+    for m0 in (irrational, approximate):
+        with pytest.raises(PreconditionError, match="rational"):
+            find_cycles(m0, 2, 4)
+    constant_n = monomial(3, Scalar.sqrt(2))
+    for L in (1, 8):
+        with pytest.raises(PreconditionError, match="identically N"):
+            find_cycles(constant_n, 2, L)
 
 
 def test_find_cycles_large_scale_default_length():
-    # scale 6 at length 11 stays within the point cap thanks to the
-    # root-targeted path; the full grid would hold ~4e8 points
+    # scale 6 at length 11 stays within the point cap; a full grid would
+    # hold ~4e8 points
     report = find_cycles(canonical_lowpass(DigitSystem(6, (0, 2, 4))), 6, 11)
     assert report.verdict == "NoCycles"
 
