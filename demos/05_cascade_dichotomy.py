@@ -12,6 +12,7 @@ polynomial.
 
 from fractalmra import (
     DigitSystem,
+    TransferOperator,
     canonical_lowpass,
     cascade_experiment,
     cascade_step,
@@ -54,6 +55,7 @@ print(f"Gram of the {section.size} dilated translates is the exact identity:",
 print()
 print("matrix coefficients of dilated translation averages converge to the")
 print("invariant-measure moments:")
+op = TransferOperator.from_filter(m0, cantor.scale)
 for m in (0, 1, 2, 4, 6):
-    v = representation_limit(cantor, m0, 8, m)
+    v = representation_limit(op, 8, m)
     print(f"  m={m}: {v.exact_str()}")

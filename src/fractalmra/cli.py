@@ -1,6 +1,11 @@
 """Command-line front end: experiment subcommands with deterministic JSON,
 CSV, or text output.
 
+Each subcommand computes one JSON document; its text and csv forms are
+renderings of that document, and csv columns are projections of its fields.
+One table (`COMMANDS`) holds every subcommand's handler, arguments and
+renderers, and drives both the parser and the dispatch.
+
 Exit codes: 0 success, 2 precondition violation, 3 cap exceeded, 64 unknown
 subcommand.  Output is byte-identical across runs for a fixed configuration
 (collections are emitted in sorted key order).
@@ -14,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,22 +36,6 @@ from .space import (
     wavelet_generators,
 )
 from .transfer import TransferOperator, spectral_block
-
-SUBCOMMANDS = (
-    "dimension",
-    "filters",
-    "spectrum",
-    "moments",
-    "cycles",
-    "classify",
-    "duality",
-    "onb-check",
-    "cascade",
-    "riesz",
-    "gram",
-    "table",
-    "replimit",
-)
 
 DEFAULT_MOMENT_RANGE = 256
 DEFAULT_CASCADE_STEPS = 8
@@ -95,116 +85,91 @@ def _modifier_polynomial(expr: str, m0: LaurentPolynomial) -> LaurentPolynomial:
     )
 
 
-def _system(args) -> DigitSystem:
-    return DigitSystem(args.scale, _parse_digits(args.digits))
+def _system(args) -> tuple[DigitSystem, dict]:
+    """The system of --scale/--digits and its JSON header."""
+    sys_ = DigitSystem(args.scale, _parse_digits(args.digits))
+    return sys_, {"scale": sys_.scale, "digits": list(sys_.digits)}
 
 
-# -- subcommand handlers: each returns (json_obj, csv_rows_or_None, text) ----
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+# -- subcommand handlers: each returns its JSON document ---------------------
 
 def _run_dimension(args):
-    sys_ = _system(args)
-    result = {"dimension": hausdorff_dimension(sys_)}
-    return result, None, f"dimension {result['dimension']!r}\n"
+    sys_, _ = _system(args)
+    return {"dimension": hausdorff_dimension(sys_)}
 
 
 def _run_filters(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     bank = build_bank(sys_)
-    defect = unitarity_defect(bank, samples=args.samples)
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
+        "unitarity_defect": unitarity_defect(bank, samples=args.samples),
         "filters": [_poly_json(f) for f in bank.filters],
-        "unitarity_defect": defect,
         "exact": bank.is_exact,
     }
-    text = "\n".join(
-        [f"m_{i} = {f}" for i, f in enumerate(bank.filters)]
-        + [f"unitarity defect: {defect!r}", ""]
-    )
-    return obj, None, text
 
 
 def _run_spectrum(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     block = spectral_block(op)
-    eigs = sorted(
-        ([ev.real, ev.imag] for ev in block.eigenvalues),
-        key=lambda t: (t[0], t[1]),
-    )
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
         "halfwidth": block.halfwidth,
         "dimension": block.dimension,
-        "eigenvalues": eigs,
+        "eigenvalues": sorted([ev.real, ev.imag] for ev in block.eigenvalues),
         "eigenvalue_one_multiplicity": block.eigenvalue_one_multiplicity,
         "has_other_peripheral": block.has_other_peripheral,
         "fixes_constant": block.fixes_constant,
         "eigenvalue_one_simple_exact": block.eigenvalue_one_simple_exact,
     }
-    text = (
-        f"block dimension {block.dimension} (halfwidth {block.halfwidth})\n"
-        f"eigenvalues: {eigs!r}\n"
-    )
-    return obj, None, text
 
 
 def _run_moments(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range, args.max_iter, args.tol)
     profile = measure_mod.wiener_profile(table, args.range)
-    moments = [
-        {
-            "n": e.n,
-            **_scalar_json(e.value),
-            "status": e.status,
-            "iterations": e.iterations,
-            "cesaro": e.cesaro,
-        }
-        for e in table.rows()
-    ]
-    wiener = {
-        "rows": [
-            {
-                "k": r.k,
-                "s": _scalar_json(r.partial_sum),
-                "ratio": None if r.ratio is None else _scalar_json(r.ratio),
-            }
-            for r in profile.rows
-        ],
-        "unsettled": list(profile.unsettled),
-    }
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
         "range": args.range,
-        "moments": moments,
-        "wiener": wiener,
+        "moments": [
+            {
+                "n": e.n,
+                **_scalar_json(e.value),
+                "status": e.status,
+                "iterations": e.iterations,
+                "cesaro": e.cesaro,
+            }
+            for e in table.rows()
+        ],
+        "wiener": {
+            "rows": [
+                {
+                    "k": r.k,
+                    "s": _scalar_json(r.partial_sum),
+                    "ratio": None if r.ratio is None else _scalar_json(r.ratio),
+                }
+                for r in profile.rows
+            ],
+            "unsettled": list(profile.unsettled),
+        },
     }
+
+
+def _moments_csv(obj, args):
     if args.emit == "wiener":
-        rows = [["k", "s_k", "ratio"]]
-        for r in profile.rows:
-            rows.append(
-                [
-                    r.k,
-                    repr(float(r.partial_sum.to_complex().real)),
-                    "" if r.ratio is None else repr(float(r.ratio.to_complex().real)),
-                ]
-            )
-    else:
-        rows = [["n", "re", "im", "status"]]
-        for e in table.rows():
-            z = e.value.to_complex()
-            rows.append([e.n, repr(z.real), repr(z.imag), e.status])
-    text_lines = [
-        f"nu^({e.n}) = {e.value.exact_str() or e.value.to_complex()} [{e.status}]"
-        for e in table.rows()
-        if e.n >= 0
+        return [["k", "s_k", "ratio"]] + [
+            [r["k"], r["s"]["re"], r["ratio"] and r["ratio"]["re"]]
+            for r in obj["wiener"]["rows"]
+        ]
+    return [["n", "re", "im", "status"]] + [
+        [m["n"], m["re"], m["im"], m["status"]] for m in obj["moments"]
     ]
-    return obj, rows, "\n".join(text_lines) + "\n"
 
 
 def _feasible_cycle_length(N: int, requested: int) -> int:
@@ -216,12 +181,11 @@ def _feasible_cycle_length(N: int, requested: int) -> int:
 
 
 def _run_cycles(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     length = _feasible_cycle_length(sys_.scale, args.length)
     report = measure_mod.find_cycles(canonical_lowpass(sys_), sys_.scale, length)
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
         "requested_length": args.length,
         "searched_length": report.searched_length,
         "verdict": report.verdict,
@@ -234,24 +198,19 @@ def _run_cycles(args):
             for c in report.cycles
         ],
     }
-    text = f"{report.verdict}: {[[str(a) for a in c.angles] for c in report.cycles]!r}\n"
-    return obj, None, text
 
 
 def _run_classify(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     length = _feasible_cycle_length(sys_.scale, args.length)
     cls = measure_mod.classify_support(
         canonical_lowpass(sys_), sys_.scale, length
     )
     obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+        **head,
         "searched_length": length,
         "kind": cls.kind,
-        "diagnostics": {
-            k: v for k, v in sorted(cls.diagnostics.items())
-        },
+        "diagnostics": dict(sorted(cls.diagnostics.items())),
         "atoms": [
             {
                 "angles": [str(a) for a in atom.cycle.angles],
@@ -266,15 +225,14 @@ def _run_classify(args):
             for e in cls.moments.rows()
             if e.n >= 0
         ]
-    return obj, None, f"{cls.kind}\n"
+    return obj
 
 
 def _run_duality(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     pair = dual_mod.dual_matrix(sys_, _parse_digits(args.dual))
     obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+        **head,
         "dual": list(pair.dual),
         "verdict": pair.verdict,
         "defect": pair.defect,
@@ -282,9 +240,8 @@ def _run_duality(args):
         "matrix": [[[z.real, z.imag] for z in row] for row in pair.matrix()],
     }
     if pair.is_dual:
-        prefix = dual_mod.lambda_set(pair, args.count).prefix
+        obj["lambda_prefix"] = list(dual_mod.lambda_set(pair, args.count).prefix)
         cycles = dual_mod.b_cycles(pair, args.cycle_length)
-        obj["lambda_prefix"] = list(prefix)
         obj["b_cycles"] = {
             "trivial_only": cycles.trivial_only,
             "cycles": [
@@ -296,47 +253,35 @@ def _run_duality(args):
                 for c in cycles.cycles
             ],
         }
-    text = f"{pair.verdict}; lambda prefix {obj.get('lambda_prefix')!r}\n"
-    return obj, None, text
+    return obj
 
 
 def _run_onb_check(args):
-    sys_ = _system(args)
+    sys_, head = _system(args)
     pair = dual_mod.dual_matrix(sys_, _parse_digits(args.dual))
     if not pair.is_dual:
         raise PreconditionError("onb-check requires a Dual pair")
     prefix = dual_mod.lambda_set(pair, args.count).prefix
     gram = dual_mod.exponential_gram(sys_, prefix, args.depth)
-    eye = np.eye(len(prefix))
-    off = float(np.max(np.abs(gram - eye)))
+    off = float(np.max(np.abs(gram - np.eye(len(prefix)))))
     sums = dual_mod.onb_defect(pair, args.xi, args.count, args.depth)
-    monotone = all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
         "dual": list(pair.dual),
         "exponents": list(prefix),
         "gram_max_deviation": off,
         "xi": args.xi,
         "partial_sums": sums,
-        "monotone": monotone,
+        "monotone": all(b >= a - 1e-15 for a, b in zip(sums, sums[1:])),
         "bessel_bound_ok": bool(max(sums) <= 1 + 1e-9),
     }
-    text = (
-        f"gram deviation {off!r}; partial sums monotone={monotone} "
-        f"max={max(sums)!r}\n"
-    )
-    return obj, None, text
 
 
 def _run_cascade(args):
-    sys_ = _system(args)
-    m0 = canonical_lowpass(sys_)
-    m = _modifier_polynomial(args.modifier, m0)
-    rows = cascade_experiment(sys_, m, args.steps)
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    sys_, head = _system(args)
+    m = _modifier_polynomial(args.modifier, canonical_lowpass(sys_))
+    return {
+        **head,
         "modifier": args.modifier,
         "rows": [
             {
@@ -345,61 +290,43 @@ def _run_cascade(args):
                 "inner": _scalar_json(r.inner),
                 "transfer_inner": _scalar_json(r.transfer_inner),
             }
-            for r in rows
+            for r in cascade_experiment(sys_, m, args.steps)
         ],
     }
-    csv_rows = [["n", "norm_sq", "inner_re", "inner_im"]]
-    for r in rows:
-        z = r.inner.to_complex()
-        csv_rows.append(
-            [r.n, repr(r.diff_norm_sq.to_complex().real), repr(z.real), repr(z.imag)]
-        )
-    text = "\n".join(
-        f"n={r.n} |diff|^2={r.diff_norm_sq.exact_str()} inner={r.inner.exact_str()}"
-        for r in rows
-    )
-    return obj, csv_rows, text + "\n"
 
 
 def _run_riesz(args):
     samples = measure_mod.riesz_samples(args.depth, args.grid)
-    obj = {
+    return {
         "depth": args.depth,
         "grid": args.grid,
         "rows": [[t, v] for t, v in samples],
     }
-    csv_rows = [["t", "value"]] + [[repr(t), repr(v)] for t, v in samples]
-    return obj, csv_rows, f"{len(samples)} samples; first {samples[0]!r}\n"
 
 
 def _run_gram(args):
-    sys_ = _system(args)
-    gens = wavelet_generators(sys_)
+    sys_, head = _system(args)
     section = gram_section(
         sys_,
-        gens,
+        wavelet_generators(sys_),
         range(-args.jrange, args.jrange + 1),
         range(-args.krange, args.krange + 1),
     )
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
+    return {
+        **head,
         "size": section.size,
         "is_identity": section.is_identity(),
         "max_deviation": section.max_identity_deviation(),
         "labels": [list(label) for label in section.labels],
     }
-    text = f"section size {section.size}; identity={obj['is_identity']}\n"
-    return obj, None, text
 
 
 def _run_replimit(args):
-    sys_ = _system(args)
-    m0 = canonical_lowpass(sys_)
-    op = TransferOperator.from_filter(m0, sys_.scale)
+    sys_, head = _system(args)
+    op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     rows = []
     for m in range(-args.range, args.range + 1):
-        value = representation_limit(sys_, m0, args.level, m)
+        value = representation_limit(op, args.level, m)
         mom = measure_mod.moment(op, m)
         rows.append(
             {
@@ -409,129 +336,208 @@ def _run_replimit(args):
                 "abs_diff": abs(value.to_complex() - mom.value.to_complex()),
             }
         )
-    obj = {
-        "scale": sys_.scale,
-        "digits": list(sys_.digits),
-        "level": args.level,
-        "rows": rows,
-    }
-    text = "\n".join(
-        f"m={r['m']} value={r['value']['exact']} moment={r['moment']['exact']}"
-        for r in rows
-    )
-    return obj, None, text + "\n"
-
-
-def _table_row_one(N, S, B):
-    sys_ = DigitSystem(N, S)
-    pair = dual_mod.dual_matrix(sys_, B)
-    matrix = [
-        [
-            {
-                "phase_turns": str(Fraction(a * b, N) % 1),
-                "re": float(z.real),
-                "im": float(z.imag),
-            }
-            for b, z in zip(B, row)
-        ]
-        for a, row in zip(sys_.digits, pair.matrix())
-    ]
-    return {
-        "scale": N,
-        "p": sys_.p,
-        "digits": list(S),
-        "dual": list(B),
-        "matrix": matrix,
-        "verdict": pair.verdict,
-        "hausdorff_dimension": hausdorff_dimension(sys_),
-    }
-
-
-def _table_row_two(N, S, B):
-    sys_ = DigitSystem(N, S)
-    pair = dual_mod.dual_matrix(sys_, B)
-    count = 12 if sys_.p == 3 else 8
-    return {
-        "scale": N,
-        "p": sys_.p,
-        "dual": list(B),
-        "lambda_prefix": list(dual_mod.lambda_set(pair, count).prefix),
-    }
-
-
-def _table_row_three(N, S, B):
-    sys_ = DigitSystem(N, S)
-    m0 = canonical_lowpass(sys_)
-    p = sys_.p
-    grid = [Fraction(g, 16) for g in range(16)]
-    branches = [
-        {"digit": b, "weight": f"|m0((xi-{b})/{N})|^2/{p}"} for b in B
-    ]
-    partition_dev = 0.0
-    samples = []
-    for xi in grid:
-        weights = [
-            abs(m0.eval_turns(float((xi - b) / N))) ** 2 / p for b in B
-        ]
-        samples.append({"xi": str(xi), "weights": weights})
-        partition_dev = max(partition_dev, abs(sum(weights) - 1.0))
-    return {
-        "scale": N,
-        "p": p,
-        "dual": list(B),
-        "branches": branches,
-        "weight_samples": samples,
-        "partition_of_unity_max_dev": partition_dev,
-    }
+    return {**head, "level": args.level, "rows": rows}
 
 
 def _run_table(args):
-    obj = {
-        "dual_systems": [_table_row_one(*row) for row in TABLE_SYSTEMS],
-        "spectra": [_table_row_two(*row) for row in TABLE_SYSTEMS],
-        "dual_transfer": [_table_row_three(*row) for row in TABLE_SYSTEMS],
-    }
+    obj = {"dual_systems": [], "spectra": [], "dual_transfer": []}
+    grid = [Fraction(g, 16) for g in range(16)]
+    for N, S, B in TABLE_SYSTEMS:
+        sys_ = DigitSystem(N, S)
+        p = sys_.p
+        pair = dual_mod.dual_matrix(sys_, B)
+        obj["dual_systems"].append({
+            "scale": N,
+            "p": p,
+            "digits": list(S),
+            "dual": list(B),
+            "matrix": [
+                [
+                    {"phase_turns": str(Fraction(a * b, N) % 1),
+                     "re": float(z.real), "im": float(z.imag)}
+                    for b, z in zip(B, row)
+                ]
+                for a, row in zip(sys_.digits, pair.matrix())
+            ],
+            "verdict": pair.verdict,
+            "hausdorff_dimension": hausdorff_dimension(sys_),
+        })
+        obj["spectra"].append({
+            "scale": N,
+            "p": p,
+            "dual": list(B),
+            "lambda_prefix": list(dual_mod.lambda_set(pair, 12 if p == 3 else 8).prefix),
+        })
+        m0 = canonical_lowpass(sys_)
+        samples = [
+            {
+                "xi": str(xi),
+                "weights": [
+                    abs(m0.eval_turns(float((xi - b) / N))) ** 2 / p for b in B
+                ],
+            }
+            for xi in grid
+        ]
+        obj["dual_transfer"].append({
+            "scale": N,
+            "p": p,
+            "dual": list(B),
+            "branches": [
+                {"digit": b, "weight": f"|m0((xi-{b})/{N})|^2/{p}"} for b in B
+            ],
+            "weight_samples": samples,
+            "partition_of_unity_max_dev": max(
+                abs(sum(s["weights"]) - 1.0) for s in samples
+            ),
+        })
+    return obj
+
+
+def _table_text(obj) -> str:
     lines = ["N  p  S          B          dim"]
     for row in obj["dual_systems"]:
         lines.append(
             f"{row['scale']}  {row['p']}  {str(row['digits']):<10} "
             f"{str(row['dual']):<10} {row['hausdorff_dimension']!r}"
         )
-    lines.append("")
-    lines.append("N  p  Lambda prefix")
+    lines += ["", "N  p  Lambda prefix"]
     for row in obj["spectra"]:
         lines.append(f"{row['scale']}  {row['p']}  {row['lambda_prefix']!r}")
-    lines.append("")
-    lines.append("N  p  dual transfer branches")
+    lines += ["", "N  p  dual transfer branches"]
     for row in obj["dual_transfer"]:
         desc = " + ".join(
             f"{b['weight']} f((xi-{b['digit']})/{row['scale']})"
             for b in row["branches"]
         )
         lines.append(f"{row['scale']}  {row['p']}  {desc}")
-    return obj, None, "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
-_HANDLERS = {
-    "dimension": _run_dimension,
-    "filters": _run_filters,
-    "spectrum": _run_spectrum,
-    "moments": _run_moments,
-    "cycles": _run_cycles,
-    "classify": _run_classify,
-    "duality": _run_duality,
-    "onb-check": _run_onb_check,
-    "cascade": _run_cascade,
-    "riesz": _run_riesz,
-    "gram": _run_gram,
-    "table": _run_table,
-    "replimit": _run_replimit,
+class Subcommand(NamedTuple):
+    """One row of the command table: the handler (args -> JSON document), its
+    help, whether it reads --scale/--digits, its own (flag, options) arguments,
+    and the renderers text(doc) and csv(doc, args) (None: no csv form)."""
+
+    run: Callable
+    help: str
+    system: bool
+    args: tuple
+    text: Callable
+    csv: Callable | None = None
+
+
+def _arg(flag: str, help: str, **options) -> tuple[str, dict]:
+    return flag, {"help": help, **options}
+
+
+COMMANDS = {
+    "dimension": Subcommand(
+        _run_dimension, "Hausdorff dimension of the attractor", True, (),
+        lambda o: f"dimension {o['dimension']!r}\n",
+    ),
+    "filters": Subcommand(
+        _run_filters, "canonical filter bank and unitarity defect", True,
+        (_arg("--samples", "torus sample count for the defect", type=int, default=64),),
+        lambda o: _lines(
+            [f"m_{i} = {f['display']}" for i, f in enumerate(o["filters"])]
+            + [f"unitarity defect: {o['unitarity_defect']!r}"]
+        ),
+    ),
+    "spectrum": Subcommand(
+        _run_spectrum, "invariant spectral block of the transfer operator", True, (),
+        lambda o: (
+            f"block dimension {o['dimension']} (halfwidth {o['halfwidth']})\n"
+            f"eigenvalues: {o['eigenvalues']!r}\n"
+        ),
+    ),
+    "moments": Subcommand(
+        _run_moments, "invariant-measure moments and Wiener profile", True,
+        (
+            _arg("--range", "compute moments for |n| up to this",
+                 type=int, default=DEFAULT_MOMENT_RANGE),
+            _arg("--max-iter", "iteration cap per moment",
+                 type=int, default=measure_mod.DEFAULT_MAX_ITER),
+            _arg("--tol", "convergence tolerance",
+                 type=float, default=measure_mod.DEFAULT_TOL),
+            _arg("--emit", "which rows the csv format emits",
+                 choices=("moments", "wiener"), default="moments"),
+        ),
+        lambda o: _lines(
+            f"nu^({m['n']}) = {m['exact'] or complex(m['re'], m['im'])} [{m['status']}]"
+            for m in o["moments"]
+            if m["n"] >= 0
+        ),
+        _moments_csv,
+    ),
+    "cycles": Subcommand(
+        _run_cycles, "cycles of theta -> N theta carrying peak weight", True,
+        (_arg("--length", "max cycle length (clamped to the point cap)",
+              type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
+        lambda o: f"{o['verdict']}: {[c['angles'] for c in o['cycles']]!r}\n",
+    ),
+    "classify": Subcommand(
+        _run_classify, "support dichotomy of the invariant measure", True,
+        (_arg("--length", "max cycle length (clamped to the point cap)",
+              type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
+        lambda o: f"{o['kind']}\n",
+    ),
+    "duality": Subcommand(
+        _run_duality, "dual matrix, spectrum prefix, and dual-digit cycles", True,
+        (_arg("--dual", "comma-separated dual digits", required=True),
+         _arg("--count", "spectrum prefix length", type=int, default=8),
+         _arg("--cycle-length", "max dual-digit word length", type=int, default=6)),
+        lambda o: f"{o['verdict']}; lambda prefix {o.get('lambda_prefix')!r}\n",
+    ),
+    "onb-check": Subcommand(
+        _run_onb_check, "exponential Gram and spectral partial sums", True,
+        (_arg("--dual", "comma-separated dual digits", required=True),
+         _arg("--count", "spectrum prefix length", type=int, default=8),
+         _arg("--depth", "transform product depth", type=int, default=DEFAULT_PRODUCT_DEPTH),
+         _arg("--xi", "frequency for the partial sums", type=float, default=0.0)),
+        lambda o: (
+            f"gram deviation {o['gram_max_deviation']!r}; partial sums "
+            f"monotone={o['monotone']} max={max(o['partial_sums'])!r}\n"
+        ),
+    ),
+    "cascade": Subcommand(
+        _run_cascade, "cascade iteration distances and inner products", True,
+        (_arg("--modifier", "none, neg, or z<int>", default="none"),
+         _arg("--steps", "cascade iterations", type=int, default=DEFAULT_CASCADE_STEPS)),
+        lambda o: _lines(
+            f"n={r['n']} |diff|^2={r['norm_sq']['exact']} inner={r['inner']['exact']}"
+            for r in o["rows"]
+        ),
+        lambda o, args: [["n", "norm_sq", "inner_re", "inner_im"]] + [
+            [r["n"], r["norm_sq"]["re"], r["inner"]["re"], r["inner"]["im"]]
+            for r in o["rows"]
+        ],
+    ),
+    "riesz": Subcommand(
+        _run_riesz, "Riesz partial-product samples", False,
+        (_arg("--depth", "number of product factors", type=int, default=6),
+         _arg("--grid", "grid points on [0, 2 pi)", type=int, default=3 ** 8)),
+        lambda o: f"{len(o['rows'])} samples; first {tuple(o['rows'][0])!r}\n",
+        lambda o, args: [["t", "value"]] + o["rows"],
+    ),
+    "gram": Subcommand(
+        _run_gram, "Gram section of the wavelet family", True,
+        (_arg("--jrange", "scales |j| <= jrange", type=int, default=2),
+         _arg("--krange", "translates |k| <= krange", type=int, default=5)),
+        lambda o: f"section size {o['size']}; identity={o['is_identity']}\n",
+    ),
+    "table": Subcommand(
+        _run_table, "reference tables of dual systems", False, (), _table_text,
+    ),
+    "replimit": Subcommand(
+        _run_replimit, "matrix coefficients of dilated translation averages", True,
+        (_arg("--level", "dilation power n", type=int, default=8),
+         _arg("--range", "exponents |m| up to this", type=int, default=10)),
+        lambda o: _lines(
+            f"m={r['m']} value={r['value']['exact']} moment={r['moment']['exact']}"
+            for r in o["rows"]
+        ),
+    ),
 }
-
-
-def _add_system_args(p):
-    p.add_argument("--scale", type=int, required=True, help="scale N >= 2")
-    p.add_argument("--digits", required=True, help="comma-separated digits, e.g. 0,2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,111 +551,37 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw
         ),
     )
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.system:
+            p.add_argument("--scale", type=int, required=True, help="scale N >= 2")
+            p.add_argument("--digits", required=True, help="comma-separated digits, e.g. 0,2")
+        for flag, options in command.args:
+            p.add_argument(flag, **options)
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
-
-    p = sub.add_parser("dimension", help="Hausdorff dimension of the attractor")
-    _add_system_args(p); common(p)
-
-    p = sub.add_parser("filters", help="canonical filter bank and unitarity defect")
-    _add_system_args(p)
-    p.add_argument("--samples", type=int, default=64, help="torus sample count for the defect")
-    common(p)
-
-    p = sub.add_parser("spectrum", help="invariant spectral block of the transfer operator")
-    _add_system_args(p); common(p)
-
-    p = sub.add_parser("moments", help="invariant-measure moments and Wiener profile")
-    _add_system_args(p)
-    p.add_argument("--range", type=int, default=DEFAULT_MOMENT_RANGE, help="compute moments for |n| up to this")
-    p.add_argument("--max-iter", type=int, default=measure_mod.DEFAULT_MAX_ITER, help="iteration cap per moment")
-    p.add_argument("--tol", type=float, default=measure_mod.DEFAULT_TOL, help="convergence tolerance")
-    p.add_argument("--emit", choices=("moments", "wiener"), default="moments",
-                   help="which rows the csv format emits")
-    common(p)
-
-    p = sub.add_parser("cycles", help="cycles of theta -> N theta carrying peak weight")
-    _add_system_args(p)
-    p.add_argument("--length", type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
-    common(p)
-
-    p = sub.add_parser("classify", help="support dichotomy of the invariant measure")
-    _add_system_args(p)
-    p.add_argument("--length", type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH, help="max cycle length (clamped to the point cap)")
-    common(p)
-
-    p = sub.add_parser("duality", help="dual matrix, spectrum prefix, and dual-digit cycles")
-    _add_system_args(p)
-    p.add_argument("--dual", required=True, help="comma-separated dual digits")
-    p.add_argument("--count", type=int, default=8, help="spectrum prefix length")
-    p.add_argument("--cycle-length", type=int, default=6, help="max dual-digit word length")
-    common(p)
-
-    p = sub.add_parser("onb-check", help="exponential Gram and spectral partial sums")
-    _add_system_args(p)
-    p.add_argument("--dual", required=True, help="comma-separated dual digits")
-    p.add_argument("--count", type=int, default=8, help="spectrum prefix length")
-    p.add_argument("--depth", type=int, default=DEFAULT_PRODUCT_DEPTH, help="transform product depth")
-    p.add_argument("--xi", type=float, default=0.0, help="frequency for the partial sums")
-    common(p)
-
-    p = sub.add_parser("cascade", help="cascade iteration distances and inner products")
-    _add_system_args(p)
-    p.add_argument("--modifier", default="none", help="none, neg, or z<int>")
-    p.add_argument("--steps", type=int, default=DEFAULT_CASCADE_STEPS, help="cascade iterations")
-    common(p)
-
-    p = sub.add_parser("riesz", help="Riesz partial-product samples")
-    p.add_argument("--depth", type=int, default=6, help="number of product factors")
-    p.add_argument("--grid", type=int, default=3 ** 8, help="grid points on [0, 2 pi)")
-    common(p)
-
-    p = sub.add_parser("gram", help="Gram section of the wavelet family")
-    _add_system_args(p)
-    p.add_argument("--jrange", type=int, default=2, help="scales |j| <= jrange")
-    p.add_argument("--krange", type=int, default=5, help="translates |k| <= krange")
-    common(p)
-
-    p = sub.add_parser("table", help="reference tables of dual systems")
-    common(p)
-
-    p = sub.add_parser("replimit", help="matrix coefficients of dilated translation averages")
-    _add_system_args(p)
-    p.add_argument("--level", type=int, default=8, help="dilation power n")
-    p.add_argument("--range", type=int, default=10, help="exponents |m| up to this")
-    common(p)
-
     return parser
 
 
-def _emit(args, obj, csv_rows, text) -> None:
+def _render(command: Subcommand, args, obj) -> str:
     if args.format == "json":
-        payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        if csv_rows is None:
-            raise PreconditionError(
-                f"subcommand {args.command!r} has no csv form; use json or text"
-            )
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
-        payload = buf.getvalue()
-    else:
-        payload = text
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if args.format == "text":
+        return command.text(obj)
+    if command.csv is None:
+        raise PreconditionError(
+            f"subcommand {args.command!r} has no csv form; use json or text"
+        )
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(command.csv(obj, args))
+    return buf.getvalue()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         sys.stderr.write(
-            f"unknown subcommand {argv[0]!r}; expected one of {', '.join(SUBCOMMANDS)}\n"
+            f"unknown subcommand {argv[0]!r}; expected one of {', '.join(COMMANDS)}\n"
         )
         return 64
     parser = build_parser()
@@ -657,9 +589,14 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 64
+    command = COMMANDS[args.command]
     try:
-        obj, csv_rows, text = _HANDLERS[args.command](args)
-        _emit(args, obj, csv_rows, text)
+        payload = _render(command, args, command.run(args))
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
     except CapExceededError as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3

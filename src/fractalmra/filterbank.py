@@ -23,6 +23,7 @@ from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
+from .transfer import apply_haar_average
 
 UNITARITY_TOL = 1e-10
 
@@ -91,18 +92,8 @@ def build_bank(sys: DigitSystem) -> FilterBank:
 def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolynomial:
     """<m, m2>_N: the unique Laurent polynomial with
     (1/N) sum_{w^N=z} conj(m(w)) m2(w) = sum_n c_n z^n,
-    c_n = sum_k conj(m^(k)) m2^(k + N n)."""
-    out: dict[int, Scalar] = {}
-    for k, a in m.coeffs.items():
-        ac = a.conjugate()
-        for k2, b in m2.coeffs.items():
-            d = k2 - k
-            if d % N:
-                continue
-            n = d // N
-            s = out.get(n)
-            out[n] = ac * b if s is None else s + ac * b
-    return LaurentPolynomial(out)
+    c_n = sum_k conj(m^(k)) m2^(k + N n), the Haar average of conj(m) m2."""
+    return apply_haar_average(N, m.conj_reciprocal() * m2, 1)
 
 
 def _identity_defect(

@@ -175,16 +175,7 @@ def inner(v: LatticeVector, w: LatticeVector) -> Scalar:
     if v.system != w.system:
         raise SystemMismatchError("vectors over different systems")
     m = max(v.resolution, w.resolution)
-    a, b = refine_to(v, m), refine_to(w, m)
-    small, big, flip = (a, b, False) if len(a.coeffs) <= len(b.coeffs) else (b, a, True)
-    total = ZERO
-    for k, c in small.coeffs.items():
-        other = big.coeffs.get(k)
-        if other is None:
-            continue
-        term = (other.conjugate() * c) if flip else (c.conjugate() * other)
-        total = total + term
-    return total
+    return _lag_inner(refine_to(v, m).coeffs, refine_to(w, m).coeffs, 0)
 
 
 def apply_shift(v: LatticeVector, k: int) -> LatticeVector:
@@ -304,8 +295,8 @@ class GramSection:
 def _lag_inner(a: dict, b: dict, d: int) -> Scalar:
     """<A | B> for A = a and B = b translated by -d (so B[x] = b[x + d]).
 
-    Sums over the smaller pattern in its own order, conjugating the A side,
-    exactly as `inner` would on the two translated vectors."""
+    Sums over the smaller pattern in its own order, conjugating the A side;
+    `inner` is this sum at lag 0."""
     total = ZERO
     if len(a) <= len(b):
         for x, c in a.items():
@@ -451,19 +442,19 @@ def cascade_experiment(
     return rows
 
 
-def representation_limit(
-    sys: DigitSystem, m0: LaurentPolynomial, n: int, exponent: int
-) -> Scalar:
-    """<U^n phi | T^exponent U^n phi> computed exactly.
+def representation_limit(op: TransferOperator, n: int, exponent: int) -> Scalar:
+    """<U^n phi | T^exponent U^n phi> computed exactly, for the filter m0 of
+    the transfer operator `op` (weight |m0|^2, scale N).
 
     U^n phi = P_n(T) phi with P_n(z) = m0(z) m0(z^N) ... m0(z^(N^(n-1))), so
     the value is the coefficient at -exponent of |P_n|^2 = W(z) W(z^N) ...
     W(z^(N^(n-1))), the n-fold product weight of the transfer operator; as n
-    grows it converges to the invariant-measure moment at `exponent`."""
+    grows it converges to the invariant-measure moment at `exponent`.  The
+    recursion is memoized on `op`, so repeated calls share their work."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     if n > CASCADE_STEP_CAP:
         raise CapExceededError(f"n capped at {CASCADE_STEP_CAP}")
     if n == 0:
         return ONE if exponent == 0 else ZERO
-    return TransferOperator.from_filter(m0, sys.scale)._iterate_coefficient(n, -exponent)
+    return op._iterate_coefficient(n, -exponent)

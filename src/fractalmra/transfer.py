@@ -9,7 +9,7 @@ support and cascade dichotomies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,18 +81,8 @@ class TransferOperator:
         return self.normalization_defect() <= tol
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """(Rf)^(m) = sum_b W^(Nm - b) f^(b), exact in the exact tier."""
-        N = self.scale
-        out: dict[int, Scalar] = {}
-        for b, fb in f.coeffs.items():
-            for k, wk in self.weight.coeffs.items():
-                total = k + b
-                if total % N:
-                    continue
-                m = total // N
-                s = out.get(m)
-                out[m] = wk * fb if s is None else s + wk * fb
-        return LaurentPolynomial(out)
+        """(Rf)^(m) = sum_b W^(Nm - b) f^(b): the Haar average of W f."""
+        return apply_haar_average(self.scale, self.weight * f, 1)
 
     def iterate_weight(self, n: int, support_cap: int = 10 ** 6) -> LaurentPolynomial:
         """The product weight W(z) W(z^N) ... W(z^(N^(n-1))), fully expanded."""
@@ -150,7 +140,6 @@ class SpectralBlock:
     eigenvalue_one_multiplicity: int
     has_other_peripheral: bool
     eigenvalue_one_simple_exact: bool | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:

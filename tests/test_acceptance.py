@@ -293,9 +293,8 @@ def test_criterion_10_non_orthogonal_type():
 
 
 def test_criterion_11_representation_limit(cantor3_op):
-    m0 = canonical_lowpass(CANTOR3)
     for m in range(-10, 11):
-        value = representation_limit(CANTOR3, m0, 8, m)
+        value = representation_limit(cantor3_op, 8, m)
         entry = moment(cantor3_op, m)
         assert abs(value.to_complex() - entry.value.to_complex()) < 1e-6
         if m % 2 == 0 and entry.status == "stabilized":

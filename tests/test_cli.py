@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import time
@@ -107,6 +108,68 @@ def test_moments_csv_and_wiener_csv():
                            "--range", "4", "--emit", "wiener", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "k,s_k,ratio"
+
+
+RENDER_RUNS = {
+    **SAMPLE_RUNS,
+    "moments-wiener": SAMPLE_RUNS["moments"] + ("--emit", "wiener"),
+    # nonzero inner products, which the z3 sample lacks
+    "cascade-none": ("cascade", "--scale", "3", "--digits", "0,2", "--steps", "3"),
+}
+
+# the csv forms: header, then one row per JSON row, each cell one JSON field
+CSV_FORMS = {
+    "moments": (["n", "re", "im", "status"], lambda o: [
+        [m["n"], m["re"], m["im"], m["status"]] for m in o["moments"]]),
+    "moments-wiener": (["k", "s_k", "ratio"], lambda o: [
+        [r["k"], r["s"]["re"], r["ratio"] and r["ratio"]["re"]] for r in o["wiener"]["rows"]]),
+    "cascade": (["n", "norm_sq", "inner_re", "inner_im"], lambda o: [
+        [r["n"], r["norm_sq"]["re"], r["inner"]["re"], r["inner"]["im"]] for r in o["rows"]]),
+    "riesz": (["t", "value"], lambda o: o["rows"]),
+}
+CSV_FORMS["cascade-none"] = CSV_FORMS["cascade"]
+
+
+def _cell_is(cell, field):
+    if field is None:
+        return cell == ""
+    if isinstance(field, str):
+        return cell == field
+    if isinstance(field, int):
+        return int(cell) == field
+    return float(cell) == field
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_RUNS))
+def test_text_and_csv_render_the_json_model(name, tmp_path):
+    argv = RENDER_RUNS[name]
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    obj = json.loads(out)
+
+    code, text, err = run_cli(*argv, "--format", "text")
+    assert code == 0, err
+    assert text.endswith("\n")
+
+    target = tmp_path / "out.csv"
+    code, table, err = run_cli(*argv, "--format", "csv", "--output", str(target))
+    if name not in CSV_FORMS:
+        assert code == 2
+        assert "has no csv form" in err
+        assert table == ""
+        assert not target.exists()
+        return
+    assert code == 0, err
+    header, project = CSV_FORMS[name]
+    rows = list(csv.reader(io.StringIO(target.read_text())))
+    assert rows[0] == header
+    fields = project(obj)
+    assert len(rows) == len(fields) + 1
+    for cells, values in zip(rows[1:], fields):
+        assert len(cells) == len(values)
+        for cell, value in zip(cells, values):
+            assert _cell_is(cell, value), (cell, value)
+    assert any(value is None for values in fields for value in values) == (name == "moments-wiener")
 
 
 def test_text_format():

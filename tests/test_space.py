@@ -443,12 +443,12 @@ def test_cascade_transfer_cross_check_is_exact(cantor3):
 def test_representation_limit(cantor3):
     m0 = canonical_lowpass(cantor3)
     op = TransferOperator.from_filter(m0, 3)
-    assert representation_limit(cantor3, m0, 5, 0) == Scalar(1)
+    assert representation_limit(op, 5, 0) == Scalar(1)
     for n in range(1, 6):
-        assert representation_limit(cantor3, m0, n, 2) == HALF
-        assert representation_limit(cantor3, m0, n, 1).is_zero()
+        assert representation_limit(op, n, 2) == HALF
+        assert representation_limit(op, n, 1).is_zero()
     for m in range(-10, 11):
-        value = representation_limit(cantor3, m0, 8, m)
+        value = representation_limit(op, 8, m)
         target = moment(op, m).value
         assert abs(value.to_complex() - target.to_complex()) < 1e-6
 
@@ -468,10 +468,11 @@ def test_representation_limit_matches_lattice_route(system):
     m0 = canonical_lowpass(system)
     lags = range(-12, 13)
     for m in (m0, monomial(2) * m0, monomial(-3) * m0, m0 * (-1)):
+        op = TransferOperator.from_filter(m, system.scale)
         for n in range(7):
             expected = _lattice_representation_limits(system, m, n, lags)
             for lag in lags:
-                value = representation_limit(system, m, n, lag)
+                value = representation_limit(op, n, lag)
                 assert value == expected[lag]
                 assert value.exact_str() == expected[lag].exact_str()
 
@@ -480,11 +481,12 @@ def test_representation_limit_matches_lattice_route_approximate():
     system = DigitSystem(3, (0, 1, 2))
     detail = build_bank(system).filters[1]
     assert not detail.is_exact
+    op = TransferOperator.from_filter(detail, system.scale)
     lags = range(-12, 13)
     for n in range(7):
         expected = _lattice_representation_limits(system, detail, n, lags)
         for lag in lags:
-            value = representation_limit(system, detail, n, lag)
+            value = representation_limit(op, n, lag)
             assert abs(value.to_complex() - expected[lag].to_complex()) < 1e-12
 
 
