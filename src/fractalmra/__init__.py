@@ -26,7 +26,6 @@ from .ifs import (
     attractor_sample,
     cylinder_translate_index,
     hausdorff_dimension,
-    hutchinson_transform,
 )
 from .filterbank import (
     FilterBank,
@@ -73,7 +72,6 @@ from .duality import (
     dual_matrix,
     dual_transfer_eval,
     exponential_gram,
-    frequency_sum,
     lambda_set,
     onb_defect,
 )

@@ -263,7 +263,8 @@ def _run_onb_check(args):
         raise PreconditionError("onb-check requires a Dual pair")
     prefix = dual_mod.lambda_set(pair, args.count).prefix
     gram = dual_mod.exponential_gram(sys_, prefix, args.depth)
-    off = float(np.max(np.abs(gram - np.eye(len(prefix)))))
+    gram.flat[::len(prefix) + 1] -= 1
+    off = float(np.max(np.abs(gram)))
     sums = dual_mod.onb_defect(pair, args.xi, args.count, args.depth)
     return {
         **head,
@@ -568,10 +569,6 @@ def _render(command: Subcommand, args, obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if args.format == "text":
         return command.text(obj)
-    if command.csv is None:
-        raise PreconditionError(
-            f"subcommand {args.command!r} has no csv form; use json or text"
-        )
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(command.csv(obj, args))
     return buf.getvalue()
@@ -591,6 +588,10 @@ def main(argv=None) -> int:
         return 64
     command = COMMANDS[args.command]
     try:
+        if args.format == "csv" and command.csv is None:
+            raise PreconditionError(
+                f"subcommand {args.command!r} has no csv form; use json or text"
+            )
         payload = _render(command, args, command.run(args))
         if args.output:
             with open(args.output, "w") as fh:

@@ -242,14 +242,19 @@ def b_cycles(
 def exponential_gram(
     sys: DigitSystem, exponents, depth: int = DEFAULT_TRANSFORM_DEPTH
 ) -> np.ndarray:
-    """Gram matrix G_ij = B(n_j - n_i) of exponentials in L^2(C, mu)."""
+    """Gram matrix G_ij = B(n_j - n_i) of exponentials in L^2(C, mu).
+
+    B is evaluated once per distinct difference; the matrix is filled one
+    row at a time from that table."""
     exponents = list(exponents)
-    transform = HutchinsonTransform(sys, depth)
-    n = len(exponents)
-    gram = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(exponents):
-        for j, b in enumerate(exponents):
-            gram[i, j] = transform.value(b - a)
+    # Python integers where a difference could wrap around int64
+    wide = max(map(abs, exponents), default=0) >= 2 ** 62
+    e = np.array(exponents, dtype=object if wide else None)
+    diffs = np.unique(np.subtract.outer(e, e))
+    table = HutchinsonTransform(sys, depth).values(diffs)
+    gram = np.empty((len(e), len(e)), dtype=complex)
+    for i, row in enumerate(gram):
+        row[:] = table[np.searchsorted(diffs, e - e[i])]
     return gram
 
 
@@ -266,24 +271,14 @@ def onb_defect(
     if not pair.is_dual:
         raise PreconditionError("onb_defect requires a Dual pair")
     prefix = lambda_set(pair, count).prefix
-    transform = HutchinsonTransform(pair.system, depth)
+    vals = HutchinsonTransform(pair.system, depth).values([xi - n for n in prefix])
     sums = []
     acc = 0.0
-    for n in prefix:
-        acc += abs(transform.value(xi - n)) ** 2
+    # a Python running sum: numpy's abs, square and cumsum need not give these bits
+    for v in vals.tolist():
+        acc += abs(v) ** 2
         sums.append(acc)
     return sums
-
-
-def frequency_sum(
-    pair: SpectralPair,
-    xi: float,
-    frequencies,
-    depth: int = DEFAULT_TRANSFORM_DEPTH,
-) -> float:
-    """sum_{n in frequencies} |B(xi - n)|^2 over an explicit frequency set."""
-    transform = HutchinsonTransform(pair.system, depth)
-    return sum(abs(transform.value(xi - n)) ** 2 for n in frequencies)
 
 
 def dual_transfer_eval(pair: SpectralPair, f, xi, n: int = 1) -> float:

@@ -9,10 +9,11 @@ Cantor set is (3, {0, 2}).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CapExceededError, InvalidDigitError, PreconditionError
 
@@ -121,8 +122,8 @@ class HutchinsonTransform:
     """Truncated-product evaluation of B(k), the Fourier transform of the
     Hutchinson measure: B(k) = prod_j (1/p) sum_i exp(2 pi i a_i k / N^j).
 
-    Values are cached per frequency; the truncation error after J factors is
-    bounded a posteriori by exp(2 pi |k| a_max N^-J / (N-1)) - 1.
+    The truncation error after J factors is bounded a posteriori by
+    exp(2 pi |k| a_max N^-J / (N-1)) - 1.
     """
 
     def __init__(self, system: DigitSystem, depth: int = DEFAULT_TRANSFORM_DEPTH):
@@ -130,23 +131,32 @@ class HutchinsonTransform:
             raise PreconditionError("product depth must be >= 1")
         self.system = system
         self.depth = depth
-        self._cache: dict = {}
 
-    def value(self, k) -> complex:
-        key = k
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def values(self, ks) -> np.ndarray:
+        """B(k) for every k in `ks`, with the bits of the scalar product
+        out *= sum(cmath.exp(1j * phase * a) for a in digits) / p: the same
+        order of operations, the complex product as real ufuncs (numpy's
+        complex multiply rounds differently) and the result assembled
+        through .real and .imag, which keeps signed zeros."""
         sys = self.system
-        kf = float(k)
-        out = 1.0 + 0j
+        kf = np.asarray(ks, dtype=float)
+        re, im = np.ones_like(kf), np.zeros_like(kf)
         scale = 1.0
         for _ in range(self.depth):
             scale /= sys.scale
             phase = 2.0 * math.pi * kf * scale
-            out *= sum(cmath.exp(1j * phase * a) for a in sys.digits) / sys.p
-        self._cache[key] = out
+            f_re, f_im = np.zeros_like(kf), np.zeros_like(kf)
+            for a in sys.digits:
+                f_re += np.cos(phase * float(a))
+                f_im += np.sin(phase * float(a))
+            f_re, f_im = f_re / sys.p, f_im / sys.p
+            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        out = np.empty(kf.shape, dtype=complex)
+        out.real, out.imag = re, im
         return out
+
+    def value(self, k) -> complex:
+        return complex(self.values([k])[0])
 
     def tail_bound(self, k) -> float:
         """Upper bound on |B_truncated(k) - B(k)| from the dropped factors."""
@@ -154,8 +164,3 @@ class HutchinsonTransform:
         a_max = sys.digits[-1]
         geom = a_max * sys.scale ** (-self.depth) / (sys.scale - 1)
         return math.expm1(2.0 * math.pi * abs(float(k)) * geom)
-
-
-def hutchinson_transform(sys: DigitSystem, k, depth: int = DEFAULT_TRANSFORM_DEPTH) -> complex:
-    """B(k) as a truncated product of J refinement factors."""
-    return HutchinsonTransform(sys, depth).value(k)

@@ -172,6 +172,30 @@ def test_text_and_csv_render_the_json_model(name, tmp_path):
     assert any(value is None for values in fields for value in values) == (name == "moments-wiener")
 
 
+def test_csv_refused_before_computing(monkeypatch):
+    def never(args):
+        raise AssertionError("handler ran for a refused format")
+
+    for name, command in cli.COMMANDS.items():
+        if command.csv is None:
+            monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=never))
+    for name, argv in SAMPLE_RUNS.items():
+        if cli.COMMANDS[name].csv is None:
+            code, out, err = run_cli(*argv, "--format", "csv")
+            assert (code, out) == (2, ""), name
+            assert "has no csv form" in err
+
+
+def test_csv_refusal_wins_over_cap():
+    # the cap (exit 3) is never reached: the format is refused first
+    start = time.perf_counter()
+    code, out, err = run_cli("gram", "--scale", "3", "--digits", "0,2",
+                             "--jrange", "30", "--krange", "30", "--format", "csv")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "has no csv form" in err
+
+
 def test_text_format():
     code, out, _ = run_cli("filters", "--scale", "3", "--digits", "0,2",
                            "--format", "text")

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fractalmra.errors import PreconditionError
 from fractalmra.duality import (
@@ -12,12 +14,11 @@ from fractalmra.duality import (
     dual_matrix,
     dual_transfer_eval,
     exponential_gram,
-    frequency_sum,
     lambda_set,
     onb_defect,
 )
 from fractalmra.filterbank import canonical_lowpass
-from fractalmra.ifs import DigitSystem
+from fractalmra.ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
 
 TABLE_PAIRS = (
     (4, (0, 2), (0, 1)),
@@ -264,11 +265,14 @@ def test_dual_transfer_transport_identity(c4_pair):
     sum over B + N P: the refinement identity at the truncated level."""
     P = lambda_set(c4_pair, 32).prefix
     BP = sorted(b + 4 * n for b in c4_pair.dual for n in P)
+    transform = HutchinsonTransform(c4_pair.system, 60)
+
+    def spectral_sum(x, frequencies):
+        return sum(abs(v) ** 2 for v in transform.values([x - n for n in frequencies]).tolist())
+
     for xi in (0.0, 0.21, 0.5, 0.77, 1.3):
-        lhs = dual_transfer_eval(
-            c4_pair, lambda x: frequency_sum(c4_pair, x, P, 60), xi, 1
-        )
-        rhs = frequency_sum(c4_pair, xi, BP, 60)
+        lhs = dual_transfer_eval(c4_pair, lambda x: spectral_sum(x, P), xi, 1)
+        rhs = spectral_sum(xi, BP)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -306,3 +310,79 @@ def test_table_pairs_cycle_gating():
         prefix = lambda_set(pair, 8).prefix
         gram = exponential_gram(sys, prefix, depth=40)
         assert np.max(np.abs(gram - np.eye(len(prefix)))) < 1e-8
+
+
+# -- the batched transform, bit for bit against the scalar product loop ------
+
+def scalar_transform(sys, k, depth=DEFAULT_TRANSFORM_DEPTH):
+    """B(k) by the cmath product loop that HutchinsonTransform.values must
+    reproduce in every bit."""
+    kf = float(k)
+    out = 1.0 + 0j
+    scale = 1.0
+    for _ in range(depth):
+        scale /= sys.scale
+        phase = 2.0 * math.pi * kf * scale
+        out *= sum(cmath.exp(1j * phase * a) for a in sys.digits) / sys.p
+    return out
+
+
+def bits(values):
+    z = np.asarray(values, dtype=complex)
+    return z.real.view(np.int64).tolist(), z.imag.view(np.int64).tolist()
+
+
+def hadamard_translates(N, s, b):
+    """Translates of S = s{0..p-1} inside {0..N-1}, each with B = b{0..p-1}."""
+    p = N // (s * b)
+    S = [s * i for i in range(p)]
+    return [(N, tuple(a + t for a in S), tuple(b * i for i in range(p)))
+            for t in range(N - S[-1])]
+
+
+@pytest.mark.parametrize("family", [(6, 1, 2), (8, 2, 1), (9, 3, 1), (4, 2, 1), (6, 3, 1)])
+def test_exponential_gram_bits_equal_scalar_loop(family):
+    for N, S, B in hadamard_translates(*family):
+        sys = DigitSystem(N, S)
+        prefix = lambda_set(dual_matrix(sys, B), 40).prefix
+        memo = {}
+        ref = [[memo.setdefault(b - a, scalar_transform(sys, b - a)) for b in prefix]
+               for a in prefix]
+        assert bits(exponential_gram(sys, prefix)) == bits(ref), (N, S)
+
+
+def test_transform_values_bits_equal_scalar_loop():
+    ks = [0, -0.0, 1, -1, 7, -13, 2 ** 40 + 1, -(10 ** 15), 2 ** 70, 1e300,
+          0.3 - 5, 0.77 - 400, -2.5, Fraction(1, 3), Fraction(-7, 2) - 96,
+          Fraction(10 ** 30 + 1, 10 ** 9)]
+    for N, S in [(3, (0, 2)), (4, (0, 2)), (6, (1, 2, 3)), (8, (0, 2, 4, 6)),
+                 (9, (2, 5, 8)), (7, (0, 1, 6))]:
+        for depth in (1, 5, DEFAULT_TRANSFORM_DEPTH):
+            transform = HutchinsonTransform(DigitSystem(N, S), depth)
+            ref = [scalar_transform(transform.system, k, depth) for k in ks]
+            assert bits(transform.values(ks)) == bits(ref), (N, S, depth)
+            assert bits([transform.value(k) for k in ks]) == bits(ref), (N, S, depth)
+
+
+@st.composite
+def systems(draw):
+    N = draw(st.integers(2, 9))
+    digits = draw(st.sets(st.integers(0, N - 1), min_size=1))
+    return DigitSystem(N, digits)
+
+
+@settings(max_examples=40, deadline=None)
+@example(sys=DigitSystem(3, (0, 2)), exponents=[-(2 ** 62), 2 ** 62 + 1, 5])  # past int64
+@given(
+    sys=systems(),
+    exponents=st.lists(
+        st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 70, 2 ** 70)),
+        max_size=6,
+    ),
+)
+def test_exponential_gram_entry_is_transform_value(sys, exponents):
+    gram = exponential_gram(sys, exponents)
+    transform = HutchinsonTransform(sys)
+    assert gram.shape == (len(exponents), len(exponents))
+    ref = [[transform.value(b - a) for b in exponents] for a in exponents]
+    assert bits(gram) == bits(ref)

@@ -12,7 +12,6 @@ from fractalmra.ifs import (
     attractor_sample,
     cylinder_translate_index,
     hausdorff_dimension,
-    hutchinson_transform,
 )
 
 
@@ -94,9 +93,9 @@ def test_transform_refinement_identity():
 
 def test_transform_zero_and_nonzero(cantor3, cantor4):
     # first factor of B(1) vanishes for the quarter-Cantor system
-    assert abs(hutchinson_transform(cantor4, 1, depth=15)) < 1e-14
+    assert abs(HutchinsonTransform(cantor4, depth=15).value(1)) < 1e-14
     # while the middle-third system has B(1) != 0
-    assert abs(hutchinson_transform(cantor3, 1, depth=40)) > 0.3
+    assert abs(HutchinsonTransform(cantor3, depth=40).value(1)) > 0.3
 
 
 def test_tail_bound_decay(cantor3):
