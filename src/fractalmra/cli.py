@@ -132,7 +132,7 @@ def _run_spectrum(args):
 def _run_moments(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
-    table = measure_mod.moment_table(op, args.range, args.max_iter, args.tol)
+    table = measure_mod.moment_table(op, args.range)
     profile = measure_mod.wiener_profile(table, args.range)
     return {
         **head,
@@ -143,7 +143,7 @@ def _run_moments(args):
                 **_scalar_json(e.value),
                 "status": e.status,
                 "iterations": e.iterations,
-                "cesaro": e.cesaro,
+                "cesaro": False,
             }
             for e in table.rows()
         ],
@@ -156,7 +156,7 @@ def _run_moments(args):
                 }
                 for r in profile.rows
             ],
-            "unsettled": list(profile.unsettled),
+            "unsettled": [],
         },
     }
 
@@ -325,16 +325,17 @@ def _run_gram(args):
 def _run_replimit(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
+    table = measure_mod.moment_table(op, max(args.range, 0))
     rows = []
     for m in range(-args.range, args.range + 1):
         value = representation_limit(op, args.level, m)
-        mom = measure_mod.moment(op, m)
+        mom = table.value(m)
         rows.append(
             {
                 "m": m,
                 "value": _scalar_json(value),
-                "moment": _scalar_json(mom.value),
-                "abs_diff": abs(value.to_complex() - mom.value.to_complex()),
+                "moment": _scalar_json(mom),
+                "abs_diff": abs(value.to_complex() - mom.to_complex()),
             }
         )
     return {**head, "level": args.level, "rows": rows}
@@ -456,10 +457,6 @@ COMMANDS = {
         (
             _arg("--range", "compute moments for |n| up to this",
                  type=int, default=DEFAULT_MOMENT_RANGE),
-            _arg("--max-iter", "iteration cap per moment",
-                 type=int, default=measure_mod.DEFAULT_MAX_ITER),
-            _arg("--tol", "convergence tolerance",
-                 type=float, default=measure_mod.DEFAULT_TOL),
             _arg("--emit", "which rows the csv format emits",
                  choices=("moments", "wiener"), default="moments"),
         ),

@@ -250,7 +250,11 @@ def exponential_gram(
     # Python integers where a difference could wrap around int64
     wide = max(map(abs, exponents), default=0) >= 2 ** 62
     e = np.array(exponents, dtype=object if wide else None)
-    diffs = np.unique(np.subtract.outer(e, e))
+    # sorted distinct differences; np.unique would import numpy.ma on first use
+    diffs = np.sort(np.subtract.outer(e, e), axis=None)
+    keep = np.ones(diffs.shape, dtype=bool)
+    keep[1:] = diffs[1:] != diffs[:-1]
+    diffs = diffs[keep]
     table = HutchinsonTransform(sys, depth).values(diffs)
     gram = np.empty((len(e), len(e)), dtype=complex)
     for i, row in enumerate(gram):

@@ -1,20 +1,21 @@
 """Invariant measures of the transfer operator.
 
-The Perron-Frobenius measure nu of a normalized weight is reached through its
+The Perron-Frobenius measure nu of a normalized weight is known through its
 Fourier coefficients nu^(n) = lim_k W^(k)-coefficient; no density object ever
 exists (for the Cantor filters nu is singular).  The module computes moment
-tables with stabilization metadata, detects cycles of theta -> N theta on
-which the weight peaks, classifies the support (full vs atomic-on-cycles),
-evaluates Wiener averages, Riesz-product partial samples, tail measures, and
-compares two filters through their invariant measures.
+tables as the exact solution of the invariance equation R*nu = nu, detects
+cycles of theta -> N theta on which the weight peaks, classifies the support
+(full vs atomic-on-cycles), evaluates Wiener averages, Riesz-product partial
+samples, tail measures, and compares two filters through their invariant
+measures.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,29 +30,29 @@ from .scalars import Scalar, ZERO
 from .transfer import (
     TransferOperator,
     apply_haar_average,
+    fixed_vectors,
     spectral_block,
     weight_from_filter,
 )
 
 STABILIZED = "stabilized"
-CONVERGED = "converged"
-UNSETTLED = "unsettled"
 
-DEFAULT_MAX_ITER = 64
-DEFAULT_TOL = 1e-12
 DEFAULT_CYCLE_LENGTH = 12
 CYCLE_POINT_CAP = 10 ** 9
 
 
 @dataclass(frozen=True)
 class MomentEntry:
-    """One Fourier coefficient of the invariant measure with its status."""
+    """One Fourier coefficient of the invariant measure.
+
+    Every value is the exact limit, so the status is always "stabilized";
+    `iterations` is the step at which the product-weight iterate provably
+    reaches it, or 0 where no finite step does."""
 
     n: int
     value: Scalar
-    status: str
     iterations: int
-    cesaro: bool = False
+    status: ClassVar[str] = STABILIZED
 
 
 @dataclass
@@ -74,11 +75,6 @@ class MomentTable:
     def rows(self) -> list[MomentEntry]:
         return [self.entries[n] for n in sorted(self.entries)]
 
-    def unsettled(self) -> tuple[int, ...]:
-        return tuple(
-            n for n in sorted(self.entries) if self.entries[n].status == UNSETTLED
-        )
-
 
 def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
     """Smallest k at which the iterate coefficient at idx provably equals its
@@ -87,9 +83,6 @@ def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
     Step k adds sum_{j!=0} W^(j) * coeff_k(idx - j N^k); every term vanishes
     once j_min N^k - |idx| exceeds the support bound `op.support_bound(k)`,
     and for j_min > deg W/(N - 1) that condition persists for all later k.
-    Consecutive equal iterates alone can be accidental (a later product
-    factor may still reach the index), so only this structural criterion
-    upgrades a moment to stabilized.
     """
     W = op.weight
     if not (W[0].is_exact and W[0] == Scalar(1)):
@@ -111,77 +104,50 @@ def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
     return k
 
 
-def moment(
-    op: TransferOperator,
-    n: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> MomentEntry:
-    """nu^(n) = lim_k (k-fold product weight coefficient at -n).
+def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
+    """Moments for |n| <= moment_range: the exact solution of the invariance
+    equation nu^(b) = sum_m W^(Nm - b) nu^(m) with nu^(0) = 1.
 
-    Exact tier: stabilized once two consecutive iterates agree exactly at an
-    index where the agreement is provably permanent.  Otherwise (and always
-    in the approximate tier): converged once two consecutive deltas fall
-    below tol.  If neither happens by max_iter the Cesaro mean of the
-    iterates is returned, flagged unsettled.
+    On the block [-D, D] that is the fixed vector of `fixed_vectors`, unique
+    when eigenvalue 1 is simple; for |b| > D every m on the right has
+    |m| < |b|, so the equation itself is a well-founded recursion.  An entry
+    with a finite `_stabilization_threshold` t reports iterations
+    max(t + 1, 2), the step at which the product-weight iterate reaches it.
     """
-    if max_iter < 2:
-        raise PreconditionError("max_iter must be >= 2")
-    threshold = _stabilization_threshold(op, -n) if op.is_exact else None
-    # deltas are uninformative while |n| still lies beyond the product
-    # support bound: the coefficient is structurally zero
-    inside = 1
-    if op.weight.degree() and n:
-        while op.support_bound(inside) < abs(n):
-            inside += 1
-    history: list[Scalar] = []
-    prev_small = False
-    for k in range(1, max_iter + 1):
-        v = op._iterate_coefficient(k, -n)
-        if history:
-            prev = history[-1]
-            if threshold is not None:
-                if k > threshold:
-                    if v != prev:
-                        raise AssertionError(
-                            f"stabilization proof violated at n={n}, k={k}"
-                        )
-                    return MomentEntry(n, v, STABILIZED, k)
-            elif k > inside:
-                small = abs(v.to_complex() - prev.to_complex()) < tol
-                if small and prev_small:
-                    return MomentEntry(n, v, CONVERGED, k)
-                prev_small = small
-        history.append(v)
-    mean = ZERO
-    for v in history:
-        mean = mean + v
-    mean = mean * Scalar(Fraction(1, len(history)))
-    return MomentEntry(n, mean, UNSETTLED, max_iter, cesaro=True)
-
-
-def moment_table(
-    op: TransferOperator,
-    moment_range: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> MomentTable:
-    """Batch of moments for |n| <= moment_range, negatives by conjugation."""
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
-    table = MomentTable(scale=op.scale, weight=op.weight)
+    if not op.is_exact:
+        raise PreconditionError("the moment solve needs a weight with exact coefficients")
+    basis = fixed_vectors(op)
+    D = op.block_halfwidth
+    if len(basis) != 1:
+        raise PreconditionError(
+            f"eigenvalue 1 of the transfer block is not simple: the invariance "
+            f"equation has {len(basis)} independent solutions on [-{D}, {D}]"
+        )
+    center = basis[0][D]
+    if center.is_zero():
+        raise PreconditionError("the block's fixed vector has nu^(0) = 0")
+    nu = {b - D: x / center for b, x in enumerate(basis[0])}
+    N = op.scale
+    for b in range(D + 1, moment_range + 1):
+        total = ZERO
+        for k, w in op.weight.coeffs.items():
+            if (b + k) % N == 0:
+                total = total + w * nu[(b + k) // N]
+        nu[b], nu[-b] = total, total.conjugate()
+    table = MomentTable(scale=N, weight=op.weight)
     for n in range(moment_range + 1):
-        entry = moment(op, n, max_iter, tol)
-        table.entries[entry.n] = entry
-        if entry.n:
-            table.entries[-entry.n] = MomentEntry(
-                -entry.n,
-                entry.value.conjugate(),
-                entry.status,
-                entry.iterations,
-                entry.cesaro,
-            )
+        t = _stabilization_threshold(op, -n)
+        iterations = 0 if t is None else max(t + 1, 2)
+        table.entries[n] = MomentEntry(n, nu[n], iterations)
+        table.entries[-n] = MomentEntry(-n, nu[-n], iterations)
     return table
+
+
+def moment(op: TransferOperator, n: int) -> MomentEntry:
+    """nu^(n), the exact solution of the invariance equation (`moment_table`)."""
+    return moment_table(op, abs(n)).entries[n]
 
 
 @dataclass(frozen=True)
@@ -287,7 +253,9 @@ def find_cycles(
             if M in visited:
                 continue
             visited.add(M)
-            if _poly_divmod(P, _cyclotomic(M))[1]:
+            # Phi_M divides z^M - 1, so P mod z^M - 1 has P's remainder
+            folded = [sum(P[r::M]) for r in range(min(M, len(P)))]
+            if any(_poly_divmod(folded, _cyclotomic(M))[1]):
                 continue
             todo = {j for j in range(M) if math.gcd(j, M) == 1}
             while todo:
@@ -392,7 +360,6 @@ class WienerRow:
 @dataclass(frozen=True)
 class WienerProfile:
     rows: tuple[WienerRow, ...]
-    unsettled: tuple[int, ...]
 
 
 def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
@@ -401,19 +368,13 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     A vanishing ratio limit certifies that the measure has no atoms."""
     if not table.covers(K):
         raise PreconditionError(f"moment table does not cover 0..{K}")
-    unsettled = tuple(n for n in table.unsettled() if 0 <= n <= K)
-    if unsettled:
-        warnings.warn(
-            f"wiener profile built from unsettled moments {unsettled}",
-            stacklevel=2,
-        )
     rows = []
     s = ZERO
     for k in range(K + 1):
         s = s + table.value(k).abs_sq()
         ratio = s * Scalar(Fraction(1, k)) if k else None
         rows.append(WienerRow(k, s, ratio))
-    return WienerProfile(tuple(rows), unsettled)
+    return WienerProfile(tuple(rows))
 
 
 def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
@@ -457,7 +418,6 @@ def compare_filters(
     m0b: LaurentPolynomial,
     N: int,
     R: int = 50,
-    tol: float = 1e-10,
     L: int = DEFAULT_CYCLE_LENGTH,
 ) -> FilterComparison:
     """Compare the invariant measures of two cycle-free normalized filters.
@@ -481,14 +441,11 @@ def compare_filters(
         ops.append(op)
     table_a = moment_table(ops[0], R)
     table_b = moment_table(ops[1], R)
-    max_diff = 0.0
-    for n in range(-R, R + 1):
-        diff = table_a.value(n) - table_b.value(n)
-        if not diff.is_zero():
-            max_diff = max(max_diff, abs(diff.to_complex()))
-    if max_diff <= tol:
+    diffs = [table_a.value(n) - table_b.value(n) for n in range(-R, R + 1)]
+    if all(d.is_zero() for d in diffs):
         wa = weight_from_filter(m0)
         wb = weight_from_filter(m0b)
         same_mod = wa == wb
-        return FilterComparison("SameMeasure", max_diff, same_mod, False)
+        return FilterComparison("SameMeasure", 0.0, same_mod, False)
+    max_diff = max(abs(d.to_complex()) for d in diffs)
     return FilterComparison("DifferentMeasure", max_diff, None, True)

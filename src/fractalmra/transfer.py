@@ -146,44 +146,58 @@ class SpectralBlock:
         return 2 * self.halfwidth + 1
 
 
-def _exact_rank(rows: list[list[Scalar]]) -> int:
-    """Rank of a matrix of exact scalars by fraction-free-ish elimination."""
-    rows = [list(r) for r in rows]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot = next(
-            (r for r in range(rank, n_rows) if not rows[r][col].is_zero()), None
+def _block_halfwidth(op: TransferOperator) -> int:
+    """The invariant block's halfwidth D, refused past BLOCK_DIMENSION_CAP."""
+    D = op.block_halfwidth
+    if 2 * D + 1 > BLOCK_DIMENSION_CAP:
+        raise CapExceededError(
+            f"block dimension {2 * D + 1} exceeds cap {BLOCK_DIMENSION_CAP}"
         )
+    return D
+
+
+def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
+    """Exact basis of the solutions of nu^(b) = sum_m W^(Nm - b) nu^(m) on the
+    block b, m in [-D, D]: the left fixed vectors of M[m, b] = W^(Nm - b).
+
+    Gauss-Jordan elimination of (M - I)^T over exact scalars; eigenvalue 1
+    of the block is simple exactly when the basis has one vector."""
+    D = _block_halfwidth(op)
+    idx = range(-D, D + 1)
+    rows = [
+        [op.weight[op.scale * m - b] - (Scalar(1) if m == b else ZERO) for m in idx]
+        for b in idx
+    ]
+    pivots: list[int] = []
+    for col in range(len(idx)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = rows[r][col] / pv
-            if factor.is_zero():
-                continue
-            rows[r] = [
-                rows[r][c] - factor * rows[rank][c] for c in range(n_cols)
-            ]
-        rank += 1
-        col += 1
-    return rank
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(len(idx)) if c not in pivots):
+        v = [ZERO] * len(idx)
+        v[free] = Scalar(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        basis.append(v)
+    return basis
 
 
 def spectral_block(op: TransferOperator) -> SpectralBlock:
     """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
-    D = op.block_halfwidth
-    dim = 2 * D + 1
-    if dim > BLOCK_DIMENSION_CAP:
-        raise CapExceededError(f"block dimension {dim} exceeds cap {BLOCK_DIMENSION_CAP}")
+    D = _block_halfwidth(op)
     N = op.scale
     idx = range(-D, D + 1)
-    entries = [[op.weight[N * m - b] for b in idx] for m in idx]
-    matrix = np.array([[e.to_complex() for e in row] for row in entries])
+    matrix = np.array([[op.weight[N * m - b].to_complex() for b in idx] for m in idx])
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 
     # R fixes the constant function iff the operator is normalized
@@ -192,13 +206,7 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
     peripheral = np.abs(np.abs(eigenvalues) - 1.0) <= PERIPHERAL_TOL
     other = bool(np.any(peripheral & (np.abs(eigenvalues - 1.0) > PERIPHERAL_TOL)))
 
-    simple_exact = None
-    if op.is_exact:
-        shifted = [
-            [entries[i][j] - (Scalar(1) if i == j else ZERO) for j in range(dim)]
-            for i in range(dim)
-        ]
-        simple_exact = _exact_rank(shifted) == dim - 1
+    simple_exact = len(fixed_vectors(op)) == 1 if op.is_exact else None
     return SpectralBlock(
         scale=N,
         halfwidth=D,

@@ -303,6 +303,15 @@ def test_seed_flag_removed():
     assert "unrecognized arguments: --seed" in err.getvalue()
 
 
+@pytest.mark.parametrize("flag,value", [("--max-iter", "3"), ("--tol", "1e-3")])
+def test_moments_iteration_flags_removed(flag, value):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        cli.main(["moments", "--scale", "3", "--digits", "0,2", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in err.getvalue()
+
+
 def test_cycles_tol_flag_removed():
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stderr(err):

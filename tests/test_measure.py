@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalmra.errors import (
     CapExceededError,
@@ -15,10 +16,9 @@ from fractalmra.filterbank import canonical_lowpass
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import (
-    CONVERGED,
     STABILIZED,
-    UNSETTLED,
     _divisors_with_small_totient,
+    _stabilization_threshold,
     classify_support,
     compare_filters,
     find_cycles,
@@ -93,11 +93,11 @@ def test_moment_symmetry_and_bound(cantor3_table):
 
 def test_haar_moments_converge_to_one(haar2):
     op = TransferOperator.from_filter(canonical_lowpass(haar2), 2)
-    t = moment_table(op, 2, max_iter=20, tol=1e-3)
+    t = moment_table(op, 2)
     for n in range(3):
-        assert abs(t.value(n).to_complex() - 1) < 1e-3
+        assert t.value(n) == Scalar(1)
         if n:
-            assert t.entries[n].status == CONVERGED
+            assert t.entries[n].status == STABILIZED
 
 
 def test_unit_weight_moments():
@@ -106,12 +106,6 @@ def test_unit_weight_moments():
     assert t.value(0) == Scalar(1)
     for n in range(1, 4):
         assert t.value(n).is_zero()
-
-
-def test_unsettled_returns_cesaro(cantor3_op):
-    entry = moment(cantor3_op, 700, max_iter=2)
-    assert entry.status == UNSETTLED
-    assert entry.cesaro
 
 
 def test_invariance_under_transfer(cantor3_op, cantor3_table):
@@ -142,7 +136,6 @@ def test_wiener_profile(cantor3_table):
     profile = wiener_profile(cantor3_table, 729)
     rows = profile.rows
     assert rows[2].partial_sum == Scalar(Fraction(5, 4))
-    assert not profile.unsettled
     # doubling chain s_{3^(n+1)} <= (5/2) s_{3^n}
     for n in range(5):
         assert rows[3 ** (n + 1)].partial_sum <= Scalar(Fraction(5, 2)) * rows[3 ** n].partial_sum
@@ -161,6 +154,78 @@ def test_wiener_unit_weight():
     for row in profile.rows:
         assert row.partial_sum == Scalar(1)
     assert float(profile.rows[64].ratio.to_complex().real) == pytest.approx(1 / 64)
+
+
+def canonical_systems(max_scale):
+    for N in range(2, max_scale + 1):
+        for p in range(N):
+            for rest in itertools.combinations(range(1, N), p):
+                yield N, (0,) + rest
+
+
+def assert_invariant(op, table, R):
+    """nu^(b) = sum_m W^(Nm - b) nu^(m) exactly wherever the table covers m."""
+    for b in range(-R, R + 1):
+        terms = [
+            (w, (b + k) // op.scale)
+            for k, w in op.weight.coeffs.items()
+            if (b + k) % op.scale == 0
+        ]
+        if all(abs(m) <= R for _, m in terms):
+            assert sum((w * table.value(m) for w, m in terms), Scalar(0)) == table.value(b)
+
+
+def test_moments_solve_invariance_on_canonical_systems():
+    """Every canonical system with N <= 7 and 0 in S, range 64: the table solves
+    the invariance equation exactly, and each row with a stabilization
+    threshold t equals the product-weight iterate t + 1."""
+    systems = list(canonical_systems(7))
+    assert len(systems) == 126
+    for N, S in systems:
+        op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, S)), N)
+        table = moment_table(op, 64)
+        assert table.value(0) == Scalar(1)
+        assert_invariant(op, table, 64)
+        for e in table.rows():
+            t = _stabilization_threshold(op, -e.n)
+            if t is not None:
+                assert e.iterations == max(t + 1, 2)
+                assert e.value == op._iterate_coefficient(t + 1, -e.n)
+            else:
+                assert e.iterations == 0
+
+
+def test_full_digit_sets_give_the_dirac_mass():
+    for N in (2, 3):
+        op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, tuple(range(N)))), N)
+        assert all(e.value == Scalar(1) for e in moment_table(op, 64).rows())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9).flatmap(
+    lambda N: st.tuples(st.just(N), st.sets(st.integers(1, N - 1)))
+))
+def test_moment_table_properties(system):
+    N, rest = system
+    op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, (0, *sorted(rest)))), N)
+    table = moment_table(op, 40)
+    for e in table.rows():
+        assert table.value(-e.n) == e.value.conjugate()
+        assert e.value.abs_sq() <= Scalar(1)
+    assert_invariant(op, table, 40)
+
+
+def test_moment_solve_refuses_undecidable_weights():
+    with pytest.raises(PreconditionError, match="not simple"):
+        moment_table(TransferOperator.from_filter(stretched_haar(), 2), 4)
+    approximate = LaurentPolynomial({0: Scalar.approx(R2.to_complex()), 1: R2})
+    with pytest.raises(PreconditionError, match="exact"):
+        moment_table(TransferOperator.from_filter(approximate, 2), 4)
+    # unnormalized: a one-dimensional fixed space that vanishes at 0
+    c, d = Scalar(Fraction(-3, 2)), Scalar(1)
+    vanishing = LaurentPolynomial({-2: c, -1: d, 0: c, 1: d, 2: c})
+    with pytest.raises(PreconditionError, match=r"nu\^\(0\) = 0"):
+        moment_table(TransferOperator(2, vanishing), 4)
 
 
 def test_riesz_samples():
