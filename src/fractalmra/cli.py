@@ -325,7 +325,7 @@ def _run_gram(args):
 def _run_replimit(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
-    table = measure_mod.moment_table(op, max(args.range, 0))
+    table = measure_mod.moment_table(op, args.range)
     rows = []
     for m in range(-args.range, args.range + 1):
         value = representation_limit(op, args.level, m)

@@ -66,14 +66,8 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         data = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = data.get(k, ZERO) + v
-            if s.is_zero():
-                data.pop(k, None)
-            else:
-                data[k] = s
-        out = LaurentPolynomial()
-        out.coeffs = data
-        return out
+            data[k] = data.get(k, ZERO) + v
+        return LaurentPolynomial(data)
 
     def __neg__(self) -> "LaurentPolynomial":
         out = LaurentPolynomial()
@@ -187,15 +181,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Division by a monic integer polynomial."""
     num = list(num)
@@ -210,18 +195,31 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return _poly_trim(q), num
 
 
-def _cyclotomic(N: int, _cache={1: [-1, 1]}) -> list[int]:
-    """Coefficients of the N-th cyclotomic polynomial (ascending)."""
-    if N in _cache:
-        return _cache[N]
-    num = [0] * (N + 1)
-    num[0], num[N] = -1, 1
-    den = [1]
-    for d in range(1, N):
-        if N % d == 0:
-            den = _poly_mul(den, _cyclotomic(d))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise AssertionError(f"cyclotomic division left a remainder for N={N}")
-    _cache[N] = q
-    return q
+def _cyclotomic(M: int, _cache={}) -> list[int]:
+    """Coefficients of the M-th cyclotomic polynomial (ascending).
+
+    Moebius inversion of z^M - 1 = prod_{d | M} Phi_d gives
+    Phi_M = prod_{d | M} (z^d - 1)^mu(M/d): multiply by the sparse factors
+    with mu = 1, then divide exactly by those with mu = -1, each in O(deg)."""
+    if M not in _cache:
+        mu = {1: 1}  # over the squarefree divisors of M
+        rest, f = M, 2
+        while rest > 1:
+            f = f if f * f <= rest else rest  # rest is prime past its root
+            if rest % f == 0:
+                mu.update({e * f: -s for e, s in mu.items()})
+                while rest % f == 0:
+                    rest //= f
+            f += 1
+        c = [1]
+        for e, s in sorted(mu.items(), key=lambda t: -t[1]):
+            d = M // e
+            if s > 0:
+                c = [a - b for a, b in zip([0] * d + c, c + [0] * d)]
+            else:  # c = q (z^d - 1), so q[i] = q[i - d] - c[i]
+                q = []
+                for i in range(len(c) - d):
+                    q.append((q[i - d] if i >= d else 0) - c[i])
+                c = q
+        _cache[M] = c
+    return _cache[M]

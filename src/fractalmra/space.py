@@ -9,6 +9,11 @@ the index arithmetic
     T^j (U^-n T^k phi) = U^-n T^(k + j N^n) phi,
     U^-n T^k phi = p^(-1/2) sum_a U^-(n+1) T^(Nk + a) phi.
 
+The digits are distinct, so refining D levels never adds two terms: a fine
+index y comes from its ancestor y div N^D exactly when y mod N^D is a digit
+sum sum_{i<D} a_i N^i with every a_i in S.  Inner products, correlations and
+Gram sections test that membership instead of refining either vector.
+
 Coefficients live in Q(sqrt(p)) for the canonical filters, so inner products,
 cascade iterations, correlation polynomials and Gram sections are exact.
 """
@@ -17,7 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .errors import (
     CapExceededError,
@@ -33,8 +40,6 @@ from .transfer import TransferOperator
 
 CASCADE_STEP_CAP = 12
 GRAM_SECTION_CAP = 10 ** 4
-# terms in one generator refined to the section's top resolution
-GRAM_PATTERN_CAP = 2 ** 16
 
 
 class LatticeVector:
@@ -59,10 +64,7 @@ class LatticeVector:
 
     def norm_sq(self) -> Scalar:
         """Exact squared norm: the basis at one resolution is orthonormal."""
-        total = ZERO
-        for c in self.coeffs.values():
-            total = total + c.abs_sq()
-        return total
+        return inner(self, self)
 
     def scaled(self, s) -> "LatticeVector":
         s = Scalar.coerce(s)
@@ -79,14 +81,8 @@ class LatticeVector:
         a, b = refine_to(self, m), refine_to(other, m)
         data = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            s = data.get(k, ZERO) + v
-            if s.is_zero():
-                data.pop(k, None)
-            else:
-                data[k] = s
-        out = LatticeVector(self.system, m)
-        out.coeffs = data
-        return out
+            data[k] = data.get(k, ZERO) + v
+        return LatticeVector(self.system, m, data)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + other.scaled(-1)
@@ -141,41 +137,77 @@ def scaling_vector(sys: DigitSystem) -> LatticeVector:
 def cylinder_vector(addr: CylinderAddress) -> LatticeVector:
     """The indicator of a depth-n cylinder: p^(-n/2) U^-n T^l phi."""
     n, l = cylinder_translate_index(addr)
-    c = Scalar.inv_sqrt(addr.system.p ** n)
+    c = _inv_sqrt_power(addr.system.p, n)
     return LatticeVector(addr.system, n, {l: c})
 
 
 def refine_to(v: LatticeVector, m: int) -> LatticeVector:
-    """Re-express v at resolution m >= resolution(v); exact and isometric."""
+    """Re-express v at resolution m >= resolution(v); exact and isometric.
+
+    Refining D levels sends the index x to N^D x + e for every digit sum e,
+    with weight p^(-D/2); the digits are distinct, so no two terms meet."""
     if m < v.resolution:
         raise CoarseningError(
             f"cannot coarsen resolution {v.resolution} to {m}; "
             "projection onto coarser scales is not supported"
         )
     sys = v.system
-    root = Scalar.inv_sqrt(sys.p)
-    coeffs = v.coeffs
-    for _ in range(m - v.resolution):
-        nxt: dict[int, Scalar] = {}
-        for k, c in coeffs.items():
-            base = sys.scale * k
-            cc = c * root
-            for a in sys.digits:
-                idx = base + a
-                s = nxt.get(idx)
-                nxt[idx] = cc if s is None else s + cc
-        coeffs = nxt
+    steps = m - v.resolution
+    sums = [0]
+    for _ in range(steps):
+        sums = [sys.scale * e + a for e in sums for a in sys.digits]
+    q, factor = sys.scale ** steps, _inv_sqrt_power(sys.p, steps)
     out = LatticeVector(sys, m)
-    out.coeffs = dict(coeffs)
+    out.coeffs = {
+        q * x + e: c * factor for x, c in v.coeffs.items() for e in sums
+    } if steps else dict(v.coeffs)
     return out
 
 
+def _ancestor(y: int, steps: int, sys: DigitSystem) -> int | None:
+    """The index `steps` levels coarser whose refinement reaches y, if any.
+
+    y = N^steps x + r descends from x exactly when r is a digit sum
+    sum_{i<steps} a_i N^i with every a_i in S."""
+    x, r = divmod(y, sys.scale ** steps)
+    for _ in range(steps):
+        if not r:  # the remaining digits are all 0
+            return x if 0 in sys.digits else None
+        r, a = divmod(r, sys.scale)
+        if a not in sys.digits:
+            return None
+    return x
+
+
+def _inv_sqrt_power(p: int, n: int) -> Scalar:
+    """p^(-n/2), built from p^(n//2) so the radicand p^n is never split."""
+    return Scalar(Fraction(1, p ** (n // 2))) * (Scalar.inv_sqrt(p) if n % 2 else ONE)
+
+
+def _overlap(v: LatticeVector, w: LatticeVector, d: int) -> Scalar:
+    """<v | w> with w read d places lower at the finer resolution.
+
+    Sums conj(v_x) w_y over the pairs whose indices at the finer resolution,
+    the coarse one refined, satisfy (w index) = (v index) + d: a fine index
+    has one `_ancestor` D = |res(w) - res(v)| levels up, with weight p^(-D/2)."""
+    steps = w.resolution - v.resolution
+    if steps < 0:
+        return _overlap(w, v, -d).conjugate()
+    total = ZERO
+    for y, c in w.coeffs.items():
+        o = v.coeffs.get(_ancestor(y - d, steps, v.system))
+        if o is not None:
+            total = total + o.conjugate() * c
+    if steps and not total.is_zero():
+        total = total * _inv_sqrt_power(v.system.p, steps)
+    return total
+
+
 def inner(v: LatticeVector, w: LatticeVector) -> Scalar:
-    """<v | w>, conjugate-linear in v, computed at the common resolution."""
+    """<v | w>, conjugate-linear in v, computed at the two own resolutions."""
     if v.system != w.system:
         raise SystemMismatchError("vectors over different systems")
-    m = max(v.resolution, w.resolution)
-    return _lag_inner(refine_to(v, m).coeffs, refine_to(w, m).coeffs, 0)
+    return _overlap(v, w, 0)
 
 
 def apply_shift(v: LatticeVector, k: int) -> LatticeVector:
@@ -228,24 +260,31 @@ def cascade_step(v: LatticeVector, m: LaurentPolynomial) -> LatticeVector:
 
 
 def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
-    """p(v, w)(z) = sum_k z^k <T^k v | w>, finitely supported."""
+    """p(v, w)(z) = sum_k z^k <T^k v | w>, finitely supported.
+
+    A side below resolution 0 is refined to 0, where T^k is an index shift.
+    For res(v) <= res(w) the coarse side is bucketed by residue modulo
+    N^res(v), and each fine index of w names its lag k through its ancestor;
+    the other order is p(v, w)[k] = conj(p(w, v)[-k])."""
     if v.system != w.system:
         raise SystemMismatchError("vectors over different systems")
-    m = max(v.resolution, w.resolution, 0)
-    a, b = refine_to(v, m), refine_to(w, m)
-    step = v.system.scale ** m
+    if v.resolution > w.resolution:
+        return correlation(w, v).conj_reciprocal()
+    sys = v.system
+    v, w = refine_to(v, max(v.resolution, 0)), refine_to(w, max(w.resolution, 0))
+    steps = w.resolution - v.resolution
+    step = sys.scale ** v.resolution
     buckets: dict[int, list[tuple[int, Scalar]]] = {}
-    for idx, c in b.coeffs.items():
-        buckets.setdefault(idx % step, []).append((idx, c))
+    for x, c in v.coeffs.items():
+        buckets.setdefault(x % step, []).append((x, c.conjugate()))
     out: dict[int, Scalar] = {}
-    for idx, c in a.coeffs.items():
-        cc = c.conjugate()
-        for idx2, c2 in buckets.get(idx % step, ()):
-            k = (idx2 - idx) // step
-            s = out.get(k)
-            t = cc * c2
-            out[k] = t if s is None else s + t
-    return LaurentPolynomial(out)
+    for y, c in w.coeffs.items():
+        a = _ancestor(y, steps, sys)
+        for x, cc in buckets.get(a % step, ()) if a is not None else ():
+            k = (a - x) // step
+            out[k] = out.get(k, ZERO) + cc * c
+    factor = _inv_sqrt_power(sys.p, steps)
+    return LaurentPolynomial({k: c * factor for k, c in out.items()})
 
 
 def wavelet_generators(sys: DigitSystem) -> list[LatticeVector]:
@@ -292,25 +331,6 @@ class GramSection:
         )
 
 
-def _lag_inner(a: dict, b: dict, d: int) -> Scalar:
-    """<A | B> for A = a and B = b translated by -d (so B[x] = b[x + d]).
-
-    Sums over the smaller pattern in its own order, conjugating the A side;
-    `inner` is this sum at lag 0."""
-    total = ZERO
-    if len(a) <= len(b):
-        for x, c in a.items():
-            o = b.get(x + d)
-            if o is not None:
-                total = total + c.conjugate() * o
-    else:
-        for y, c in b.items():
-            o = a.get(y - d)
-            if o is not None:
-                total = total + o.conjugate() * c
-    return total
-
-
 def gram_section(
     sys: DigitSystem,
     generators,
@@ -319,12 +339,15 @@ def gram_section(
 ) -> GramSection:
     """Exact Gram of {U^-j T^k psi_i} over the requested index ranges.
 
-    Translation covariance, T^k U^-j = U^-j T^(k N^j), makes the vector
-    U^-j T^k psi_i refined to the top resolution t the refinement of
-    U^-j psi_i translated by k N^(t-j).  So each (generator, scale) pattern
-    is refined once, and each entry is one lag of the correlation of two
-    patterns, computed once per lag.  Only the label pairs whose lag falls
-    inside the two patterns' support window are visited."""
+    U^-j is unitary, so <U^-j T^k psi_i, U^-j' T^k' psi_i'> =
+    <T^k g, U^-D T^k' g'> with D = j' - j and g, g' the generators (refined
+    to resolution 0 if below it, where T^k is an index shift): one table of
+    nonzero (k, k') values per generator pair and D serves every pair of
+    scales (j, j + D) in the section.  At the finer resolution t of g and
+    U^-D g', the translates shift the indices by k N^t and k' N^(t - D), so an
+    entry is the `_overlap` at the lag k N^t - k' N^(t - D), visited only
+    where the two spans meet; refining D levels spreads an index x over
+    N^D x + [min S, max S] (N^D - 1)/(N - 1)."""
     generators = list(generators)
     j_range = list(j_range)
     k_range = list(k_range)
@@ -341,65 +364,42 @@ def gram_section(
     )
     if not n:
         return GramSection(labels, {})
-    # apply_shift refines a vector below resolution 0 up to 0 unless k = 0
-    top = max(
-        psi.resolution + j if k == 0 else max(psi.resolution, 0) + j
-        for psi in generators
-        for j in j_range
-        for k in set(k_range)
-    )
-    top = max(top, 0)
-    steps = max(top - psi.resolution - j for psi in generators for j in j_range)
-    largest = max(len(psi.coeffs) * psi.system.p ** steps for psi in generators)
-    if largest > GRAM_PATTERN_CAP:
-        raise CapExceededError(
-            f"section refines generators by {steps} levels; "
-            f"patterns would exceed cap {GRAM_PATTERN_CAP} terms"
-        )
-    # U^-j psi refined to `top`, each coarser scale one more refinement of
-    # the next finer one
-    patterns = {}
-    for i, psi in enumerate(generators):
-        v, at = psi, 0
-        for j in sorted(set(j_range), reverse=True):
-            v = refine_to(dilate_power(v, j - at), top)
-            at = j
-            patterns[i, j] = v.coeffs
-    # one group of labels per (generator, scale): its pattern, support bounds,
-    # and its members' translates (sorted) with their label indices
-    groups = []
-    row = 0
-    for i, psi in enumerate(generators):
-        for j in j_range:
-            pattern = patterns[i, j]
-            members = sorted(
-                (k * psi.system.scale ** (top - j) if k else 0, row + m)
-                for m, k in enumerate(k_range)
-            )
-            row += len(k_range)
-            if pattern:
-                groups.append((
-                    pattern, min(pattern), max(pattern),
-                    [s for s, _ in members], [r for _, r in members],
-                ))
+    rows: dict[tuple[int, int, int], list[int]] = {}
+    for r, label in enumerate(labels):
+        rows.setdefault(label, []).append(r)
+    js, ks = sorted(set(j_range)), sorted(set(k_range))
+    span = js[-1] - js[0]
+    if len(js) == span + 1:  # consecutive scales have every difference
+        deltas = range(-span, span + 1)
+    else:
+        deltas = sorted({b - a for a in js for b in js})
+    gens = [refine_to(psi, max(psi.resolution, 0)) for psi in generators]
+    N = sys.scale
     entries: dict[tuple[int, int], Scalar] = {}
-    for pa, lo_a, hi_a, shifts_a, rows_a in groups:
-        for pb, lo_b, hi_b, shifts_b, cols_b in groups:
-            memo: dict[int, Scalar | None] = {}
-            for sa, r in zip(shifts_a, rows_a):
-                # the translates overlap only at lags sa - sb in
-                # [lo_b - hi_a, hi_b - lo_a]
-                start = bisect_left(shifts_b, sa - hi_b + lo_a)
-                stop = bisect_right(shifts_b, sa - lo_b + hi_a)
-                for m in range(start, stop):
-                    d = sa - shifts_b[m]
-                    if d in memo:
-                        value = memo[d]
-                    else:
-                        value = _lag_inner(pa, pb, d)
-                        value = memo[d] = None if value.is_zero() else value
-                    if value is not None:
-                        entries[r, cols_b[m]] = value
+    for (i, g), (i2, g2), delta in product(enumerate(gens), enumerate(gens), deltas):
+        if not (g.coeffs and g2.coeffs):
+            continue
+        w = LatticeVector(sys, g2.resolution + delta)
+        w.coeffs = g2.coeffs
+        top = max(g.resolution, w.resolution)
+        spans = []
+        for u in (g, w):
+            q = N ** (top - u.resolution)
+            spread = (q - 1) // (N - 1)
+            spans += [q * min(u.coeffs) + sys.digits[0] * spread,
+                      q * max(u.coeffs) + sys.digits[-1] * spread]
+        lo_v, hi_v, lo_w, hi_w = spans
+        a, b = N ** top, N ** (top - delta)
+        for k in ks:
+            # the spans meet at lags in [lo_w - hi_v, hi_w - lo_v]
+            start = bisect_left(ks, -((hi_w - lo_v - k * a) // b))
+            stop = bisect_right(ks, (k * a - lo_w + hi_v) // b)
+            for k2 in ks[start:stop]:
+                value = _overlap(g, w, k * a - k2 * b)
+                for j in js if not value.is_zero() else ():
+                    for r in rows[i, j, k]:
+                        for c in rows.get((i2, j + delta, k2), ()):
+                            entries[r, c] = value
     return GramSection(labels, dict(sorted(entries.items())))
 
 

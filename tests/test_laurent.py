@@ -4,7 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from fractalmra.laurent import LaurentPolynomial, constant, monomial, one, zero
+from fractalmra.laurent import (
+    LaurentPolynomial,
+    _cyclotomic,
+    _poly_divmod,
+    _poly_trim,
+    constant,
+    monomial,
+    one,
+    zero,
+)
 from fractalmra.scalars import Scalar
 
 from conftest import random_polynomial
@@ -62,3 +71,39 @@ def test_degree_and_equality():
     assert LaurentPolynomial({-7: 1, 3: 1}).degree() == 7
     assert one() == constant(1)
     assert monomial(1) != monomial(-1)
+
+
+def _reference_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _reference_cyclotomic(N, _cache={1: [-1, 1]}):
+    """The recursive construction: z^N - 1 divided by prod_{d | N, d < N} Phi_d."""
+    if N in _cache:
+        return _cache[N]
+    num = [0] * (N + 1)
+    num[0], num[N] = -1, 1
+    den = [1]
+    for d in range(1, N):
+        if N % d == 0:
+            den = _reference_poly_mul(den, _reference_cyclotomic(d))
+    q, r = _poly_divmod(num, den)
+    assert not r
+    _cache[N] = q
+    return q
+
+
+def test_cyclotomic_matches_recursive_construction():
+    for M in range(1, 400):
+        assert _cyclotomic(M) == _reference_cyclotomic(M), M
+    # past the reference range: Phi_(q^k)(z) = Phi_q(z^(q^(k-1))) for a prime q
+    for q, k in ((2, 10), (3, 6), (7919, 1), (101, 2)):
+        step = q ** (k - 1)
+        expected = [0] * (step * (q - 1) + 1)
+        expected[::step] = [1] * q
+        assert _cyclotomic(q ** k) == expected
