@@ -35,9 +35,10 @@ print()
 print("Fourier transform of the Hutchinson measure (truncated product):")
 H3 = HutchinsonTransform(cantor, depth=40)
 H4 = HutchinsonTransform(DigitSystem(4, (0, 2)), depth=40)
-for k in [0, 1, 2, 3]:
+ks = [0, 1, 2, 3]
+for k, b3, b4 in zip(ks, H3.values(ks), H4.values(ks)):
     print(
-        f"  |B3({k})| = {abs(H3.value(k)):.6f}   |B4({k})| = {abs(H4.value(k)):.6f}"
+        f"  |B3({k})| = {abs(b3):.6f}   |B4({k})| = {abs(b4):.6f}"
         f"   (tail bound {H3.tail_bound(k):.2e})"
     )
 print("note: B4 vanishes at odd integers -- the quarter Cantor system is of")

@@ -76,32 +76,37 @@ class MomentTable:
         return [self.entries[n] for n in sorted(self.entries)]
 
 
-def _stabilization_threshold(op: TransferOperator, idx: int) -> int | None:
-    """Smallest k at which the iterate coefficient at idx provably equals its
-    limit, or None when no such finite proof exists.
+def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
+    """For n = 0..R, the smallest k at which the iterate coefficient at -n
+    provably equals its limit, or None when no such finite proof exists.
 
     Step k adds sum_{j!=0} W^(j) * coeff_k(idx - j N^k); every term vanishes
     once j_min N^k - |idx| exceeds the support bound `op.support_bound(k)`,
-    and for j_min > deg W/(N - 1) that condition persists for all later k.
+    and for j_min > c = deg W/(N - 1) that condition persists for all later k.
+    The margin j_min N^k - `op.support_bound(k)` then grows with k, so the
+    threshold never decreases as |idx| grows and one pass finds every row's.
     """
     W = op.weight
     if not (W[0].is_exact and W[0] == Scalar(1)):
-        return None
+        return [None] * (R + 1)
     nonzero = [abs(k) for k in W.coeffs if k]
     if not nonzero:
-        return 1
+        return [1] * (R + 1)
     j_min = min(nonzero)
-    deg = W.degree()
     N = op.scale
-    c = Fraction(deg, N - 1)
+    c = Fraction(W.degree(), N - 1)
     if j_min < c:
-        return None
+        return [None] * (R + 1)
     if j_min == c:
-        return 1 if abs(idx) < c else None
-    k = 1
-    while j_min * N ** k - op.support_bound(k) <= abs(idx):
-        k += 1
-    return k
+        return [1 if n < c else None for n in range(R + 1)]
+    thresholds = []
+    k, margin = 1, j_min * N - op.support_bound(1)
+    for n in range(R + 1):
+        while margin <= n:
+            k += 1
+            margin = j_min * N ** k - op.support_bound(k)
+        thresholds.append(k)
+    return thresholds
 
 
 def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
@@ -111,7 +116,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     On the block [-D, D] that is the fixed vector of `fixed_vectors`, unique
     when eigenvalue 1 is simple; for |b| > D every m on the right has
     |m| < |b|, so the equation itself is a well-founded recursion.  An entry
-    with a finite `_stabilization_threshold` t reports iterations
+    with a finite threshold t (`_stabilization_thresholds`) reports iterations
     max(t + 1, 2), the step at which the product-weight iterate reaches it.
     """
     if moment_range < 0:
@@ -137,8 +142,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
                 total = total + w * nu[(b + k) // N]
         nu[b], nu[-b] = total, total.conjugate()
     table = MomentTable(scale=N, weight=op.weight)
-    for n in range(moment_range + 1):
-        t = _stabilization_threshold(op, -n)
+    for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
         iterations = 0 if t is None else max(t + 1, 2)
         table.entries[n] = MomentEntry(n, nu[n], iterations)
         table.entries[-n] = MomentEntry(-n, nu[-n], iterations)

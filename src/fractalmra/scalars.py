@@ -22,8 +22,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
     Trial division takes out every factor d with d^3 <= the unfactored rest;
     what remains then has at most two prime factors, so it is squarefree
-    unless it is a perfect square.  Every exact result re-splits its
-    radicand, so the splits are cached."""
+    unless it is a perfect square.  Only the public constructors split (the
+    results of arithmetic are canonical already, see `Scalar._canonical`);
+    the splits are cached because those see the same few radicands."""
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, q, rest = 1, 1, n
@@ -69,6 +70,15 @@ class Scalar:
         else:
             d = 0
         self.a, self.b, self.d, self.z = a, b, d, None
+
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "Scalar":
+        """a + b*sqrt(d) from parts that are canonical already: Fraction a and
+        b, d squarefree (> 1) or any value when b = 0.  Arithmetic inside one
+        field keeps its operands' radicand, so results skip `__init__`."""
+        x = object.__new__(cls)
+        x.a, x.b, x.d, x.z = a, b, d if b else 0, None
+        return x
 
     # -- constructors -------------------------------------------------------
 
@@ -157,29 +167,23 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_field(self, other: "Scalar") -> int | None:
-        """Common radicand for exact arithmetic, or None if fields mix."""
-        if not self.b:
-            return other.d
-        if not other.b:
-            return self.d
-        if self.d == other.d:
-            return self.d
-        return None
-
     def __add__(self, other):
-        other = Scalar.coerce(other)
+        if other.__class__ is not Scalar:  # skips a call on the hot path
+            other = Scalar.coerce(other)
         if self.z is None and other.z is None:
-            d = self._same_field(other)
-            if d is not None:
-                return Scalar(self.a + other.a, self.b + other.b, d)
+            if not other.b:
+                return Scalar._canonical(self.a + other.a, self.b, self.d)
+            if not self.b:
+                return Scalar._canonical(self.a + other.a, other.b, other.d)
+            if self.d == other.d:
+                return Scalar._canonical(self.a + other.a, self.b + other.b, self.d)
         return Scalar.approx(self.to_complex() + other.to_complex())
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.z is None:
-            return Scalar(-self.a, -self.b, self.d)
+            return Scalar._canonical(-self.a, -self.b, self.d)
         return Scalar.approx(-self.z)
 
     def __sub__(self, other):
@@ -189,13 +193,22 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
+        if other.__class__ is not Scalar:  # skips a call on the hot path
+            other = Scalar.coerce(other)
         if self.z is None and other.z is None:
-            d = self._same_field(other)
-            if d is not None:
+            if not other.b:
+                if not self.b:
+                    return Scalar._canonical(self.a * other.a, _F0, 0)
+                r = other.a
+                return Scalar._canonical(self.a * r, self.b * r, self.d)
+            if not self.b:
+                r = self.a
+                return Scalar._canonical(r * other.a, r * other.b, other.d)
+            d = self.d
+            if d == other.d:
                 a = self.a * other.a + self.b * other.b * d
                 b = self.a * other.b + self.b * other.a
-                return Scalar(a, b, d)
+                return Scalar._canonical(a, b, d)
         return Scalar.approx(self.to_complex() * other.to_complex())
 
     __rmul__ = __mul__
@@ -204,12 +217,10 @@ class Scalar:
         other = Scalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.z is None and other.z is None:
-            d = self._same_field(other)
-            if d is not None:
-                norm = other.a * other.a - other.b * other.b * d
-                inv = Scalar(other.a / norm, -other.b / norm, d)
-                return self * inv
+        exact = self.z is None and other.z is None
+        if exact and (not self.b or not other.b or self.d == other.d):
+            norm = other.a * other.a - other.b * other.b * other.d
+            return self * Scalar._canonical(other.a / norm, -other.b / norm, other.d)
         return Scalar.approx(self.to_complex() / other.to_complex())
 
     def __rtruediv__(self, other):
@@ -281,5 +292,6 @@ class Scalar:
         return f"Scalar({self.z!r})"
 
 
+_F0 = Fraction(0)
 ZERO = Scalar(0)
 ONE = Scalar(1)

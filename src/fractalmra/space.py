@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import (
@@ -375,6 +375,7 @@ def gram_section(
         deltas = sorted({b - a for a in js for b in js})
     gens = [refine_to(psi, max(psi.resolution, 0)) for psi in generators]
     N = sys.scale
+    power = cache(N.__pow__)  # N^e, built once per exponent in the section
     entries: dict[tuple[int, int], Scalar] = {}
     for (i, g), (i2, g2), delta in product(enumerate(gens), enumerate(gens), deltas):
         if not (g.coeffs and g2.coeffs):
@@ -384,12 +385,12 @@ def gram_section(
         top = max(g.resolution, w.resolution)
         spans = []
         for u in (g, w):
-            q = N ** (top - u.resolution)
+            q = power(top - u.resolution)
             spread = (q - 1) // (N - 1)
             spans += [q * min(u.coeffs) + sys.digits[0] * spread,
                       q * max(u.coeffs) + sys.digits[-1] * spread]
         lo_v, hi_v, lo_w, hi_w = spans
-        a, b = N ** top, N ** (top - delta)
+        a, b = power(top), power(top - delta)
         for k in ks:
             # the spans meet at lags in [lo_w - hi_v, hi_w - lo_v]
             start = bisect_left(ks, -((hi_w - lo_v - k * a) // b))

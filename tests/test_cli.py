@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -335,3 +336,61 @@ def test_one_digit_dual_pair(command):
     jsonschema.validate(obj, load_schema(command))
     key = "lambda_prefix" if command == "duality" else "exponents"
     assert obj[key] == [0]
+
+
+# sha256 of the JSON stdout of each request: exact arithmetic may get faster,
+# never different.  The first five are the heavy exact paths (long moment tables, a deep
+# representation limit, a wide Cantor Gram) and a p = 3 Gram, whose complex
+# detail filters put it on the approximate tier; the rest are the README
+# examples in JSON, plus the p = 3 filters, exact in Q(sqrt3).
+GOLDEN_STDOUT = [
+    ("moments --scale 3 --digits 0,2 --range 2048",
+     "75a4c7142cef8f8d466b619a2e12525fdde5b4e3ac88afddccc6359249bf4bb0"),
+    ("moments --scale 7 --digits 0,1,6 --range 512",
+     "558133735cf5c118b564f10bd4db518f415c0d916594951b4f225624402bd31a"),
+    ("replimit --scale 7 --digits 3,6 --level 11 --range 1",
+     "8febd9e5053fde9aaaec1525a467395b909f8313b61700a0a50cd88cc7d8dc1c"),
+    ("gram --scale 3 --digits 0,2 --jrange 40 --krange 0",
+     "91535de304c4b35b6d1209c2b53b900b932b999f2a238ea963b8d00fb2160d88"),
+    ("gram --scale 4 --digits 0,1,3 --jrange 2 --krange 2",
+     "b8fa48a7bc4e05ee480c9bde31ef51d11073f146ce8bf9ea2f20b5c851fca24d"),
+    ("dimension --scale 3 --digits 0,2",
+     "c0fbd998e1ead98b48a44c944b522932623206680fc9417f22222ef627f7b6b8"),
+    ("filters --scale 3 --digits 0,2",
+     "c02bb4ec86fdccf7a49ef917977fffe7fc9f1df2ba0bb162ae8b613f753b6b8b"),
+    ("filters --scale 4 --digits 0,1,3",
+     "63cc14055fb20634d10555676432fa183ee32c94cf08443b18f62ac5e8a2d8dd"),
+    ("spectrum --scale 3 --digits 0,2",
+     "597056eed9fd6939deeebe5c20db53534409e16e897d715975ec634267e0334d"),
+    ("moments --scale 3 --digits 0,2 --range 64 --emit wiener",
+     "89f2f4b1b6153014fad4881a8683e18e3c33c5db1d63ef764c2e217ccb6e875d"),
+    ("cycles --scale 2 --digits 0,1 --length 8",
+     "6711123d869bac0d7e45f4b850be55108505dc27a1c5419c9ecc32b4bed7ca70"),
+    ("classify --scale 3 --digits 0,2",
+     "da2318d14c0e8ab2a149b80e3de43520f14ba2f551b3e83fcde72b94ea0cf478"),
+    ("duality --scale 4 --digits 0,2 --dual 0,1 --count 8",
+     "07ce29c507809d2dcbf16f37d7ad551925821fac9a7929ae56f205fac807bdc7"),
+    ("onb-check --scale 4 --digits 0,2 --dual 0,1 --count 8 --xi 0.3",
+     "2318610793985aef510669b92c996c342f50cb4ad3eaf70008d633d6318ea4c0"),
+    ("cascade --scale 3 --digits 0,2 --modifier z3 --steps 6",
+     "8c0e5393c074647ea9490b3a81d5fab60131ed840e80e7ee8d09c0bed0bf5cb9"),
+    ("riesz --depth 6 --grid 6561",
+     "f5e8624ee9b16e4e4ea9bcc1566a05637e5417c6c6d7e68cdd69b196775647a1"),
+    ("gram --scale 3 --digits 0,2 --jrange 2 --krange 5",
+     "f3711d41f4ede759a9bb6e15f349b89cd95b76b0f9242706fdc69531e1e5718a"),
+    ("table",
+     "8c3c8bc36c4b121b0c93dc631c4cf98ad6a1d912dd53e8957628760364f651ae"),
+    ("replimit --scale 3 --digits 0,2 --level 8 --range 10",
+     "9fd4bdd7a3f9aad3746023d2abc87d8dbdf9b9cf0024508532f3c093119ed289"),
+]
+
+
+@pytest.mark.parametrize("request_line,digest", GOLDEN_STDOUT, ids=[r for r, _ in GOLDEN_STDOUT])
+def test_stdout_matches_golden_digest(request_line, digest):
+    code, out, err = run_cli(*request_line.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_digests_cover_every_subcommand():
+    assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)

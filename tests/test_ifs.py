@@ -79,16 +79,17 @@ def test_transform_refinement_identity():
     for sys in (DigitSystem(3, (0, 2)), DigitSystem(4, (0, 2)), DigitSystem(5, (0, 1, 3))):
         H = HutchinsonTransform(sys, depth=40)
         p = sys.p
-        for _ in range(50):
-            k = rng.uniform(-10, 10)
+        ks = [rng.uniform(-10, 10) for _ in range(50)]
+        lhs = H.values(ks)
+        coarse = H.values([k / sys.scale for k in ks])
+        for k, left, right in zip(ks, lhs, coarse):
             m0_eval = sum(
                 complex(math.cos(2 * math.pi * a * k / sys.scale),
                         math.sin(2 * math.pi * a * k / sys.scale))
                 for a in sys.digits
             ) / math.sqrt(p)
-            lhs = H.value(k)
-            rhs = m0_eval * H.value(k / sys.scale) / math.sqrt(p)
-            assert abs(lhs - rhs) < 1e-12
+            rhs = m0_eval * complex(right) / math.sqrt(p)
+            assert abs(complex(left) - rhs) < 1e-12
 
 
 def test_transform_zero_and_nonzero(cantor3, cantor4):

@@ -18,7 +18,7 @@ from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import (
     STABILIZED,
     _divisors_with_small_totient,
-    _stabilization_threshold,
+    _stabilization_thresholds,
     classify_support,
     compare_filters,
     find_cycles,
@@ -186,13 +186,61 @@ def test_moments_solve_invariance_on_canonical_systems():
         table = moment_table(op, 64)
         assert table.value(0) == Scalar(1)
         assert_invariant(op, table, 64)
+        thresholds = _stabilization_thresholds(op, 64)
         for e in table.rows():
-            t = _stabilization_threshold(op, -e.n)
+            t = thresholds[abs(e.n)]
             if t is not None:
                 assert e.iterations == max(t + 1, 2)
                 assert e.value == op._iterate_coefficient(t + 1, -e.n)
             else:
                 assert e.iterations == 0
+
+
+def reference_threshold(op, idx):
+    """The per-index stabilization rule, kept as the reference for the
+    one-pass `_stabilization_thresholds`."""
+    W = op.weight
+    if not (W[0].is_exact and W[0] == Scalar(1)):
+        return None
+    nonzero = [abs(k) for k in W.coeffs if k]
+    if not nonzero:
+        return 1
+    j_min = min(nonzero)
+    deg = W.degree()
+    N = op.scale
+    c = Fraction(deg, N - 1)
+    if j_min < c:
+        return None
+    if j_min == c:
+        return 1 if abs(idx) < c else None
+    k = 1
+    while j_min * N ** k - op.support_bound(k) <= abs(idx):
+        k += 1
+    return k
+
+
+def test_one_pass_thresholds_match_the_per_index_rule():
+    """Every canonical system with N <= 7, single digits (W = 1), and two
+    weights outside the canonical family: W^(0) != 1, and j_min < deg W/(N-1)."""
+    R = 300
+    ops = [
+        TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, S)), N)
+        for N, S in [*canonical_systems(7), (2, (0,)), (7, (0,))]
+    ]
+    q = Scalar(Fraction(1, 4))
+    ops += [
+        TransferOperator(2, LaurentPolynomial({0: HALF, 1: HALF})),
+        TransferOperator(2, LaurentPolynomial({0: Scalar(1), 1: q, -1: q, 3: q, -3: q})),
+    ]
+    kinds = set()
+    for op in ops:
+        thresholds = _stabilization_thresholds(op, R)
+        assert len(thresholds) == R + 1
+        for n in range(-R, R + 1):
+            assert thresholds[abs(n)] == reference_threshold(op, n), (op.scale, op.weight, n)
+        kinds.add(tuple(sorted({t is None for t in thresholds})))
+    # rows with finite thresholds only, with none, and with both
+    assert kinds == {(False,), (True,), (False, True)}
 
 
 def test_full_digit_sets_give_the_dirac_mass():

@@ -105,3 +105,112 @@ def test_inv_sqrt_power_equals_product(a, k):
     power = Scalar.inv_sqrt(a ** k)
     assert power == product
     assert hash(power) == hash(product)
+
+
+# -- properties of exact arithmetic ---------------------------------------------
+
+RADICANDS = (2, 3, 5, 6)
+fractions_ = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def field_values(draw):
+    """Three exact values of one field: Q, or Q(sqrt d) for d in RADICANDS.
+    The second one's sqrt part is often the first one's negated, so sums
+    cancel back to Q; radicands are sometimes written with a square factor."""
+    d = draw(st.sampled_from((0,) + RADICANDS))
+    if d == 0:
+        return tuple(Scalar(draw(fractions_)) for _ in range(3))
+    b = draw(fractions_)
+    values = []
+    for sqrt_part in (b, draw(st.one_of(fractions_, st.just(-b))), draw(fractions_)):
+        s = draw(st.sampled_from((1, 1, 2, 3)))
+        values.append(Scalar(draw(fractions_), sqrt_part / s, d * s * s))
+    return tuple(values)
+
+
+def results(x, y):
+    out = [x + y, x - y, x * y, -x, y - x]
+    if not y.is_zero():
+        out.append(x / y)
+    if not x.is_zero():
+        out.append(y / x)
+    return out
+
+
+def assert_canonical(r):
+    """Field by field equal to the normalising rebuild from its own parts."""
+    assert r.is_exact
+    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
+    rebuilt = Scalar(r.a, r.b, r.d)
+    assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_values())
+def test_field_laws(xyz):
+    x, y, z = xyz
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x * 0 == 0
+    assert x + (-x) == 0 and x - y == -(y - x)
+    if not y.is_zero():
+        assert (x / y) * y == x
+        assert y / y == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_values())
+def test_results_are_canonical(xyz):
+    x, y, z = xyz
+    for r in results(x, y) + results(y, z):
+        assert_canonical(r)
+        if not r.b:
+            assert r.d == 0 and r.is_rational
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_values())
+def test_equal_values_hash_equal(xyz):
+    x, y, z = xyz
+    # one value reached two ways: factored, and expanded
+    left, right = (x + y) * (x - y), x * x - y * y
+    assert left == right and hash(left) == hash(right)
+    for r in results(x, y) + results(z, x):
+        rebuilt = Scalar(r.a, r.b, r.d)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        if r.is_rational:
+            assert r == r.a and hash(r) == hash(r.a)
+
+
+def test_sums_that_cancel_the_root_land_in_q():
+    x, y = Scalar(1, Fraction(3, 2), 2), Scalar(Fraction(1, 3), Fraction(-3, 2), 2)
+    for r in (x + y, x - Scalar(0, Fraction(3, 2), 2), Scalar(0, 1, 3) * Scalar(0, 1, 3)):
+        assert (r.b, r.d) == (0, 0) and r.is_rational
+        assert hash(r) == hash(r.a)
+    assert Scalar(0, 1, 2) * Scalar(0, 1, 8) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(d, e) for d in RADICANDS for e in RADICANDS if d != e]),
+    fractions_, fractions_.filter(bool), fractions_, fractions_.filter(bool),
+)
+def test_mixed_fields_demote_to_approximate(de, a, b, c, e):
+    d, d2 = de
+    x, y = Scalar(a, b, d), Scalar(c, e, d2)
+    exact = (float(a) + float(b) * math.sqrt(d), float(c) + float(e) * math.sqrt(d2))
+    for r, ref in [
+        (x + y, exact[0] + exact[1]),
+        (x - y, exact[0] - exact[1]),
+        (x * y, exact[0] * exact[1]),
+    ]:
+        assert not r.is_exact
+        assert r.to_complex() == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    if not y.is_zero():
+        assert not (x / y).is_exact
+    assert not (x + Scalar.approx(0.5)).is_exact
+    assert not (Scalar(a) * Scalar.approx(1.0)).is_exact

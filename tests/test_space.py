@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,16 @@ def test_gram_sections_identity(cantor3, cantor4):
     assert section4.is_identity()
     single = gram_section(cantor3, wavelet_generators(cantor3)[:1], [0], [0])
     assert single.matrix == ((Scalar(1),),)
+
+
+def test_gram_section_sparse_scales_far_apart(cantor3):
+    # only the powers of N the section uses are built, not every one up to
+    # the span of the scale list
+    gens = wavelet_generators(cantor3)
+    start = time.perf_counter()
+    section = gram_section(cantor3, gens, [0, 10**5], [0])
+    assert time.perf_counter() - start < 0.5
+    assert section.is_identity()
 
 
 def _reference_gram(generators, j_range, k_range):
