@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -538,7 +540,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fractalmra",
         description="Experiments with multiresolution wavelets on fractals",
@@ -561,9 +565,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(obj) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2).
+
+    Any `indent` sends `json` to its pure-Python encoder, which encodes each
+    leaf with a Python call.  Here the containers are walked once into a
+    %-template (keys escaped with `%` doubled, a `%s` per leaf), and all
+    leaves are encoded by one call of the C encoder with "\\x00" between
+    them; ensure_ascii output cannot hold a raw "\\x00", so the split is
+    exact.  The text before each value of a dict is built once per key set
+    and depth, and shared by every dict of that shape."""
+    parts: list[str] = []
+    leaves: list = []
+    append, leaf = parts.append, leaves.append
+    layouts: dict[tuple, list[tuple]] = {}
+    containers = (dict, list, tuple)
+
+    def layout(o: dict, inner: str) -> list[tuple]:
+        """(key, text before a container value, text before a leaf), sorted."""
+        rows, sep = [], "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):  # no document has other keys
+                raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
+            head = sep + encode_basestring_ascii(k).replace("%", "%%") + ": "
+            rows.append((k, head, head + "%s"))
+            sep = "," + inner
+        return rows
+
+    def walk(o, nl: str) -> None:
+        inner = nl + "  "
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            shape = (nl, *o)
+            rows = layouts.get(shape)
+            if rows is None:
+                rows = layouts[shape] = layout(o, inner)
+            for k, head, head_leaf in rows:
+                v = o[k]
+                if isinstance(v, containers):
+                    append(head)
+                    walk(v, inner)
+                else:
+                    append(head_leaf)
+                    leaf(v)
+            append(nl + "}")
+        else:
+            if not o:
+                append("[]")
+                return
+            sep, sep_leaf = "[" + inner, "[" + inner + "%s"
+            comma, comma_leaf = "," + inner, "," + inner + "%s"
+            for v in o:
+                if isinstance(v, containers):
+                    append(sep)
+                    walk(v, inner)
+                else:
+                    append(sep_leaf)
+                    leaf(v)
+                sep, sep_leaf = comma, comma_leaf
+            append(nl + "]")
+
+    if isinstance(obj, containers):
+        walk(obj, "\n")
+    else:
+        append("%s")
+        leaf(obj)
+    template = "".join(parts)
+    del parts, append  # freed before the leaf text and the filled copy exist
+    encoded = tuple(
+        json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00") if leaves else ()
+    )
+    del leaves, leaf
+    return template % encoded
+
+
 def _render(command: Subcommand, args, obj) -> str:
     if args.format == "json":
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return _dumps(obj) + "\n"
     if args.format == "text":
         return command.text(obj)
     buf = io.StringIO()

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .laurent import LaurentPolynomial, _cyclotomic, _poly_divmod
-from .scalars import Scalar, ZERO
+from .scalars import _F0, Scalar, ZERO
 from .transfer import (
     TransferOperator,
     apply_haar_average,
@@ -135,11 +135,15 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
         raise PreconditionError("the block's fixed vector has nu^(0) = 0")
     nu = {b - D: x / center for b, x in enumerate(basis[0])}
     N = op.scale
+    by_residue: list[list[tuple[int, Scalar]]] = [[] for _ in range(N)]
+    for k, w in op.weight.coeffs.items():
+        by_residue[k % N].append((k, w))
     for b in range(D + 1, moment_range + 1):
         total = ZERO
-        for k, w in op.weight.coeffs.items():
-            if (b + k) % N == 0:
-                total = total + w * nu[(b + k) // N]
+        for k, w in by_residue[-b % N]:  # exactly the k with N | b + k
+            m = nu[(b + k) // N]
+            if not m.is_zero():
+                total = total + w * m
         nu[b], nu[-b] = total, total.conjugate()
     table = MomentTable(scale=N, weight=op.weight)
     for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
@@ -375,8 +379,15 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     rows = []
     s = ZERO
     for k in range(K + 1):
-        s = s + table.value(k).abs_sq()
-        ratio = s * Scalar(Fraction(1, k)) if k else None
+        v = table.value(k)
+        if not (v.is_exact and v.is_zero() and s.is_exact):  # else s + |v|^2 is s
+            s = s + v.abs_sq()
+        if not k:
+            ratio = None
+        elif s.is_rational:  # s/k as one normalised Fraction
+            ratio = Scalar._canonical(Fraction(s.a.numerator, s.a.denominator * k), _F0, 0)
+        else:
+            ratio = s * Scalar(Fraction(1, k))
         rows.append(WienerRow(k, s, ratio))
     return WienerProfile(tuple(rows))
 

@@ -164,12 +164,13 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     return out
 
 
-def _ancestor(y: int, steps: int, sys: DigitSystem) -> int | None:
+def _ancestor(y: int, steps: int, q: int, sys: DigitSystem) -> int | None:
     """The index `steps` levels coarser whose refinement reaches y, if any.
 
-    y = N^steps x + r descends from x exactly when r is a digit sum
-    sum_{i<steps} a_i N^i with every a_i in S."""
-    x, r = divmod(y, sys.scale ** steps)
+    y = q x + r with q = N^steps descends from x exactly when r is a digit
+    sum sum_{i<steps} a_i N^i with every a_i in S.  The caller passes q, which
+    is the same for every fine index it asks about."""
+    x, r = divmod(y, q)
     for _ in range(steps):
         if not r:  # the remaining digits are all 0
             return x if 0 in sys.digits else None
@@ -193,9 +194,10 @@ def _overlap(v: LatticeVector, w: LatticeVector, d: int) -> Scalar:
     steps = w.resolution - v.resolution
     if steps < 0:
         return _overlap(w, v, -d).conjugate()
+    q = v.system.scale ** steps
     total = ZERO
     for y, c in w.coeffs.items():
-        o = v.coeffs.get(_ancestor(y - d, steps, v.system))
+        o = v.coeffs.get(_ancestor(y - d, steps, q, v.system))
         if o is not None:
             total = total + o.conjugate() * c
     if steps and not total.is_zero():
@@ -274,12 +276,13 @@ def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
     v, w = refine_to(v, max(v.resolution, 0)), refine_to(w, max(w.resolution, 0))
     steps = w.resolution - v.resolution
     step = sys.scale ** v.resolution
+    q = sys.scale ** steps
     buckets: dict[int, list[tuple[int, Scalar]]] = {}
     for x, c in v.coeffs.items():
         buckets.setdefault(x % step, []).append((x, c.conjugate()))
     out: dict[int, Scalar] = {}
     for y, c in w.coeffs.items():
-        a = _ancestor(y, steps, sys)
+        a = _ancestor(y, steps, q, sys)
         for x, cc in buckets.get(a % step, ()) if a is not None else ():
             k = (a - x) // step
             out[k] = out.get(k, ZERO) + cc * c

@@ -8,6 +8,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalmra import cli
 
@@ -394,3 +395,91 @@ def test_stdout_matches_golden_digest(request_line, digest):
 
 def test_golden_digests_cover_every_subcommand():
     assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)
+
+
+# -- the JSON renderer: the bytes of json.dumps(sort_keys=True, indent=2) ------
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+JSON_KEYS = st.one_of(
+    st.sampled_from(["%", "%s", "%%s", "%(a)s", '"', "\\", "\x00", "\x1f\n\t", "√", "a\x00%s√"]),
+    st.text(max_size=6),
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2 ** 64, -(2 ** 64) - 1, 3 ** 200]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 5e-324]),
+    st.text(max_size=8),
+    JSON_KEYS,
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+def test_dumps_matches_the_stdlib(obj):
+    assert cli._dumps(obj) == stdlib_dumps(obj)
+
+
+def nested(leaf, depth):
+    for i in range(depth):
+        leaf = [leaf] if i % 2 else {"%s": leaf, "n": i}
+    return leaf
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}],
+    "top %s leaf", 2 ** 70, float("nan"), None, True,
+    {"%": {"%s": ["%d", "%%"]}, "\x00": "\x00"},
+    nested({"deep": [1, 2.5, None]}, 60),
+    {"√": -0.0, "k": [float("inf"), -float("inf"), 1e16, 5e-324]},
+])
+def test_dumps_edge_cases(obj):
+    assert cli._dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {10: "a"}, {2.5: 0}, {True: 1}, {None: {}}, {"a": {1: 0}}, [{"k": 0}, {1: 0}],
+])
+def test_dumps_refuses_non_str_keys(obj):
+    """No document has other keys; `json` would convert them, the renderer
+    refuses them rather than carry that conversion."""
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {1: 0, "a": 1}, [object()], {"k": {1, 2}}])
+def test_dumps_refuses_what_the_stdlib_refuses(obj):
+    with pytest.raises(TypeError):
+        stdlib_dumps(obj)
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli("moments", "--scale", "3", "--digits", "0,2", "--range", "5")
+    assert code == 0 and json.loads(out)["range"] == 5
+    code, out, _ = run_cli("moments", "--scale", "3", "--digits", "0,2")
+    assert code == 0 and json.loads(out)["range"] == cli.DEFAULT_MOMENT_RANGE == 256
+    helps = []
+    for _ in range(2):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+            cli.main(["moments", "--help"])
+        assert exit_info.value.code == 0
+        helps.append(out.getvalue())
+    assert helps[0] == helps[1] and "--range" in helps[0]

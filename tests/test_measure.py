@@ -17,6 +17,9 @@ from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import (
     STABILIZED,
+    MomentEntry,
+    MomentTable,
+    WienerRow,
     _divisors_with_small_totient,
     _stabilization_thresholds,
     classify_support,
@@ -29,7 +32,7 @@ from fractalmra.measure import (
     wiener_profile,
 )
 from fractalmra.scalars import Scalar
-from fractalmra.transfer import TransferOperator, weight_from_filter
+from fractalmra.transfer import TransferOperator, fixed_vectors, weight_from_filter
 
 HALF = Scalar(Fraction(1, 2))
 R2 = Scalar.inv_sqrt(2)
@@ -194,6 +197,83 @@ def test_moments_solve_invariance_on_canonical_systems():
                 assert e.value == op._iterate_coefficient(t + 1, -e.n)
             else:
                 assert e.iterations == 0
+
+
+def reference_moments(op, R):
+    """The moment recursion as first written: every weight coefficient tested
+    for N | b + k, zero moments included."""
+    basis = fixed_vectors(op)
+    D = op.block_halfwidth
+    nu = {b - D: x / basis[0][D] for b, x in enumerate(basis[0])}
+    for b in range(D + 1, R + 1):
+        total = Scalar(0)
+        for k, w in op.weight.coeffs.items():
+            if (b + k) % op.scale == 0:
+                total = total + w * nu[(b + k) // op.scale]
+        nu[b], nu[-b] = total, total.conjugate()
+    return nu
+
+
+def reference_wiener(table, K):
+    """The Wiener profile as first written: one Scalar product per ratio."""
+    rows = []
+    s = Scalar(0)
+    for k in range(K + 1):
+        s = s + table.value(k).abs_sq()
+        rows.append(WienerRow(k, s, s * Scalar(Fraction(1, k)) if k else None))
+    return rows
+
+
+def scalar_fields(x):
+    return None if x is None else (x.a, x.b, x.d, x.z)
+
+
+def assert_same_wiener(table, K):
+    rows, expected = wiener_profile(table, K).rows, reference_wiener(table, K)
+    assert list(rows) == expected
+    for row, ref in zip(rows, expected):
+        assert row.k == ref.k
+        assert scalar_fields(row.partial_sum) == scalar_fields(ref.partial_sum)
+        assert scalar_fields(row.ratio) == scalar_fields(ref.ratio)
+
+
+def test_residue_recursion_and_wiener_match_the_first_form():
+    """Every canonical system with N <= 7, range 64: the residue-bucketed
+    recursion and the one-Fraction ratios give the same values, field by field."""
+    systems = list(canonical_systems(7))
+    assert len(systems) == 126
+    zero_moments = 0
+    for N, S in systems:
+        op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, S)), N)
+        table = moment_table(op, 64)
+        nu = reference_moments(op, 64)
+        assert sorted(table.entries) == sorted(nu)
+        for n, value in nu.items():
+            assert table.value(n) == value
+            assert scalar_fields(table.value(n)) == scalar_fields(value)
+        zero_moments += sum(v.is_zero() for v in nu.values())
+        assert_same_wiener(table, 64)
+    assert zero_moments  # the zero-skipping branch runs
+
+
+def test_wiener_profile_off_the_rationals():
+    """Q(sqrt2) moments make the partial sums irrational, an approximate one
+    demotes them; exact and approximate zeros sit in between."""
+    def hand_table(values):
+        table = MomentTable(scale=2)
+        for n, v in enumerate(values):
+            table.entries[n] = MomentEntry(n, v, 0)
+            table.entries[-n] = MomentEntry(-n, v.conjugate(), 0)
+        return table
+
+    r2 = Scalar.sqrt(2)
+    values = [Scalar(1), HALF + r2, Scalar(0), Scalar(Fraction(-1, 3)) * r2,
+              Scalar.approx(0), Scalar.approx(0.25 + 0.5j), Scalar(0), Scalar(Fraction(2, 7))]
+    rows = wiener_profile(hand_table(values), 7).rows
+    assert rows[1].partial_sum.is_exact and not rows[1].partial_sum.is_rational
+    assert not rows[-1].partial_sum.is_exact
+    assert_same_wiener(hand_table(values), 7)
+    assert_same_wiener(hand_table([Scalar(1), Scalar(0), HALF, Scalar(0), Scalar(0)]), 4)
 
 
 def reference_threshold(op, idx):
