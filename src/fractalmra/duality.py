@@ -25,7 +25,6 @@ from .filterbank import canonical_lowpass
 from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
 from .laurent import _cyclotomic, _poly_divmod, _poly_trim
 
-DUAL_TOL = 1e-10
 LAMBDA_CAP = 10 ** 6
 SIGNED_LAMBDA_DEPTH = 12
 
@@ -54,7 +53,7 @@ class SpectralPair:
 
     @property
     def verdict(self) -> str:
-        return "Dual" if self.defect <= DUAL_TOL else "NotDual"
+        return "Dual" if self.exact_unitary else "NotDual"
 
     @property
     def is_dual(self) -> bool:

@@ -25,8 +25,6 @@ from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
 from .transfer import apply_haar_average
 
-UNITARITY_TOL = 1e-10
-
 
 def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:
     """Low-pass filter p^(-1/2) sum_i z^(a_i), exact in Q(sqrt(p))."""

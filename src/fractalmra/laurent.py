@@ -82,20 +82,17 @@ class LaurentPolynomial:
             c = Scalar.coerce(other)
             if c.is_zero():
                 return LaurentPolynomial()
-            out = LaurentPolynomial()
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-            return out
-        data: dict[int, Scalar] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                s = data.get(k, ZERO) + v1 * v2
-                if s.is_zero():
-                    data.pop(k, None)
-                else:
-                    data[k] = s
+            data = {k: v * c for k, v in self.coeffs.items()}
+        else:
+            data = {}
+            for k1, v1 in self.coeffs.items():
+                for k2, v2 in other.coeffs.items():
+                    k = k1 + k2
+                    s = data.get(k)
+                    t = v1 * v2
+                    data[k] = t if s is None else s + t
         out = LaurentPolynomial()
-        out.coeffs = data
+        out.coeffs = {k: c for k, c in data.items() if not c.is_zero()}
         return out
 
     __rmul__ = __mul__

@@ -3,11 +3,12 @@
 A vector is a finite combination of the orthonormal family U^-n T^k phi,
 where phi is the indicator of the attractor, T is integer translation and U
 the normalized dilation with U T U^-1 = T^N.  Resolution is a label: no
-function on the real line is ever evaluated, and all geometry enters through
-the index arithmetic
+function on the real line is ever evaluated.  At resolution n a vector is
+the Laurent polynomial f(z) = sum_k c_k z^k in the translate index, and all
+geometry enters through polynomial products:
 
-    T^j (U^-n T^k phi) = U^-n T^(k + j N^n) phi,
-    U^-n T^k phi = p^(-1/2) sum_a U^-(n+1) T^(Nk + a) phi.
+    T^j (U^-n T^k phi) = U^-n T^(k + j N^n) phi,   i.e. f -> z^(j N^n) f,
+    U^-n T^k phi = p^(-1/2) sum_a U^-(n+1) T^(Nk + a) phi,   i.e. f -> f(z^N) m0(z).
 
 The digits are distinct, so refining D levels never adds two terms: a fine
 index y comes from its ancestor y div N^D exactly when y mod N^D is a digit
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .filterbank import build_bank, canonical_lowpass, pairing
 from .ifs import CylinderAddress, DigitSystem, cylinder_translate_index
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, monomial
 from .scalars import ONE, Scalar, ZERO
 from .transfer import TransferOperator
 
@@ -43,46 +44,40 @@ GRAM_SECTION_CAP = 10 ** 4
 
 
 class LatticeVector:
-    """sum_k c_k U^-n T^k phi at a fixed resolution n, sparse over k."""
+    """sum_k c_k U^-n T^k phi at a fixed resolution n: the Laurent polynomial
+    sum_k c_k z^k in the translate index, labelled with its resolution.
 
-    __slots__ = ("system", "resolution", "coeffs")
+    `coeffs` may be a mapping k -> c_k or a LaurentPolynomial, which is
+    shared, not copied; the `coeffs` slot is the polynomial's own dict."""
+
+    __slots__ = ("system", "resolution", "poly", "coeffs")
 
     def __init__(self, system: DigitSystem, resolution: int, coeffs=None):
         self.system = system
         self.resolution = int(resolution)
-        data = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Scalar.coerce(v)
-                if not v.is_zero():
-                    data[int(k)] = v
-        self.coeffs = data
+        if not isinstance(coeffs, LaurentPolynomial):
+            coeffs = LaurentPolynomial(coeffs)
+        self.poly = coeffs
+        self.coeffs = coeffs.coeffs
 
     @property
     def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.coeffs.values())
+        return self.poly.is_exact
 
     def norm_sq(self) -> Scalar:
         """Exact squared norm: the basis at one resolution is orthonormal."""
         return inner(self, self)
 
     def scaled(self, s) -> "LatticeVector":
-        s = Scalar.coerce(s)
-        return LatticeVector(
-            self.system,
-            self.resolution,
-            {k: v * s for k, v in self.coeffs.items()},
-        )
+        return LatticeVector(self.system, self.resolution, self.poly * s)
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         if other.system != self.system:
             raise SystemMismatchError("vectors over different systems")
         m = max(self.resolution, other.resolution)
-        a, b = refine_to(self, m), refine_to(other, m)
-        data = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            data[k] = data.get(k, ZERO) + v
-        return LatticeVector(self.system, m, data)
+        return LatticeVector(
+            self.system, m, refine_to(self, m).poly + refine_to(other, m).poly
+        )
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + other.scaled(-1)
@@ -93,7 +88,7 @@ class LatticeVector:
         if self.system != other.system:
             return False
         m = max(self.resolution, other.resolution)
-        return refine_to(self, m).coeffs == refine_to(other, m).coeffs
+        return refine_to(self, m).poly == refine_to(other, m).poly
 
     def __hash__(self):
         # equality refines to a common resolution, so hash only through
@@ -103,20 +98,18 @@ class LatticeVector:
     def __repr__(self):
         terms = ", ".join(
             f"{k}: {v.exact_str() or v.to_complex()}"
-            for k, v in sorted(self.coeffs.items())
+            for k, v in self.poly.items()
         )
         return f"LatticeVector(res={self.resolution}, {{{terms}}})"
 
     def to_json_dict(self) -> dict:
         entries = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
+        for k, v in self.poly.items():
             s = v.exact_str()
             if s is None:
                 z = v.to_complex()
-                entries.append([k, [z.real, z.imag]])
-            else:
-                entries.append([k, s])
+                s = [z.real, z.imag]
+            entries.append([k, s])
         return {
             "system": {"scale": self.system.scale, "digits": list(self.system.digits)},
             "resolution": self.resolution,
@@ -144,24 +137,24 @@ def cylinder_vector(addr: CylinderAddress) -> LatticeVector:
 def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     """Re-express v at resolution m >= resolution(v); exact and isometric.
 
-    Refining D levels sends the index x to N^D x + e for every digit sum e,
-    with weight p^(-D/2); the digits are distinct, so no two terms meet."""
+    The scaling equation phi = U^-1 m0(T) phi, iterated D = m - res(v) times,
+    sends f(z) to f(z^(N^D)) P_D(z) with P_D = p^(-D/2) sum_e z^e over the
+    digit sums e = sum_{i<D} a_i N^i; the digits are distinct, so no two
+    terms of the product meet."""
     if m < v.resolution:
         raise CoarseningError(
             f"cannot coarsen resolution {v.resolution} to {m}; "
             "projection onto coarser scales is not supported"
         )
-    sys = v.system
     steps = m - v.resolution
+    if not steps:
+        return v
+    sys = v.system
     sums = [0]
     for _ in range(steps):
         sums = [sys.scale * e + a for e in sums for a in sys.digits]
-    q, factor = sys.scale ** steps, _inv_sqrt_power(sys.p, steps)
-    out = LatticeVector(sys, m)
-    out.coeffs = {
-        q * x + e: c * factor for x, c in v.coeffs.items() for e in sums
-    } if steps else dict(v.coeffs)
-    return out
+    P = LaurentPolynomial(dict.fromkeys(sums, _inv_sqrt_power(sys.p, steps)))
+    return LatticeVector(sys, m, v.poly.compose_power(sys.scale ** steps) * P)
 
 
 def _ancestor(y: int, steps: int, q: int, sys: DigitSystem) -> int | None:
@@ -214,46 +207,29 @@ def inner(v: LatticeVector, w: LatticeVector) -> Scalar:
 
 def apply_shift(v: LatticeVector, k: int) -> LatticeVector:
     """T^k v; at resolution n >= 0 the translate indices shift by k N^n."""
-    if k == 0:
-        return v
-    base = refine_to(v, max(v.resolution, 0))
-    step = k * v.system.scale ** base.resolution
-    out = LatticeVector(v.system, base.resolution)
-    out.coeffs = {idx + step: c for idx, c in base.coeffs.items()}
-    return out
+    return apply_filter(v, monomial(k)) if k else v
 
 
 def apply_dilation(v: LatticeVector, direction: int) -> LatticeVector:
     """U v (direction +1) or U^-1 v (direction -1): pure index bookkeeping."""
     if direction not in (+1, -1):
         raise PreconditionError("direction must be +1 (U) or -1 (U inverse)")
-    out = LatticeVector(v.system, v.resolution - direction)
-    out.coeffs = dict(v.coeffs)
-    return out
+    return dilate_power(v, -direction)
 
 
 def dilate_power(v: LatticeVector, j: int) -> LatticeVector:
-    """U^-j v."""
-    out = LatticeVector(v.system, v.resolution + j)
-    out.coeffs = dict(v.coeffs)
-    return out
+    """U^-j v: the same polynomial, read j levels finer."""
+    return LatticeVector(v.system, v.resolution + j, v.poly)
 
 
 def apply_filter(v: LatticeVector, m: LaurentPolynomial) -> LatticeVector:
-    """m(T) v = sum_j a_j T^j v."""
+    """m(T) v = sum_j a_j T^j v: T^j is z^(j N^n) at resolution n >= 0."""
     base = refine_to(v, max(v.resolution, 0))
-    scale = v.system.scale ** base.resolution
-    data: dict[int, Scalar] = {}
-    for j, a in m.coeffs.items():
-        step = j * scale
-        for idx, c in base.coeffs.items():
-            key = idx + step
-            s = data.get(key)
-            t = a * c
-            data[key] = t if s is None else s + t
-    out = LatticeVector(v.system, base.resolution)
-    out.coeffs = {k: c for k, c in data.items() if not c.is_zero()}
-    return out
+    return LatticeVector(
+        v.system,
+        base.resolution,
+        m.compose_power(v.system.scale ** base.resolution) * base.poly,
+    )
 
 
 def cascade_step(v: LatticeVector, m: LaurentPolynomial) -> LatticeVector:
@@ -383,8 +359,7 @@ def gram_section(
     for (i, g), (i2, g2), delta in product(enumerate(gens), enumerate(gens), deltas):
         if not (g.coeffs and g2.coeffs):
             continue
-        w = LatticeVector(sys, g2.resolution + delta)
-        w.coeffs = g2.coeffs
+        w = dilate_power(g2, delta)
         top = max(g.resolution, w.resolution)
         spans = []
         for u in (g, w):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -395,6 +396,34 @@ def test_stdout_matches_golden_digest(request_line, digest):
 
 def test_golden_digests_cover_every_subcommand():
     assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)
+
+
+def census_requests():
+    """filters and spectrum on every digit system with N = 2..6, a small Gram
+    section for N <= 5 and p <= 3, and five-step cascades under every kind of
+    modifier for N <= 4: the lattice model on small systems."""
+    for N in range(2, 7):
+        for size in range(1, N + 1):
+            for S in itertools.combinations(range(N), size):
+                system = ["--scale", str(N), "--digits", ",".join(map(str, S))]
+                yield ["filters", *system]
+                yield ["spectrum", *system]
+                if N <= 5 and size <= 3:
+                    yield ["gram", *system, "--jrange", "1", "--krange", "2"]
+                for modifier in ("none", "neg", "z1", "z3", "z-2") if N <= 4 else ():
+                    yield ["cascade", *system, "--modifier", modifier, "--steps", "5"]
+
+
+def test_census_digest():
+    """One sha256 over argv, exit code, stdout and stderr of 412 requests."""
+    digest, count = hashlib.sha256(), 0
+    for argv in census_requests():
+        digest.update(repr((argv, *run_cli(*argv))).encode())
+        count += 1
+    assert count == 412
+    assert digest.hexdigest() == (
+        "8567ace4a07dbbfe502b27e4657b326e13868aa3042380d6539f38c20f2e8b02"
+    )
 
 
 # -- the JSON renderer: the bytes of json.dumps(sort_keys=True, indent=2) ------

@@ -65,6 +65,25 @@ def test_dual_matrix_validation():
         dual_matrix(sys, (0, 0))
 
 
+def test_dual_verdict_is_the_exact_decision():
+    """On every pair with N <= 8 and 0 in B, the numeric operator defect at
+    1e-10 gives the verdict that the exact cyclotomic decision gives."""
+    pairs = duals = 0
+    for N in range(2, 9):
+        for p in range(1, N + 1):
+            for S in itertools.combinations(range(N), p):
+                sys = DigitSystem(N, S)
+                for rest in itertools.combinations(range(1, N), p - 1):
+                    pair = dual_matrix(sys, (0, *rest))
+                    m = pair.matrix()
+                    defect = np.linalg.norm(m.conj().T @ m - np.eye(p), 2)
+                    assert (defect <= 1e-10) == pair.exact_unitary, pair
+                    assert pair.is_dual == pair.exact_unitary
+                    pairs += 1
+                    duals += pair.is_dual
+    assert (pairs, duals) == (8787, 167)
+
+
 def test_dual_verdict_permutation_invariant():
     sys = DigitSystem(6, (0, 2, 4))
     verdicts = {

@@ -24,6 +24,16 @@ def test_zero_coefficients_pruned():
     assert f.support() == [0]
 
 
+def test_products_drop_coefficients_that_vanish():
+    tiny = Scalar.approx(1e-200)
+    f = LaurentPolynomial({0: tiny}) * tiny  # underflows to 0j
+    assert f.coeffs == {} and f.is_zero()
+    assert (LaurentPolynomial({0: tiny, 1: 1}) * tiny).coeffs == {1: tiny}
+    assert (LaurentPolynomial({0: 1, 1: 1}) * LaurentPolynomial({0: 1, 1: -1})).coeffs == {
+        0: Scalar(1), 2: Scalar(-1)
+    }
+
+
 def test_algebra_matches_evaluation():
     rng = random.Random(3)
     for _ in range(10):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -622,3 +623,107 @@ def test_serialization_round_trip(cantor3):
         else:
             z = v.coeffs[k].to_complex()
             assert rendered == [z.real, z.imag]
+
+
+# -- the lattice model as Laurent polynomials, against the hand-written loops --
+# The references below are the dict loops that refinement, filters and shifts
+# used before they became polynomial products; the products must reproduce
+# their keys, key order and coefficient bits, since sums over a vector's
+# terms run in key order.
+
+
+def _loop_refine(v, m):
+    sys = v.system
+    steps = m - v.resolution
+    sums = [0]
+    for _ in range(steps):
+        sums = [sys.scale * e + a for e in sums for a in sys.digits]
+    q, factor = sys.scale ** steps, space._inv_sqrt_power(sys.p, steps)
+    return {
+        q * x + e: c * factor for x, c in v.coeffs.items() for e in sums
+    } if steps else dict(v.coeffs)
+
+
+def _loop_filter(v, m):
+    res = max(v.resolution, 0)
+    base = _loop_refine(v, res)
+    scale = v.system.scale ** res
+    data = {}
+    for j, a in m.coeffs.items():
+        step = j * scale
+        for idx, c in base.items():
+            key = idx + step
+            s = data.get(key)
+            t = a * c
+            data[key] = t if s is None else s + t
+    return res, {k: c for k, c in data.items() if not c.is_zero()}
+
+
+def _loop_shift(v, k):
+    res = max(v.resolution, 0)
+    step = k * v.system.scale ** res
+    return res, {idx + step: c for idx, c in _loop_refine(v, res).items()}
+
+
+def _bits(c):
+    if c.is_exact:
+        return (c.a, c.b, c.d)
+    return (c.z.real.hex(), c.z.imag.hex())
+
+
+def _assert_same_terms(v, resolution, expected):
+    assert v.resolution == resolution
+    assert v.coeffs == expected
+    assert list(v.coeffs) == list(expected)
+    assert [_bits(c) for c in v.coeffs.values()] == [_bits(c) for c in expected.values()]
+
+
+def _small_systems():
+    for N in range(2, 6):
+        for size in range(1, N + 1):
+            for digits in itertools.combinations(range(N), size):
+                yield DigitSystem(N, digits)
+
+
+def test_lattice_operations_match_the_coefficient_loops():
+    """Every digit system with N <= 5: exact vectors at resolutions -1 and 0
+    (the second with consecutive indices, so products collide and 1 - z
+    cancels a term) and the wavelet generators, which are approximate for
+    p >= 3, refined and shifted at depths 0-4 and filtered at depths 0-2
+    (deeper filter products run the same loop over p^D times the terms)."""
+    rng = random.Random(11)
+    collide = LaurentPolynomial({0: 1, 1: -1})
+    for system in _small_systems():
+        vectors = [
+            random_vector(system, rng, span=3, resolutions=(-1,)),
+            LatticeVector(system, 0, {0: 1, 1: 1, 2: HALF}),
+            *wavelet_generators(system),
+        ]
+        filters = [collide, *build_bank(system).filters]
+        for v in vectors:
+            for depth in range(5):
+                m = v.resolution + depth
+                fine = refine_to(v, m)
+                _assert_same_terms(fine, m, _loop_refine(v, m))
+                for f in filters if depth < 3 else ():
+                    _assert_same_terms(apply_filter(fine, f), *_loop_filter(fine, f))
+                for k in (-2, 1):
+                    _assert_same_terms(apply_shift(fine, k), *_loop_shift(fine, k))
+    assert refine_to(vectors[0], vectors[0].resolution) is vectors[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_exact_vectors(), a=st.integers(0, 3), b=st.integers(0, 3))
+def test_refinement_composes(pair, a, b):
+    v = pair[0]
+    mid, top = v.resolution + a, v.resolution + a + b
+    once = refine_to(v, top)
+    assert refine_to(refine_to(v, mid), top) == once
+    assert refine_to(refine_to(v, mid), top).coeffs == once.coeffs
+
+
+def test_scaling_drops_products_that_underflow(cantor3):
+    tiny = Scalar.approx(1e-200)
+    v = LatticeVector(cantor3, 0, {0: tiny, 1: 1})
+    assert v.scaled(tiny).coeffs == {1: tiny}
+    assert LatticeVector(cantor3, 0, {0: tiny}).scaled(tiny).coeffs == {}
