@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .laurent import LaurentPolynomial, _cyclotomic, _poly_divmod
-from .scalars import _F0, Scalar, ZERO
+from .scalars import Scalar, ZERO, _exact
 from .transfer import (
     TransferOperator,
     apply_haar_average,
@@ -246,14 +246,13 @@ def find_cycles(
     if not all(c.is_rational for c in weight.coeffs.values()):
         raise PreconditionError("cycle search needs a weight with rational coefficients")
     D = weight.degree()
-    P = [Fraction(0)] * (2 * D + 1)
+    den = math.lcm(*(c.den for c in weight.coeffs.values()))
+    P = [0] * (2 * D + 1)  # den * z^D (W - N), in integers
     for k, c in weight.coeffs.items():
-        P[k + D] = c.a
-    P[D] -= N
+        P[k + D] = c.p * (den // c.den)
+    P[D] -= N * den
     if not any(P):
         raise PreconditionError("weight is identically N; every orbit qualifies")
-    den = math.lcm(*(c.denominator for c in P))
-    P = [int(c * den) for c in P]
     visited: set[int] = set()
     cycles: list[Cycle] = []
     for ell in range(1, L + 1):
@@ -384,10 +383,10 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
             s = s + v.abs_sq()
         if not k:
             ratio = None
-        elif s.is_rational:  # s/k as one normalised Fraction
-            ratio = Scalar._canonical(Fraction(s.a.numerator, s.a.denominator * k), _F0, 0)
+        elif s.is_rational:  # s/k with one gcd
+            ratio = _exact(s.p, 0, 0, s.den * k)
         else:
-            ratio = s * Scalar(Fraction(1, k))
+            ratio = s * _exact(1, 0, 0, k)
         rows.append(WienerRow(k, s, ratio))
     return WienerProfile(tuple(rows))
 

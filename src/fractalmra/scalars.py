@@ -2,7 +2,8 @@
 
 The coefficients of canonical fractal filters live in Q(sqrt(p)) where p is
 the number of IFS digits (for the Cantor filters, 1/sqrt(2)).  A Scalar is
-either *exact* -- a + b*sqrt(d) with Fraction parts and squarefree d -- or an
+either *exact* -- (p + q*sqrt(d))/den with int parts, den > 0,
+gcd(p, q, den) = 1 and d squarefree (d = 0 exactly when q = 0) -- or an
 *approximate* complex double.  Arithmetic stays exact as long as all operands
 lie in one quadratic extension; mixing distinct irrational bases, or touching
 an approximate operand, demotes the result to the approximate tier.  Exact
@@ -14,22 +15,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+
+_TRIAL_LIMIT = 10 ** 5
 
 
 @lru_cache(maxsize=256)
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, q) with n = s*s*q and q squarefree.
 
-    Trial division takes out every factor d with d^3 <= the unfactored rest;
-    what remains then has at most two prime factors, so it is squarefree
-    unless it is a perfect square.  Only the public constructors split (the
-    results of arithmetic are canonical already, see `Scalar._canonical`);
-    the splits are cached because those see the same few radicands."""
+    Trial division takes out every factor d <= 10^5 with d^3 <= the
+    unfactored rest.  When the cube-root test ends it, what remains has at
+    most two prime factors, so it is squarefree unless it is a perfect
+    square.  When the limit ends it, only a perfect square rest can be
+    split; any other rest is refused with ValueError rather than returned
+    as a radicand that might not be squarefree.  Only the public
+    constructors split (the results of arithmetic are canonical already, see
+    `_exact`); the splits are cached because those see the same few
+    radicands."""
     if n <= 0:
         raise ValueError("radicand must be positive")
     s, q, rest = 1, 1, n
     d = 2
-    while d * d * d <= rest:
+    while d * d * d <= rest and d <= _TRIAL_LIMIT:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -42,43 +50,59 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     r = math.isqrt(rest)
     if r * r == rest:
         return s * r, q
+    if d * d * d <= rest:
+        raise ValueError(f"radicand {n} has a factor beyond {_TRIAL_LIMIT} "
+                         "that trial division cannot split")
     return s, q * rest
 
 
-class Scalar:
-    """A number that is exactly a + b*sqrt(d), or an approximate complex."""
+def _exact(p: int, q: int, d: int, den: int) -> "Scalar":
+    """(p + q*sqrt(d))/den, made canonical by one gcd: den != 0, and d
+    squarefree (> 1) or any value when q = 0.  Every arithmetic result is
+    built here."""
+    g = gcd(p, q, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        p //= g
+        q //= g
+        den //= g
+    x = _new(Scalar)
+    x.p = p
+    x.q = q
+    x.d = d if q else 0
+    x.den = den
+    x.z = None
+    return x
 
-    __slots__ = ("a", "b", "d", "z")
+
+class Scalar:
+    """A number that is exactly (p + q*sqrt(d))/den, or an approximate complex."""
+
+    __slots__ = ("p", "q", "d", "den", "z")
 
     def __init__(self, a, b=0, d=0, z=None):
         if z is not None:
-            self.a = self.b = None
+            self.p = self.q = self.den = None
             self.d = 0
             self.z = complex(z)
             return
         a = Fraction(a)
         b = Fraction(b)
+        r = 0
         if b:
-            s, q = _squarefree_split(int(d))
+            if d != int(d):
+                raise ValueError(f"radicand must be an integer, not {d!r}")
+            s, r = _squarefree_split(int(d))
             b *= s
-            if q == 1:
+            if r == 1:
                 a += b
                 b = Fraction(0)
-                d = 0
-            else:
-                d = q
-        else:
-            d = 0
-        self.a, self.b, self.d, self.z = a, b, d, None
-
-    @classmethod
-    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "Scalar":
-        """a + b*sqrt(d) from parts that are canonical already: Fraction a and
-        b, d squarefree (> 1) or any value when b = 0.  Arithmetic inside one
-        field keeps its operands' radicand, so results skip `__init__`."""
-        x = object.__new__(cls)
-        x.a, x.b, x.d, x.z = a, b, d if b else 0, None
-        return x
+        p = a.numerator * b.denominator
+        q = b.numerator * a.denominator
+        den = a.denominator * b.denominator
+        g = gcd(p, q, den)  # den > 0
+        self.p, self.q, self.d, self.den, self.z = p // g, q // g, r if q else 0, den // g, None
 
     # -- constructors -------------------------------------------------------
 
@@ -107,10 +131,22 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x)
+            return _exact(x.numerator, 0, 0, x.denominator)
         if isinstance(x, (float, complex)):
             return cls.approx(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+
+    # -- parts --------------------------------------------------------------
+
+    @property
+    def a(self) -> Fraction | None:
+        """The rational part p/den; None on the approximate tier."""
+        return None if self.z is not None else Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction | None:
+        """The coefficient q/den of sqrt(d); None on the approximate tier."""
+        return None if self.z is not None else Fraction(self.q, self.den)
 
     # -- predicates ---------------------------------------------------------
 
@@ -120,11 +156,11 @@ class Scalar:
 
     @property
     def is_rational(self) -> bool:
-        return self.z is None and not self.b
+        return self.z is None and not self.q
 
     def is_zero(self) -> bool:
         if self.z is None:
-            return not self.a and not self.b
+            return not self.p and not self.q
         return self.z == 0
 
     # -- conversions --------------------------------------------------------
@@ -132,9 +168,10 @@ class Scalar:
     def to_complex(self) -> complex:
         if self.z is not None:
             return self.z
-        v = float(self.a)
-        if self.b:
-            v += float(self.b) * math.sqrt(self.d)
+        # int / int is correctly rounded, as float(Fraction) is
+        v = self.p / self.den
+        if self.q:
+            v += self.q / self.den * math.sqrt(self.d)
         return complex(v)
 
     def __complex__(self) -> complex:
@@ -150,20 +187,21 @@ class Scalar:
         """Render 'a+b√d' for exact values, None for approximate ones."""
         if self.z is not None:
             return None
-        if not self.b:
-            return str(self.a)
+        p, q, den = self.p, self.q, self.den
+        if not q:  # gcd(p, den) = 1 already
+            return str(p) if den == 1 else f"{p}/{den}"
         root = f"√{self.d}"
-        if self.b == 1:
+        if q == den:
             irr = root
-        elif self.b == -1:
+        elif q == -den:
             irr = "-" + root
         else:
-            irr = f"{self.b}{root}"
-        if not self.a:
+            irr = f"{Fraction(q, den)}{root}"
+        if not p:
             return irr
-        if self.b > 0:
-            return f"{self.a}+{irr}"
-        return f"{self.a}{irr}"
+        if q > 0:
+            return f"{Fraction(p, den)}+{irr}"
+        return f"{Fraction(p, den)}{irr}"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -171,19 +209,20 @@ class Scalar:
         if other.__class__ is not Scalar:  # skips a call on the hot path
             other = Scalar.coerce(other)
         if self.z is None and other.z is None:
-            if not other.b:
-                return Scalar._canonical(self.a + other.a, self.b, self.d)
-            if not self.b:
-                return Scalar._canonical(self.a + other.a, other.b, other.d)
-            if self.d == other.d:
-                return Scalar._canonical(self.a + other.a, self.b + other.b, self.d)
+            q, q2 = self.q, other.q
+            if not q or not q2 or self.d == other.d:
+                d = self.d if q else other.d
+                den, den2 = self.den, other.den
+                return _exact(self.p * den2 + other.p * den, q * den2 + q2 * den, d, den * den2)
         return Scalar.approx(self.to_complex() + other.to_complex())
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.z is None:
-            return Scalar._canonical(-self.a, -self.b, self.d)
+            x = _new(Scalar)
+            x.p, x.q, x.d, x.den, x.z = -self.p, -self.q, self.d, self.den, None
+            return x
         return Scalar.approx(-self.z)
 
     def __sub__(self, other):
@@ -196,19 +235,18 @@ class Scalar:
         if other.__class__ is not Scalar:  # skips a call on the hot path
             other = Scalar.coerce(other)
         if self.z is None and other.z is None:
-            if not other.b:
-                if not self.b:
-                    return Scalar._canonical(self.a * other.a, _F0, 0)
-                r = other.a
-                return Scalar._canonical(self.a * r, self.b * r, self.d)
-            if not self.b:
-                r = self.a
-                return Scalar._canonical(r * other.a, r * other.b, other.d)
+            q2 = other.q
+            if not q2:
+                r = other.p
+                return _exact(self.p * r, self.q * r, self.d, self.den * other.den)
+            q = self.q
+            if not q:
+                r = self.p
+                return _exact(r * other.p, r * q2, other.d, self.den * other.den)
             d = self.d
             if d == other.d:
-                a = self.a * other.a + self.b * other.b * d
-                b = self.a * other.b + self.b * other.a
-                return Scalar._canonical(a, b, d)
+                p, p2 = self.p, other.p
+                return _exact(p * p2 + q * q2 * d, p * q2 + q * p2, d, self.den * other.den)
         return Scalar.approx(self.to_complex() * other.to_complex())
 
     __rmul__ = __mul__
@@ -218,9 +256,10 @@ class Scalar:
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         exact = self.z is None and other.z is None
-        if exact and (not self.b or not other.b or self.d == other.d):
-            norm = other.a * other.a - other.b * other.b * other.d
-            return self * Scalar._canonical(other.a / norm, -other.b / norm, other.d)
+        if exact and (not self.q or not other.q or self.d == other.d):
+            # den/(p + q sqrt d) = den (p - q sqrt d)/(p^2 - q^2 d)
+            p, q, d, den = other.p, other.q, other.d, other.den
+            return self * _exact(den * p, -den * q, d, p * p - q * q * d)
         return Scalar.approx(self.to_complex() / other.to_complex())
 
     def __rtruediv__(self, other):
@@ -243,14 +282,15 @@ class Scalar:
         except TypeError:
             return NotImplemented
         if self.z is None and other.z is None:
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+            return (self.p == other.p and self.q == other.q
+                    and self.den == other.den and self.d == other.d)
         return self.to_complex() == other.to_complex()
 
     def __hash__(self):
         if self.z is None:
-            if not self.b:
-                return hash(self.a)
-            return hash((self.a, self.b, self.d))
+            if not self.q:
+                return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
+            return hash((self.p, self.q, self.d, self.den))
         return hash(self.z)
 
     def _sign(self) -> int:
@@ -259,18 +299,18 @@ class Scalar:
             if self.z.imag:
                 raise ValueError("sign of a non-real scalar")
             return (self.z.real > 0) - (self.z.real < 0)
-        a, b = self.a, self.b
-        if not b:
-            return (a > 0) - (a < 0)
-        if not a:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
+        p, q = self.p, self.q  # den > 0 leaves the sign to the numerator
+        if not q:
+            return (p > 0) - (p < 0)
+        if not p:
+            return (q > 0) - (q < 0)
+        if p > 0 and q > 0:
             return 1
-        if a < 0 and b < 0:
+        if p < 0 and q < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
+        # opposite signs: compare p^2 with q^2 d
+        lhs, rhs = p * p, q * q * self.d
+        if p > 0:  # q < 0
             return (lhs > rhs) - (lhs < rhs)
         return (rhs > lhs) - (rhs < lhs)
 
@@ -292,6 +332,6 @@ class Scalar:
         return f"Scalar({self.z!r})"
 
 
-_F0 = Fraction(0)
+_new = object.__new__
 ZERO = Scalar(0)
 ONE = Scalar(1)

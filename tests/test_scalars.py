@@ -1,7 +1,9 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +92,24 @@ def test_squarefree_split_beyond_small_primes():
     assert Scalar.inv_sqrt(74 ** 3).exact_str() == "1/5476√74"
 
 
+def test_squarefree_split_is_bounded():
+    # 2^89 - 1 is prime: beyond trial division and not a square, so refused
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        Scalar.sqrt(2 ** 89 - 1)
+    assert time.perf_counter() - start < 1.0
+    # the square of the prime 2^61 - 1 is split by its root
+    assert Scalar(0, 1, (2 ** 61 - 1) ** 2) == 2 ** 61 - 1
+
+
+def test_radicand_must_be_an_integer():
+    for d in (2.5, Fraction(7, 2)):
+        with pytest.raises(ValueError):
+            Scalar(0, 1, d)
+    assert Scalar(0, 1, Fraction(8, 4)) == Scalar.sqrt(2)
+    assert Scalar(0, 1, np.int64(2)) == Scalar.sqrt(np.int64(2)) == Scalar.sqrt(2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 5).filter(_is_squarefree))
 def test_squarefree_split_complete(s, q):
@@ -138,12 +158,56 @@ def results(x, y):
     return out
 
 
+# The Fraction-part formulas of the earlier representation, kept as references.
+
+def fraction_results(x, y):
+    """(a, b, d) of each of `results(x, y)`, computed on Fraction parts."""
+    a, b, c, e = x.a, x.b, y.a, y.b
+    d = x.d or y.d
+
+    def part(a, b):
+        return (a, b, d if b else 0)
+
+    def div(a, b, c, e):
+        norm = c * c - e * e * d
+        ca, ce = c / norm, -e / norm
+        return part(a * ca + b * ce * d, a * ce + b * ca)
+
+    out = [part(a + c, b + e), part(a - c, b - e),
+           part(a * c + b * e * d, a * e + b * c), part(-a, -b), part(c - a, e - b)]
+    if not y.is_zero():
+        out.append(div(a, b, c, e))
+    if not x.is_zero():
+        out.append(div(c, e, a, b))
+    return out
+
+
+def fraction_str(a: Fraction, b: Fraction, d: int) -> str:
+    if not b:
+        return str(a)
+    root = f"√{d}"
+    irr = root if b == 1 else "-" + root if b == -1 else f"{b}{root}"
+    if not a:
+        return irr
+    return f"{a}+{irr}" if b > 0 else f"{a}{irr}"
+
+
 def assert_canonical(r):
-    """Field by field equal to the normalising rebuild from its own parts."""
+    """The int parts obey the representation's rules and agree with the
+    Fraction parts: value, float bits, text and normalising rebuild."""
     assert r.is_exact
-    assert type(r.a) is Fraction and type(r.b) is Fraction and type(r.d) is int
-    rebuilt = Scalar(r.a, r.b, r.d)
-    assert (r.a, r.b, r.d) == (rebuilt.a, rebuilt.b, rebuilt.d)
+    assert all(type(v) is int for v in (r.p, r.q, r.d, r.den))
+    assert r.den > 0 and math.gcd(r.p, r.q, r.den) == 1
+    assert (r.q == 0) == (r.d == 0)
+    if r.d:
+        assert r.d > 1 and _is_squarefree(r.d)
+    a, b = r.a, r.b
+    assert (a, b) == (Fraction(r.p, r.den), Fraction(r.q, r.den))
+    ref = float(a) + float(b) * math.sqrt(r.d) if b else float(a)
+    assert r.to_complex().real.hex() == ref.hex() and r.to_complex().imag == 0
+    assert r.exact_str() == fraction_str(a, b, r.d)
+    rebuilt = Scalar(a, b, r.d)
+    assert (r.p, r.q, r.d, r.den) == (rebuilt.p, rebuilt.q, rebuilt.d, rebuilt.den)
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,6 +234,8 @@ def test_results_are_canonical(xyz):
         assert_canonical(r)
         if not r.b:
             assert r.d == 0 and r.is_rational
+    for u, v in ((x, y), (y, z)):
+        assert [(r.a, r.b, r.d) for r in results(u, v)] == fraction_results(u, v)
 
 
 @settings(max_examples=300, deadline=None)
