@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -176,6 +177,8 @@ def _moments_csv(obj, args):
 
 def _feasible_cycle_length(N: int, requested: int) -> int:
     """Longest length within the library's point cap, at most `requested`."""
+    if requested < 1:
+        raise PreconditionError("cycle length must be >= 1")
     L = 1
     while L < requested and N ** (L + 1) - 1 <= measure_mod.CYCLE_POINT_CAP:
         L += 1
@@ -259,6 +262,8 @@ def _run_duality(args):
 
 
 def _run_onb_check(args):
+    if not math.isfinite(args.xi):
+        raise PreconditionError(f"xi must be finite, got {args.xi!r}")
     sys_, head = _system(args)
     pair = dual_mod.dual_matrix(sys_, _parse_digits(args.dual))
     if not pair.is_dual:
@@ -308,6 +313,8 @@ def _run_riesz(args):
 
 
 def _run_gram(args):
+    if min(args.jrange, args.krange) < 0:
+        raise PreconditionError("jrange and krange must be >= 0")
     sys_, head = _system(args)
     section = gram_section(
         sys_,

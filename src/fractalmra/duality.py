@@ -15,29 +15,20 @@ exactly the transform values B(n - n').
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .filterbank import canonical_lowpass
 from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
-from .laurent import _cyclotomic, _poly_divmod, _poly_trim
+from .laurent import vanishes_at_primitive_roots
 
 LAMBDA_CAP = 10 ** 6
 SIGNED_LAMBDA_DEPTH = 12
-
-
-# -- exact vanishing of root-of-unity sums ----------------------------------
-
-def _root_sum_vanishes(exponents, N: int) -> bool:
-    """Whether sum_j omega^(e_j) = 0 for omega a primitive N-th root of 1."""
-    poly = [0] * N
-    for e in exponents:
-        poly[e % N] += 1
-    _, r = _poly_divmod(_poly_trim(poly), _cyclotomic(N))
-    return not r
 
 
 # -- dual pairs --------------------------------------------------------------
@@ -90,22 +81,14 @@ def dual_matrix(sys: DigitSystem, dual) -> SpectralPair:
     if 0 not in dual:
         raise PreconditionError("dual set must contain 0")
     N = sys.scale
-    exact = True
-    for i, b in enumerate(dual):
-        for b2 in dual[i + 1:]:
-            if not _root_sum_vanishes([a * (b2 - b) for a in sys.digits], N):
-                exact = False
-                break
-        if not exact:
-            break
-    if exact:
-        defect = 0.0
-    else:
-        pair = SpectralPair(sys, dual, 0.0, False)
-        m = pair.matrix()
-        defect = float(
-            np.linalg.norm(m.conj().T @ m - np.eye(sys.p), 2)
-        )
+    exact = all(
+        vanishes_at_primitive_roots(Counter(a * (b2 - b) % N for a in sys.digits), N)
+        for b, b2 in combinations(dual, 2)
+    )
+    defect = 0.0
+    if not exact:
+        m = SpectralPair(sys, dual, 0.0, False).matrix()
+        defect = float(np.linalg.norm(m.conj().T @ m - np.eye(sys.p), 2))
     return SpectralPair(sys, dual, defect, exact)
 
 
@@ -243,22 +226,22 @@ def exponential_gram(
 ) -> np.ndarray:
     """Gram matrix G_ij = B(n_j - n_i) of exponentials in L^2(C, mu).
 
-    B is evaluated once per distinct difference; the matrix is filled one
-    row at a time from that table."""
+    B is evaluated once per distinct difference; one lookup in that table
+    fills the matrix."""
     exponents = list(exponents)
     # Python integers where a difference could wrap around int64
     wide = max(map(abs, exponents), default=0) >= 2 ** 62
     e = np.array(exponents, dtype=object if wide else None)
+    d = np.subtract.outer(e, e)  # d[i, j] = n_i - n_j, so G = table(d)^T
     # sorted distinct differences; np.unique would import numpy.ma on first use
-    diffs = np.sort(np.subtract.outer(e, e), axis=None)
+    diffs = np.sort(d, axis=None)
     keep = np.ones(diffs.shape, dtype=bool)
     keep[1:] = diffs[1:] != diffs[:-1]
     diffs = diffs[keep]
     table = HutchinsonTransform(sys, depth).values(diffs)
-    gram = np.empty((len(e), len(e)), dtype=complex)
-    for i, row in enumerate(gram):
-        row[:] = table[np.searchsorted(diffs, e - e[i])]
-    return gram
+    where = np.searchsorted(diffs, d)
+    del d  # an n^2 array fewer at the peak, while table[where] is built
+    return table[where].T
 
 
 def onb_defect(

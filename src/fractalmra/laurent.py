@@ -3,8 +3,9 @@
 These carry the low-pass/high-pass filters, the transfer-operator weights
 |m0|^2, correlation functions of lattice vectors, and loop-matrix entries.
 Coefficients are Scalars, so arithmetic is exact whenever the inputs are.
-Dense integer polynomials with cyclotomic reduction decide exactly which
-roots of unity a rational weight or a root-of-unity sum vanishes at.
+Cyclotomic reduction lives here too: `vanishes_at_primitive_roots` is the one
+exact root-of-unity test, behind the dual digit sets of `duality.dual_matrix`
+and the peak-weight cycles of `measure.find_cycles`.
 """
 
 from __future__ import annotations
@@ -220,3 +221,13 @@ def _cyclotomic(M: int, _cache={}) -> list[int]:
                 c = q
         _cache[M] = c
     return _cache[M]
+
+
+def vanishes_at_primitive_roots(coeffs: dict[int, int], M: int) -> bool:
+    """Whether sum_e c_e z^e, given as {e >= 0: int c_e}, vanishes at the
+    primitive M-th roots of unity: Phi_M divides z^M - 1, so the polynomial
+    folded mod z^M - 1 leaves the same remainder by Phi_M."""
+    folded = [0] * min(M, max(coeffs, default=0) + 1)
+    for e, c in coeffs.items():
+        folded[e % M] += c
+    return not _poly_divmod(_poly_trim(folded), _cyclotomic(M))[1]

@@ -25,7 +25,7 @@ from .errors import (
     NotNormalizedError,
     PreconditionError,
 )
-from .laurent import LaurentPolynomial, _cyclotomic, _poly_divmod
+from .laurent import LaurentPolynomial, vanishes_at_primitive_roots
 from .scalars import Scalar, ZERO, _exact
 from .transfer import (
     TransferOperator,
@@ -135,12 +135,9 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
         raise PreconditionError("the block's fixed vector has nu^(0) = 0")
     nu = {b - D: x / center for b, x in enumerate(basis[0])}
     N = op.scale
-    by_residue: list[list[tuple[int, Scalar]]] = [[] for _ in range(N)]
-    for k, w in op.weight.coeffs.items():
-        by_residue[k % N].append((k, w))
     for b in range(D + 1, moment_range + 1):
         total = ZERO
-        for k, w in by_residue[-b % N]:  # exactly the k with N | b + k
+        for k, w in op.by_residue[-b % N]:  # exactly the k with N | b + k
             m = nu[(b + k) // N]
             if not m.is_zero():
                 total = total + w * m
@@ -247,11 +244,9 @@ def find_cycles(
         raise PreconditionError("cycle search needs a weight with rational coefficients")
     D = weight.degree()
     den = math.lcm(*(c.den for c in weight.coeffs.values()))
-    P = [0] * (2 * D + 1)  # den * z^D (W - N), in integers
-    for k, c in weight.coeffs.items():
-        P[k + D] = c.p * (den // c.den)
-    P[D] -= N * den
-    if not any(P):
+    P = {k + D: c.p * (den // c.den) for k, c in weight.coeffs.items()}
+    P[D] = P.get(D, 0) - N * den  # den * z^D (W - N), in integers
+    if not any(P.values()):
         raise PreconditionError("weight is identically N; every orbit qualifies")
     visited: set[int] = set()
     cycles: list[Cycle] = []
@@ -260,9 +255,7 @@ def find_cycles(
             if M in visited:
                 continue
             visited.add(M)
-            # Phi_M divides z^M - 1, so P mod z^M - 1 has P's remainder
-            folded = [sum(P[r::M]) for r in range(min(M, len(P)))]
-            if any(_poly_divmod(folded, _cyclotomic(M))[1]):
+            if not vanishes_at_primitive_roots(P, M):
                 continue
             todo = {j for j in range(M) if math.gcd(j, M) == 1}
             while todo:
@@ -457,9 +450,7 @@ def compare_filters(
     table_b = moment_table(ops[1], R)
     diffs = [table_a.value(n) - table_b.value(n) for n in range(-R, R + 1)]
     if all(d.is_zero() for d in diffs):
-        wa = weight_from_filter(m0)
-        wb = weight_from_filter(m0b)
-        same_mod = wa == wb
+        same_mod = ops[0].weight == ops[1].weight
         return FilterComparison("SameMeasure", 0.0, same_mod, False)
     max_diff = max(abs(d.to_complex()) for d in diffs)
     return FilterComparison("DifferentMeasure", max_diff, None, True)

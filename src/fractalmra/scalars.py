@@ -284,7 +284,13 @@ class Scalar:
         if self.z is None and other.z is None:
             return (self.p == other.p and self.q == other.q
                     and self.den == other.den and self.d == other.d)
-        return self.to_complex() == other.to_complex()
+        x, z = (self, other.z) if other.z is not None else (other, self.z)
+        if x.z is not None:
+            return x.z == z
+        # a double equals only the rational it is exactly, as a float equals a
+        # Fraction: equal values then hash equal across the tiers
+        return (not x.q and not z.imag and math.isfinite(z.real)
+                and z.real.as_integer_ratio() == (x.p, x.den))
 
     def __hash__(self):
         if self.z is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .laurent import LaurentPolynomial, one
-from .scalars import Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO
 
 PERIPHERAL_TOL = 1e-9
 BLOCK_DIMENSION_CAP = 2001
@@ -47,6 +47,11 @@ class TransferOperator:
             raise PreconditionError("scale must be >= 2")
         self.scale = scale
         self.weight = weight
+        # the terms (k, W^(k)) by k mod N, in coefficient order: one transfer
+        # step pairs index idx with exactly the terms in by_residue[idx % N]
+        self.by_residue: list[list[tuple[int, Scalar]]] = [[] for _ in range(scale)]
+        for k, w in weight.coeffs.items():
+            self.by_residue[k % scale].append((k, w))
         self._wk_cache: dict[tuple[int, int], Scalar] = {}
 
     @classmethod
@@ -115,11 +120,8 @@ class TransferOperator:
             return ZERO
         N = self.scale
         total = ZERO
-        for w_exp, w in self.weight.coeffs.items():
-            d = idx - w_exp
-            if d % N:
-                continue
-            term = self._iterate_coefficient(k - 1, d // N)
+        for w_exp, w in self.by_residue[idx % N]:
+            term = self._iterate_coefficient(k - 1, (idx - w_exp) // N)
             if not term.is_zero():
                 total = total + w * term
         self._wk_cache[key] = total
@@ -146,14 +148,16 @@ class SpectralBlock:
         return 2 * self.halfwidth + 1
 
 
-def _block_halfwidth(op: TransferOperator) -> int:
-    """The invariant block's halfwidth D, refused past BLOCK_DIMENSION_CAP."""
+def _block(op: TransferOperator) -> list[list[Scalar]]:
+    """The invariant block M[m][b] = W^(Nm - b), m, b in [-D, D], exactly;
+    refused past BLOCK_DIMENSION_CAP."""
     D = op.block_halfwidth
     if 2 * D + 1 > BLOCK_DIMENSION_CAP:
         raise CapExceededError(
             f"block dimension {2 * D + 1} exceeds cap {BLOCK_DIMENSION_CAP}"
         )
-    return D
+    W, N, idx = op.weight, op.scale, range(-D, D + 1)
+    return [[W[N * m - b] for b in idx] for m in idx]
 
 
 def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
@@ -162,16 +166,13 @@ def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
 
     Gauss-Jordan elimination of (M - I)^T over exact scalars; eigenvalue 1
     of the block is simple exactly when the basis has one vector."""
-    D = _block_halfwidth(op)
-    idx = range(-D, D + 1)
-    rows = [
-        [op.weight[op.scale * m - b] - (Scalar(1) if m == b else ZERO) for m in idx]
-        for b in idx
-    ]
+    M = _block(op)
+    n = len(M)
+    rows = [[M[m][b] - ONE if m == b else M[m][b] for m in range(n)] for b in range(n)]
     pivots: list[int] = []
-    for col in range(len(idx)):
+    for col in range(n):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -183,9 +184,9 @@ def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
                 rows[i] = [x - f * y for x, y in zip(row, rows[r])]
         pivots.append(col)
     basis = []
-    for free in (c for c in range(len(idx)) if c not in pivots):
-        v = [ZERO] * len(idx)
-        v[free] = Scalar(1)
+    for free in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[free] = ONE
         for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
         basis.append(v)
@@ -194,10 +195,7 @@ def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
 
 def spectral_block(op: TransferOperator) -> SpectralBlock:
     """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
-    D = _block_halfwidth(op)
-    N = op.scale
-    idx = range(-D, D + 1)
-    matrix = np.array([[op.weight[N * m - b].to_complex() for b in idx] for m in idx])
+    matrix = np.array([[x.to_complex() for x in row] for row in _block(op)])
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 
     # R fixes the constant function iff the operator is normalized
@@ -208,8 +206,8 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
 
     simple_exact = len(fixed_vectors(op)) == 1 if op.is_exact else None
     return SpectralBlock(
-        scale=N,
-        halfwidth=D,
+        scale=op.scale,
+        halfwidth=op.block_halfwidth,
         matrix=matrix,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,

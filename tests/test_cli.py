@@ -305,6 +305,37 @@ def test_negative_moment_range_refused(command):
     assert err == "precondition error: moment range must be >= 0\n"
 
 
+EDGE_REFUSALS = [
+    (("cycles", "--scale", "3", "--digits", "0,2", "--length", "0"),
+     "cycle length must be >= 1"),
+    (("classify", "--scale", "3", "--digits", "0,2", "--length", "-2"),
+     "cycle length must be >= 1"),
+    (("gram", "--scale", "3", "--digits", "0,2", "--jrange", "-1"),
+     "jrange and krange must be >= 0"),
+    (("gram", "--scale", "3", "--digits", "0,2", "--krange", "-1"),
+     "jrange and krange must be >= 0"),
+    (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--xi", "nan"),
+     "xi must be finite, got nan"),
+    (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--xi", "inf"),
+     "xi must be finite, got inf"),
+    (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--xi=-inf"),
+     "xi must be finite, got -inf"),
+]
+
+
+@pytest.mark.parametrize("argv,message", EDGE_REFUSALS, ids=[" ".join(a) for a, _ in EDGE_REFUSALS])
+def test_edge_inputs_refused_before_computing(argv, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computed for a refused request")
+
+    for module, name in ((cli.measure_mod, "find_cycles"), (cli.measure_mod, "classify_support"),
+                         (cli, "gram_section"), (cli.dual_mod, "dual_matrix")):
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"precondition error: {message}\n"
+
+
 def test_seed_flag_removed():
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stderr(err):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalmra.laurent import (
     LaurentPolynomial,
@@ -12,6 +13,7 @@ from fractalmra.laurent import (
     constant,
     monomial,
     one,
+    vanishes_at_primitive_roots,
     zero,
 )
 from fractalmra.scalars import Scalar
@@ -117,3 +119,46 @@ def test_cyclotomic_matches_recursive_construction():
         expected = [0] * (step * (q - 1) + 1)
         expected[::step] = [1] * q
         assert _cyclotomic(q ** k) == expected
+
+
+def _combination(M, q, r):
+    """Phi_M q + (z^M - 1) r as {exponent: int}, for q and r given as
+    ascending coefficient lists."""
+    out = {}
+    for i, a in enumerate(_reference_poly_mul(_cyclotomic(M), q or [0])):
+        out[i] = out.get(i, 0) + a
+    for i, a in enumerate(r):
+        out[i] = out.get(i, 0) - a
+        out[i + M] = out.get(i + M, 0) + a
+    return out
+
+
+small_int_polys = st.lists(st.integers(-3, 3), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), small_int_polys, small_int_polys,
+       st.integers(0, 200), st.sampled_from((1, -1)))
+def test_vanishing_at_primitive_roots_is_divisibility(M, q, r, e, sign):
+    """Phi_M q + (z^M - 1) r vanishes at the primitive M-th roots, exactly;
+    one more term sign z^e never does, since no monomial vanishes there."""
+    f = _combination(M, q, r)
+    assert vanishes_at_primitive_roots(f, M)
+    f[e] = f.get(e, 0) + sign
+    assert not vanishes_at_primitive_roots(f, M)
+
+
+def test_vanishing_at_primitive_roots_examples():
+    assert vanishes_at_primitive_roots({}, 7)
+    assert vanishes_at_primitive_roots({0: 0, 5: 0}, 7)
+    # 1 + z + ... + z^(M-1) vanishes at every M-th root but 1
+    for M in range(2, 61):
+        assert vanishes_at_primitive_roots({e: 1 for e in range(M)}, M)
+        assert not vanishes_at_primitive_roots({e: 1 for e in range(M)}, 1)
+    # 1 + i^2 = 0: the columns of the dual pair ({0, 2}, {0, 1}) of scale 4,
+    # also when the exponents arrive unreduced mod 4
+    assert vanishes_at_primitive_roots({0: 1, 2: 1}, 4)
+    assert vanishes_at_primitive_roots({4 * 9: 1, 2 + 4 * 5: 1}, 4)
+    assert not vanishes_at_primitive_roots({0: 1, 1: 1}, 4)
+    # 1 + w^2 != 0 for w a primitive cube root: ({0, 2}, {0, 1}) is not dual at scale 3
+    assert not vanishes_at_primitive_roots({0: 1, 2: 1}, 3)

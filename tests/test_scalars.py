@@ -252,6 +252,34 @@ def test_equal_values_hash_equal(xyz):
             assert r == r.a and hash(r) == hash(r.a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(field_values())
+def test_equal_values_hash_equal_across_tiers(xyz):
+    """x == y implies hash(x) == hash(y) over exact values, the doubles made
+    from them, and every mixed pair: a set never keeps two equal values."""
+    exact = list(xyz) + results(xyz[0], xyz[1])
+    values = exact + [Scalar.approx(v.to_complex()) for v in exact]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert y == x and hash(x) == hash(y)
+    for x in exact:
+        # a double equals an exact value only when it is that rational exactly
+        z = x.to_complex().real
+        assert (x == Scalar.approx(z)) == (x.is_rational and x.a == Fraction(z))
+
+
+def test_cross_tier_equality_is_exact():
+    assert Scalar(Fraction(1, 3)) != Scalar.approx(1 / 3)
+    assert Scalar.sqrt(2) != Scalar.approx(math.sqrt(2))
+    assert len({Scalar(Fraction(1, 3)), Scalar.approx(1 / 3)}) == 2
+    assert Scalar(Fraction(1, 4)) == Scalar.approx(0.25) == 0.25
+    assert hash(Scalar(Fraction(1, 4))) == hash(Scalar.approx(0.25))
+    assert Scalar(0) == Scalar.approx(-0.0) and Scalar(3) == 3.0
+    for z in (float("nan"), float("inf"), -float("inf"), 1 + 1e-300j):
+        assert Scalar(1) != Scalar.approx(z)
+
+
 def test_sums_that_cancel_the_root_land_in_q():
     x, y = Scalar(1, Fraction(3, 2), 2), Scalar(Fraction(1, 3), Fraction(-3, 2), 2)
     for r in (x + y, x - Scalar(0, Fraction(3, 2), 2), Scalar(0, 1, 3) * Scalar(0, 1, 3)):
