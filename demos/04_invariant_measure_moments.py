@@ -41,17 +41,19 @@ print("(the ratio tends to 0: the measure has no atoms)")
 
 print()
 print("cycle census:")
-print("  Cantor-3:", find_cycles(m0, 3, 12).verdict)
+print("  Cantor-3:", find_cycles(op, 12).verdict)
 haar_m0 = canonical_lowpass(DigitSystem(2, (0, 1)))
-print("  Haar:", [tuple(map(str, c.angles)) for c in find_cycles(haar_m0, 2, 8).cycles])
+haar_op = TransferOperator.from_filter(haar_m0, 2)
+print("  Haar:", [tuple(map(str, c.angles)) for c in find_cycles(haar_op, 8).cycles])
 stretched = LaurentPolynomial({0: Scalar.inv_sqrt(2), 3: Scalar.inv_sqrt(2)})
+stretched_op = TransferOperator.from_filter(stretched, 2)
 print("  (1+z^3)/sqrt2 at N=2:",
-      [tuple(map(str, c.angles)) for c in find_cycles(stretched, 2, 8).cycles])
+      [tuple(map(str, c.angles)) for c in find_cycles(stretched_op, 8).cycles])
 
 print()
-cls = classify_support(m0, 3)
+cls = classify_support(op)
 print("Cantor-3 classification:", cls.kind, "|", cls.diagnostics["note"])
-cls2 = classify_support(stretched, 2)
+cls2 = classify_support(stretched_op)
 print("stretched-Haar classification:", cls2.kind)
 for atom in cls2.atoms:
     print("  orbit", tuple(map(str, atom.cycle.angles)), "weights",
@@ -59,9 +61,9 @@ for atom in cls2.atoms:
 
 print()
 print("same measure? m0 vs z^3 m0:",
-      compare_filters(m0, monomial(3) * m0, 3).verdict)
+      compare_filters(op, TransferOperator.from_filter(monomial(3) * m0, 3)).verdict)
 print("same measure? m0 vs (1+z)/sqrt2 at N=3:",
-      compare_filters(m0, haar_m0, 3).verdict, "(representations disjoint)")
+      compare_filters(op, TransferOperator.from_filter(haar_m0, 3)).verdict, "(representations disjoint)")
 
 print()
 rows = riesz_samples(4, 9)

@@ -35,7 +35,7 @@ report = b_cycles(pair, 6)
 print("dual-digit cycles trivial only:", report.trivial_only,
       "->", [tuple(map(str, c.angles)) for c in report.cycles])
 
-sums = onb_defect(pair, 0.3, 64)
+sums = onb_defect(pair, 0.3, lambda_set(pair, 64).prefix)
 print("partial sums of |B(0.3 - n)|^2 over the prefix: start",
       f"{sums[0]:.6f}, end {sums[-1]:.6f} (monotone, <= 1)")
 

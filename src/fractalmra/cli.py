@@ -188,7 +188,8 @@ def _feasible_cycle_length(N: int, requested: int) -> int:
 def _run_cycles(args):
     sys_, head = _system(args)
     length = _feasible_cycle_length(sys_.scale, args.length)
-    report = measure_mod.find_cycles(canonical_lowpass(sys_), sys_.scale, length)
+    op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
+    report = measure_mod.find_cycles(op, length)
     return {
         **head,
         "requested_length": args.length,
@@ -208,9 +209,8 @@ def _run_cycles(args):
 def _run_classify(args):
     sys_, head = _system(args)
     length = _feasible_cycle_length(sys_.scale, args.length)
-    cls = measure_mod.classify_support(
-        canonical_lowpass(sys_), sys_.scale, length
-    )
+    op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
+    cls = measure_mod.classify_support(op, length)
     obj = {
         **head,
         "searched_length": length,
@@ -272,7 +272,7 @@ def _run_onb_check(args):
     gram = dual_mod.exponential_gram(sys_, prefix, args.depth)
     gram.flat[::len(prefix) + 1] -= 1
     off = float(np.max(np.abs(gram)))
-    sums = dual_mod.onb_defect(pair, args.xi, args.count, args.depth)
+    sums = dual_mod.onb_defect(pair, args.xi, prefix, args.depth)
     return {
         **head,
         "dual": list(pair.dual),

@@ -29,6 +29,7 @@ from .laurent import vanishes_at_primitive_roots
 
 LAMBDA_CAP = 10 ** 6
 SIGNED_LAMBDA_DEPTH = 12
+B_CYCLE_WORD_CAP = 10 ** 6
 
 
 # -- dual pairs --------------------------------------------------------------
@@ -100,16 +101,14 @@ class LambdaSet:
     prefix: tuple[int, ...]
 
 
-def lambda_set(
-    pair: SpectralPair, count: int, signed_depth: int = SIGNED_LAMBDA_DEPTH
-) -> LambdaSet:
+def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
     """First `count` elements of Lambda_N(B) in increasing order.
 
     Nonnegative dual digits: breadth-first growth by digit position, exact.
     Signed dual digits make Lambda two-sided and non-monotone in string
-    length, so only strings up to `signed_depth` digits are enumerated and
-    the prefix collects the `count` elements of smallest magnitude, sorted
-    ascending.
+    length, so only strings up to SIGNED_LAMBDA_DEPTH digits are enumerated
+    and the prefix collects the `count` elements of smallest magnitude,
+    sorted ascending.
     """
     if not pair.is_dual:
         raise PreconditionError("lambda_set requires a Dual pair")
@@ -122,7 +121,7 @@ def lambda_set(
     if min(B) < 0:
         values = {0}
         layer = {0}
-        for _ in range(signed_depth):
+        for _ in range(SIGNED_LAMBDA_DEPTH):
             layer = {b + N * t for t in layer for b in B}
             values |= layer
         nearest = sorted(values, key=lambda n: (abs(n), n))[:count]
@@ -161,10 +160,11 @@ class BCycleReport:
     trivial_only: bool
 
 
-def b_cycles(
-    pair: SpectralPair, K: int = 6, word_cap: int = 10 ** 6
-) -> BCycleReport:
+def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
     """Enumerate dual-digit cycles up to word length K.
+
+    The p^K words of length K are capped at B_CYCLE_WORD_CAP; a one-digit
+    system counts as 2^K, since its one word per length still costs O(K).
 
     A word (b_1, ..., b_k) closes at xi_1 = (b_k + N b_{k-1} + ... +
     N^(k-1) b_1)/(N^k - 1); the cycle is kept when the canonical low-pass
@@ -176,8 +176,8 @@ def b_cycles(
         raise PreconditionError("K must be >= 1")
     sys = pair.system
     N, p = sys.scale, sys.p
-    if p ** K > word_cap:
-        raise CapExceededError(f"p^K exceeds cap {word_cap}")
+    if max(p, 2) ** K > B_CYCLE_WORD_CAP:
+        raise CapExceededError(f"p^K exceeds cap {B_CYCLE_WORD_CAP}")
     m0 = canonical_lowpass(sys)
     g = math.gcd(*(a - sys.digits[0] for a in sys.digits))
 
@@ -247,16 +247,16 @@ def exponential_gram(
 def onb_defect(
     pair: SpectralPair,
     xi: float,
-    count: int,
+    prefix,
     depth: int = DEFAULT_TRANSFORM_DEPTH,
 ) -> list[float]:
-    """Nondecreasing partial sums of |B(xi - n)|^2 over the spectrum prefix.
+    """Nondecreasing partial sums of |B(xi - n)|^2 over a spectrum prefix
+    (`lambda_set(pair, count).prefix`).
 
     The full sum equals 1 a.e. exactly when the exponentials form an ONB;
     each partial sum obeys the Bessel bound <= 1."""
     if not pair.is_dual:
         raise PreconditionError("onb_defect requires a Dual pair")
-    prefix = lambda_set(pair, count).prefix
     vals = HutchinsonTransform(pair.system, depth).values([xi - n for n in prefix])
     sums = []
     acc = 0.0

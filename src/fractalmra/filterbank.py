@@ -25,6 +25,8 @@ from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
 from .transfer import apply_haar_average
 
+UNITARITY_TOL = 1e-8
+
 
 def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:
     """Low-pass filter p^(-1/2) sum_i z^(a_i), exact in Q(sqrt(p))."""
@@ -213,16 +215,14 @@ def loop_apply(A: LoopMatrix, bank: FilterBank) -> FilterBank:
     return FilterBank(N, tuple(out))
 
 
-def connecting_matrix(
-    bank: FilterBank, bank2: FilterBank, tol: float = 1e-8
-) -> LoopMatrix:
+def connecting_matrix(bank: FilterBank, bank2: FilterBank) -> LoopMatrix:
     """The unique loop matrix A with loop_apply(A, bank) = bank2,
     A_jk = <m_k, m'_j>_N.  Both banks must be unitary."""
     if bank.scale != bank2.scale:
         raise ScaleMismatchError("banks have different scales")
     for which, b in (("first", bank), ("second", bank2)):
         defect = unitarity_defect(b)
-        if defect > tol:
+        if defect > UNITARITY_TOL:
             raise NotUnitaryError(f"{which} bank has unitarity defect {defect:.3e}")
     N = bank.scale
     entries = tuple(

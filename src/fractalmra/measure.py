@@ -27,18 +27,13 @@ from .errors import (
 )
 from .laurent import LaurentPolynomial, vanishes_at_primitive_roots
 from .scalars import Scalar, ZERO, _exact
-from .transfer import (
-    TransferOperator,
-    apply_haar_average,
-    fixed_vectors,
-    spectral_block,
-    weight_from_filter,
-)
+from .transfer import TransferOperator, apply_haar_average, spectral_block
 
 STABILIZED = "stabilized"
 
 DEFAULT_CYCLE_LENGTH = 12
 CYCLE_POINT_CAP = 10 ** 9
+CLASSIFY_MOMENT_RANGE = 16
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class MomentTable:
     """Moments nu^(n) for |n| <= range, symmetric under conjugation."""
 
     scale: int
-    weight: LaurentPolynomial | None = None
     entries: dict[int, MomentEntry] = field(default_factory=dict)
 
     def covers(self, K: int) -> bool:
@@ -113,7 +107,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     """Moments for |n| <= moment_range: the exact solution of the invariance
     equation nu^(b) = sum_m W^(Nm - b) nu^(m) with nu^(0) = 1.
 
-    On the block [-D, D] that is the fixed vector of `fixed_vectors`, unique
+    On the block [-D, D] that is the operator's one fixed vector, unique
     when eigenvalue 1 is simple; for |b| > D every m on the right has
     |m| < |b|, so the equation itself is a well-founded recursion.  An entry
     with a finite threshold t (`_stabilization_thresholds`) reports iterations
@@ -123,7 +117,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
         raise PreconditionError("moment range must be >= 0")
     if not op.is_exact:
         raise PreconditionError("the moment solve needs a weight with exact coefficients")
-    basis = fixed_vectors(op)
+    basis = op.fixed_vectors
     D = op.block_halfwidth
     if len(basis) != 1:
         raise PreconditionError(
@@ -142,7 +136,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
             if not m.is_zero():
                 total = total + w * m
         nu[b], nu[-b] = total, total.conjugate()
-    table = MomentTable(scale=N, weight=op.weight)
+    table = MomentTable(scale=N)
     for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
         iterations = 0 if t is None else max(t + 1, 2)
         table.entries[n] = MomentEntry(n, nu[n], iterations)
@@ -220,26 +214,23 @@ def _divisors_with_small_totient(n: int, bound: int) -> list[int]:
     return [m for m, phi in divisors if phi <= bound]
 
 
-def find_cycles(
-    m0: LaurentPolynomial,
-    N: int,
-    L: int = DEFAULT_CYCLE_LENGTH,
-) -> CycleReport:
-    """All orbits of theta -> N theta of length <= L on which |m0|^2 equals N.
+def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleReport:
+    """All orbits of theta -> N theta of length <= L on which the operator's
+    weight W = |m0|^2 equals N.
 
-    The weight W = |m0|^2 must have rational coefficients.  A point j/M in
-    lowest terms is a root of P = z^D (W - N), D = deg W, exactly when the
-    cyclotomic polynomial Phi_M divides P; then every primitive M-th root is
-    a root, so one exact division decides every orbit with denominator M, and
-    it can only succeed when phi(M) <= 2D.  Period-l points have M dividing
-    N^l - 1, and the orbits of denominator M are as long as the first l at
-    which M divides N^l - 1.
+    W must have rational coefficients.  A point j/M in lowest terms is a root
+    of P = z^D (W - N), D = deg W, exactly when the cyclotomic polynomial
+    Phi_M divides P; then every primitive M-th root is a root, so one exact
+    division decides every orbit with denominator M, and it can only succeed
+    when phi(M) <= 2D.  Period-l points have M dividing N^l - 1, and the
+    orbits of denominator M are as long as the first l at which M divides
+    N^l - 1.
     """
+    N, weight = op.scale, op.weight
     if L < 1:
         raise PreconditionError("cycle length must be >= 1")
     if N ** L - 1 > CYCLE_POINT_CAP:
         raise CapExceededError(f"N^L - 1 exceeds cap {CYCLE_POINT_CAP}")
-    weight = weight_from_filter(m0)
     if not all(c.is_rational for c in weight.coeffs.values()):
         raise PreconditionError("cycle search needs a weight with rational coefficients")
     D = weight.degree()
@@ -291,26 +282,22 @@ class SupportClassification:
 
 
 def classify_support(
-    m0: LaurentPolynomial,
-    N: int,
-    L: int = DEFAULT_CYCLE_LENGTH,
-    table_range: int = 16,
+    op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH
 ) -> SupportClassification:
-    """Support dichotomy for the invariant measures of a normalized filter.
+    """Support dichotomy for the invariant measures of a normalized operator.
 
     No qualifying cycles: the invariant measure is unique (when 1 is a simple
-    peripheral eigenvalue) with support the whole torus; its moment table is
-    attached.  Cycles present: one extreme invariant measure per orbit,
-    uniform on the orbit (the normalization forces weight N on cycle points
-    and 0 on their sibling preimages).
+    peripheral eigenvalue) with support the whole torus; its moment table up
+    to CLASSIFY_MOMENT_RANGE is attached.  Cycles present: one extreme
+    invariant measure per orbit, uniform on the orbit (the normalization
+    forces weight N on cycle points and 0 on their sibling preimages).
     """
-    op = TransferOperator.from_filter(m0, N)
     defect = op.normalization_defect()
     if defect > 1e-12:
         raise NotNormalizedError(
             f"filter is not transfer-normalized: R(1) deviates by {defect:.3e}"
         )
-    report = find_cycles(m0, N, L)
+    report = find_cycles(op, L)
     block = spectral_block(op)
     diagnostics = {
         "eigenvalue_one_multiplicity": block.eigenvalue_one_multiplicity,
@@ -325,7 +312,7 @@ def classify_support(
             "no cycles: invariant measure has full support; singular and "
             "non-atomic whenever the weight is non-constant"
         )
-        table = moment_table(op, table_range)
+        table = moment_table(op, CLASSIFY_MOMENT_RANGE)
         return SupportClassification(
             kind="full_support",
             moments=table,
@@ -401,11 +388,9 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
     return [(float(tt), float(v)) for tt, v in zip(t, vals)]
 
 
-def tail_measure(
-    table: MomentTable, N: int, n: int, f: LaurentPolynomial
-) -> Scalar:
+def tail_measure(table: MomentTable, n: int, f: LaurentPolynomial) -> Scalar:
     """nu_n(f) = nu(R_1^n f): the tail of the product measure against f."""
-    g = apply_haar_average(N, f, n)
+    g = apply_haar_average(table.scale, f, n)
     total = ZERO
     for j, c in g.coeffs.items():
         total = total + c * table.value(j)
@@ -421,36 +406,31 @@ class FilterComparison:
 
 
 def compare_filters(
-    m0: LaurentPolynomial,
-    m0b: LaurentPolynomial,
-    N: int,
+    op_a: TransferOperator,
+    op_b: TransferOperator,
     R: int = 50,
     L: int = DEFAULT_CYCLE_LENGTH,
 ) -> FilterComparison:
-    """Compare the invariant measures of two cycle-free normalized filters.
+    """Compare the invariant measures of two cycle-free normalized operators.
 
     Equal moment tables mean equal measures (SameMeasure also reports whether
-    |m0| = |m0b| as Laurent data, which equality of measures forces for
-    cycle-free filters); distinct tables mean the associated wavelet
-    representations are disjoint."""
-    ops = []
-    for name, m in (("first", m0), ("second", m0b)):
-        op = TransferOperator.from_filter(m, N)
+    the weights |m0|^2 are equal as Laurent data, which equality of measures
+    forces for cycle-free filters); distinct tables mean the associated
+    wavelet representations are disjoint."""
+    for name, op in (("first", op_a), ("second", op_b)):
         defect = op.normalization_defect()
         if defect > 1e-12:
             raise NotNormalizedError(f"{name} filter not normalized ({defect:.3e})")
-        report = find_cycles(m, N, L)
-        if report.cycles:
+        if find_cycles(op, L).cycles:
             raise CyclesFoundError(
                 f"{name} filter has cycles up to length {L}; the invariant "
                 "measure is not unique -- use classify_support"
             )
-        ops.append(op)
-    table_a = moment_table(ops[0], R)
-    table_b = moment_table(ops[1], R)
+    table_a = moment_table(op_a, R)
+    table_b = moment_table(op_b, R)
     diffs = [table_a.value(n) - table_b.value(n) for n in range(-R, R + 1)]
     if all(d.is_zero() for d in diffs):
-        same_mod = ops[0].weight == ops[1].weight
+        same_mod = op_a.weight == op_b.weight
         return FilterComparison("SameMeasure", 0.0, same_mod, False)
     max_diff = max(abs(d.to_complex()) for d in diffs)
     return FilterComparison("DifferentMeasure", max_diff, None, True)

@@ -107,10 +107,6 @@ class Scalar:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def rational(cls, q) -> "Scalar":
-        return cls(Fraction(q))
-
-    @classmethod
     def sqrt(cls, d: int) -> "Scalar":
         return cls(0, 1, d)
 

@@ -10,6 +10,7 @@ support and cascade dichotomies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .scalars import ONE, Scalar, ZERO
 
 PERIPHERAL_TOL = 1e-9
 BLOCK_DIMENSION_CAP = 2001
+ITERATED_SUPPORT_CAP = 10 ** 6
 
 
 def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
@@ -82,25 +84,39 @@ class TransferOperator:
             return 0.0
         return max(abs(c.to_complex()) for c in diff.coeffs.values())
 
-    def is_normalized(self, tol: float = 0.0) -> bool:
-        return self.normalization_defect() <= tol
+    def is_normalized(self) -> bool:
+        return self.normalization_defect() == 0.0
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """(Rf)^(m) = sum_b W^(Nm - b) f^(b): the Haar average of W f."""
         return apply_haar_average(self.scale, self.weight * f, 1)
 
-    def iterate_weight(self, n: int, support_cap: int = 10 ** 6) -> LaurentPolynomial:
+    def iterate_weight(self, n: int) -> LaurentPolynomial:
         """The product weight W(z) W(z^N) ... W(z^(N^(n-1))), fully expanded."""
         if n < 1:
             raise PreconditionError("n must be >= 1")
         out = self.weight
         for j in range(1, n):
             out = out * self.weight.compose_power(self.scale ** j)
-            if len(out.coeffs) > support_cap:
+            if len(out.coeffs) > ITERATED_SUPPORT_CAP:
                 raise CapExceededError(
-                    f"iterated weight support exceeds cap {support_cap}"
+                    f"iterated weight support exceeds cap {ITERATED_SUPPORT_CAP}"
                 )
         return out
+
+    @cached_property
+    def block(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The invariant block M[m][b] = W^(Nm - b), m, b in [-D, D], exactly;
+        built once per operator."""
+        return _block(self)
+
+    @cached_property
+    def fixed_vectors(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Exact basis of the solutions of nu^(b) = sum_m W^(Nm - b) nu^(m) on
+        the block: the left fixed vectors of `block`, eliminated once per
+        operator.  Eigenvalue 1 of the block is simple exactly when the basis
+        has one vector."""
+        return _left_fixed_vectors(self.block)
 
     def _iterate_coefficient(self, k: int, idx: int) -> Scalar:
         """Single Fourier coefficient of the k-fold product weight.
@@ -133,9 +149,7 @@ class SpectralBlock:
     """Dense realization of the transfer operator on its invariant
     coefficient block [-D, D], with eigendata and peripheral flags."""
 
-    scale: int
     halfwidth: int
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     fixes_constant: bool
@@ -148,25 +162,21 @@ class SpectralBlock:
         return 2 * self.halfwidth + 1
 
 
-def _block(op: TransferOperator) -> list[list[Scalar]]:
-    """The invariant block M[m][b] = W^(Nm - b), m, b in [-D, D], exactly;
-    refused past BLOCK_DIMENSION_CAP."""
+def _block(op: TransferOperator) -> tuple[tuple[Scalar, ...], ...]:
+    """M[m][b] = W^(Nm - b), m, b in [-D, D]; refused past
+    BLOCK_DIMENSION_CAP."""
     D = op.block_halfwidth
     if 2 * D + 1 > BLOCK_DIMENSION_CAP:
         raise CapExceededError(
             f"block dimension {2 * D + 1} exceeds cap {BLOCK_DIMENSION_CAP}"
         )
     W, N, idx = op.weight, op.scale, range(-D, D + 1)
-    return [[W[N * m - b] for b in idx] for m in idx]
+    return tuple(tuple(W[N * m - b] for b in idx) for m in idx)
 
 
-def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
-    """Exact basis of the solutions of nu^(b) = sum_m W^(Nm - b) nu^(m) on the
-    block b, m in [-D, D]: the left fixed vectors of M[m, b] = W^(Nm - b).
-
-    Gauss-Jordan elimination of (M - I)^T over exact scalars; eigenvalue 1
-    of the block is simple exactly when the basis has one vector."""
-    M = _block(op)
+def _left_fixed_vectors(M) -> tuple[tuple[Scalar, ...], ...]:
+    """Basis of the v with v M = v: Gauss-Jordan elimination of (M - I)^T
+    over exact scalars."""
     n = len(M)
     rows = [[M[m][b] - ONE if m == b else M[m][b] for m in range(n)] for b in range(n)]
     pivots: list[int] = []
@@ -189,13 +199,13 @@ def fixed_vectors(op: TransferOperator) -> list[list[Scalar]]:
         v[free] = ONE
         for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
-        basis.append(v)
-    return basis
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def spectral_block(op: TransferOperator) -> SpectralBlock:
     """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
-    matrix = np.array([[x.to_complex() for x in row] for row in _block(op)])
+    matrix = np.array([[x.to_complex() for x in row] for row in op.block])
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 
     # R fixes the constant function iff the operator is normalized
@@ -204,11 +214,9 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
     peripheral = np.abs(np.abs(eigenvalues) - 1.0) <= PERIPHERAL_TOL
     other = bool(np.any(peripheral & (np.abs(eigenvalues - 1.0) > PERIPHERAL_TOL)))
 
-    simple_exact = len(fixed_vectors(op)) == 1 if op.is_exact else None
+    simple_exact = len(op.fixed_vectors) == 1 if op.is_exact else None
     return SpectralBlock(
-        scale=op.scale,
         halfwidth=op.block_halfwidth,
-        matrix=matrix,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         fixes_constant=fixes_constant,

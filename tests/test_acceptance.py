@@ -256,10 +256,12 @@ def test_criterion_08_spectral_block_and_cycle_census(cantor3_op):
     assert np.allclose(vec, np.eye(block.dimension)[block.halfwidth], atol=1e-12)
     assert block.fixes_constant
 
-    haar_report = find_cycles(canonical_lowpass(HAAR), 2, 8)
+    haar_op = TransferOperator.from_filter(canonical_lowpass(HAAR), 2)
+    haar_report = find_cycles(haar_op, 8)
     assert [c.angles for c in haar_report.cycles] == [(Fraction(0),)]
-    assert find_cycles(canonical_lowpass(CANTOR3), 3, 12).cycles == ()
-    stretched = find_cycles(LaurentPolynomial({0: R2, 3: R2}), 2, 8)
+    assert find_cycles(cantor3_op, 12).cycles == ()
+    stretched_op = TransferOperator.from_filter(LaurentPolynomial({0: R2, 3: R2}), 2)
+    stretched = find_cycles(stretched_op, 8)
     assert [c.angles for c in stretched.cycles] == [
         (Fraction(0),),
         (Fraction(1, 3), Fraction(2, 3)),
@@ -274,7 +276,7 @@ def test_criterion_09_duality():
     assert prefix == (0, 1, 4, 5, 16, 17, 20, 21)
     gram = exponential_gram(CANTOR4, prefix, depth=40)
     assert np.max(np.abs(gram - np.eye(8))) < 1e-8
-    sums = onb_defect(pair, 0.3, 256, depth=40)
+    sums = onb_defect(pair, 0.3, lambda_set(pair, 256).prefix, depth=40)
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert max(sums) <= 1 + 1e-9
     report = b_cycles(pair, 6)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalmra import cli
+from fractalmra import cli, transfer
 
 
 def run_cli(*argv):
@@ -369,6 +370,50 @@ def test_one_digit_dual_pair(command):
     jsonschema.validate(obj, load_schema(command))
     key = "lambda_prefix" if command == "duality" else "exponents"
     assert obj[key] == [0]
+
+
+def test_duality_word_cap_counts_one_digit_systems_as_two():
+    """b_cycles refuses max(p, 2)^K > 10^6 words: a one-digit system, one
+    word per length, is refused past K = 19 rather than looping for
+    minutes; refusals for p >= 2 stand."""
+    one_digit = ("duality", "--scale", "3", "--digits", "1", "--dual", "0")
+    start = time.perf_counter()
+    code, out, err = run_cli(*one_digit, "--cycle-length", "20")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", "cap exceeded: p^K exceeds cap 1000000\n")
+    code, _, err = run_cli(*one_digit, "--cycle-length", "19")
+    assert code == 0, err
+    code, _, _ = run_cli("duality", "--scale", "4", "--digits", "0,2", "--dual", "0,1",
+                         "--cycle-length", "20")
+    assert code == 3
+
+
+# what each request derives from |m0|^2 and the dual pair, and how often
+DERIVATIONS = [
+    ("classify --scale 3 --digits 0,2",
+     {"weight_from_filter": 1, "_block": 1, "_left_fixed_vectors": 1}),
+    ("spectrum --scale 3 --digits 0,2",
+     {"weight_from_filter": 1, "_block": 1, "_left_fixed_vectors": 1}),
+    ("onb-check --scale 4 --digits 0,2 --dual 0,1 --count 8", {"lambda_set": 1}),
+]
+
+
+@pytest.mark.parametrize("request_line,expected", DERIVATIONS, ids=[r for r, _ in DERIVATIONS])
+def test_each_derivation_runs_once_per_request(request_line, expected, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((transfer, "weight_from_filter"), (transfer, "_block"),
+                         (transfer, "_left_fixed_vectors"), (cli.dual_mod, "lambda_set")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, _, err = run_cli(*request_line.split())
+    assert code == 0, err
+    assert calls == expected
 
 
 # sha256 of the JSON stdout of each request: exact arithmetic may get faster,

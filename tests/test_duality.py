@@ -258,16 +258,16 @@ def test_no_orthogonal_triple_on_middle_third(cantor3):
 
 
 def test_onb_defect_at_zero(c4_pair):
-    sums = onb_defect(c4_pair, 0.0, 8)
+    sums = onb_defect(c4_pair, 0.0, lambda_set(c4_pair, 8).prefix)
     assert sums[0] == pytest.approx(1.0, abs=1e-12)
     assert sums[-1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_onb_defect_monotone_bessel(c4_pair):
-    sums = onb_defect(c4_pair, 0.3, 256, depth=40)
+    sums = onb_defect(c4_pair, 0.3, lambda_set(c4_pair, 256).prefix, depth=40)
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert max(sums) <= 1 + 1e-9
-    short = onb_defect(c4_pair, 0.5, 4)
+    short = onb_defect(c4_pair, 0.5, lambda_set(c4_pair, 4).prefix)
     assert len(short) == 4
     assert all(b >= a for a, b in zip(short, short[1:]))
 
@@ -314,8 +314,9 @@ def test_dual_transfer_not_periodic(c4_pair):
 
 
 def test_spectrum_sum_near_one_for_onb(c4_pair):
+    prefix = lambda_set(c4_pair, 1024).prefix
     for xi in (0.1, 0.45, 0.8):
-        assert onb_defect(c4_pair, xi, 1024)[-1] == pytest.approx(1.0, abs=1e-3)
+        assert onb_defect(c4_pair, xi, prefix)[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_table_pairs_cycle_gating():

@@ -32,7 +32,7 @@ from fractalmra.measure import (
     wiener_profile,
 )
 from fractalmra.scalars import Scalar
-from fractalmra.transfer import TransferOperator, fixed_vectors, weight_from_filter
+from fractalmra.transfer import TransferOperator, weight_from_filter
 
 HALF = Scalar(Fraction(1, 2))
 R2 = Scalar.inv_sqrt(2)
@@ -202,7 +202,7 @@ def test_moments_solve_invariance_on_canonical_systems():
 def reference_moments(op, R):
     """The moment recursion as first written: every weight coefficient tested
     for N | b + k, zero moments included."""
-    basis = fixed_vectors(op)
+    basis = op.fixed_vectors
     D = op.block_halfwidth
     nu = {b - D: x / basis[0][D] for b, x in enumerate(basis[0])}
     for b in range(D + 1, R + 1):
@@ -370,20 +370,21 @@ def test_riesz_samples():
 
 
 def test_tail_measure(cantor3_table):
-    assert tail_measure(cantor3_table, 3, 2, one()) == Scalar(1)
-    assert tail_measure(cantor3_table, 3, 1, monomial(6)) == HALF
-    assert tail_measure(cantor3_table, 3, 1, monomial(1)).is_zero()
+    assert tail_measure(cantor3_table, 2, one()) == Scalar(1)
+    assert tail_measure(cantor3_table, 1, monomial(6)) == HALF
+    assert tail_measure(cantor3_table, 1, monomial(1)).is_zero()
 
 
 def test_find_cycles_examples(cantor3, haar2):
-    haar_report = find_cycles(canonical_lowpass(haar2), 2, 8)
+    haar_report = find_cycles(TransferOperator.from_filter(canonical_lowpass(haar2), 2), 8)
     assert haar_report.verdict == "CyclesFound"
     assert [c.angles for c in haar_report.cycles] == [(Fraction(0),)]
     assert haar_report.cycles[0].values[0] == pytest.approx(2.0)
 
-    assert find_cycles(canonical_lowpass(cantor3), 3, 12).verdict == "NoCycles"
+    cantor_op = TransferOperator.from_filter(canonical_lowpass(cantor3), 3)
+    assert find_cycles(cantor_op, 12).verdict == "NoCycles"
 
-    stretched = find_cycles(stretched_haar(), 2, 8)
+    stretched = find_cycles(TransferOperator.from_filter(stretched_haar(), 2), 8)
     assert [c.angles for c in stretched.cycles] == [
         (Fraction(0),),
         (Fraction(1, 3), Fraction(2, 3)),
@@ -449,7 +450,7 @@ def test_find_cycles_matches_float_grid_scan():
     for m0, N, L in reference_filters():
         expected = grid_cycles(m0, N, L)
         for length in range(1, L + 1):
-            report = find_cycles(m0, N, length)
+            report = find_cycles(TransferOperator.from_filter(m0, N), length)
             assert [(c.angles, c.values) for c in report.cycles] == [
                 cycle for cycle in expected if len(cycle[0]) <= length
             ]
@@ -477,11 +478,11 @@ def test_find_cycles_beyond_the_float_grid():
         (stretched_haar(), [1, 2]),
         (LaurentPolynomial({0: R2, 5: R2}), [1, 4]),
     ):
-        report = find_cycles(m0, 2, 29)
+        report = find_cycles(TransferOperator.from_filter(m0, 2), 29)
         assert [c.length for c in report.cycles] == lengths
-        assert report.cycles == find_cycles(m0, 2, 10).cycles
+        assert report.cycles == find_cycles(TransferOperator.from_filter(m0, 2), 10).cycles
     with pytest.raises(CapExceededError):
-        find_cycles(stretched_haar(), 2, 30)
+        find_cycles(TransferOperator.from_filter(stretched_haar(), 2), 30)
 
 
 def test_find_cycles_rejects_weights_it_cannot_decide():
@@ -489,22 +490,23 @@ def test_find_cycles_rejects_weights_it_cannot_decide():
     approximate = LaurentPolynomial({0: Scalar.approx(R2.to_complex()), 1: R2})
     for m0 in (irrational, approximate):
         with pytest.raises(PreconditionError, match="rational"):
-            find_cycles(m0, 2, 4)
+            find_cycles(TransferOperator.from_filter(m0, 2), 4)
     constant_n = monomial(3, Scalar.sqrt(2))
     for L in (1, 8):
         with pytest.raises(PreconditionError, match="identically N"):
-            find_cycles(constant_n, 2, L)
+            find_cycles(TransferOperator.from_filter(constant_n, 2), L)
 
 
 def test_find_cycles_large_scale_default_length():
     # scale 6 at length 11 stays within the point cap; a full grid would
     # hold ~4e8 points
-    report = find_cycles(canonical_lowpass(DigitSystem(6, (0, 2, 4))), 6, 11)
+    op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(6, (0, 2, 4))), 6)
+    report = find_cycles(op, 11)
     assert report.verdict == "NoCycles"
 
 
 def test_classify_support_full(cantor3):
-    cls = classify_support(canonical_lowpass(cantor3), 3)
+    cls = classify_support(TransferOperator.from_filter(canonical_lowpass(cantor3), 3))
     assert cls.kind == "full_support"
     assert cls.moments is not None
     assert cls.diagnostics["unique_invariant_measure"]
@@ -512,7 +514,7 @@ def test_classify_support_full(cantor3):
 
 
 def test_classify_support_atomic(haar2):
-    cls = classify_support(canonical_lowpass(haar2), 2)
+    cls = classify_support(TransferOperator.from_filter(canonical_lowpass(haar2), 2))
     assert cls.kind == "atomic_on_cycles"
     assert len(cls.atoms) == 1
     assert cls.atoms[0].cycle.angles == (Fraction(0),)
@@ -520,7 +522,7 @@ def test_classify_support_atomic(haar2):
 
 
 def test_classify_support_stretched_haar():
-    cls = classify_support(stretched_haar(), 2)
+    cls = classify_support(TransferOperator.from_filter(stretched_haar(), 2))
     assert cls.kind == "atomic_on_cycles"
     assert len(cls.atoms) == 2
     weights = {atom.cycle.angles: atom.weights for atom in cls.atoms}
@@ -532,7 +534,7 @@ def test_atomic_measures_are_invariant():
     """nu(R f) = nu(f) for the orbit measures, on monomials |m| <= 6."""
     m0 = stretched_haar()
     op = TransferOperator.from_filter(m0, 2)
-    cls = classify_support(m0, 2)
+    cls = classify_support(op)
     for atom in cls.atoms:
         def nu(poly):
             total = 0j
@@ -547,7 +549,7 @@ def test_atomic_measures_are_invariant():
 def test_atom_transport_monotone():
     """For cycle measures, nu({z^N}) >= nu({z}) on their support."""
     for m0, N in ((stretched_haar(), 2), (canonical_lowpass(DigitSystem(2, (0, 1))), 2)):
-        cls = classify_support(m0, N)
+        cls = classify_support(TransferOperator.from_filter(m0, N))
         for atom in cls.atoms:
             mass = dict(zip(atom.cycle.angles, atom.weights))
             for theta, w in mass.items():
@@ -558,14 +560,15 @@ def test_atom_transport_monotone():
 def test_classify_rejects_unnormalized():
     bad = LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)})
     with pytest.raises(NotNormalizedError):
-        classify_support(bad, 2)
+        classify_support(TransferOperator.from_filter(bad, 2))
 
 
 def test_compare_filters_same(cantor3):
     m0 = canonical_lowpass(cantor3)
-    report = compare_filters(m0, m0, 3)
+    op = TransferOperator.from_filter(m0, 3)
+    report = compare_filters(op, op)
     assert report.verdict == "SameMeasure"
-    report2 = compare_filters(m0, monomial(3) * m0, 3, R=50)
+    report2 = compare_filters(op, TransferOperator.from_filter(monomial(3) * m0, 3), R=50)
     assert report2.verdict == "SameMeasure"
     assert report2.same_modulus
     assert not report2.representations_disjoint
@@ -574,7 +577,8 @@ def test_compare_filters_same(cantor3):
 def test_compare_filters_different(cantor3, haar2):
     # (1+z)/sqrt2 is transfer-normalized at N=3 as well, with a different measure
     other = canonical_lowpass(haar2)
-    report = compare_filters(canonical_lowpass(cantor3), other, 3)
+    report = compare_filters(TransferOperator.from_filter(canonical_lowpass(cantor3), 3),
+                             TransferOperator.from_filter(other, 3))
     assert report.verdict == "DifferentMeasure"
     assert report.representations_disjoint
 
@@ -583,7 +587,8 @@ def test_compare_filters_gates(cantor3):
     m0 = canonical_lowpass(cantor3)
     unnormalized = LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)})
     with pytest.raises(NotNormalizedError):
-        compare_filters(m0, unnormalized, 3)
+        compare_filters(TransferOperator.from_filter(m0, 3),
+                        TransferOperator.from_filter(unnormalized, 3))
     with pytest.raises(CyclesFoundError):
-        compare_filters(canonical_lowpass(DigitSystem(2, (0, 1))),
-                        canonical_lowpass(DigitSystem(2, (0, 1))), 2)
+        haar = TransferOperator.from_filter(canonical_lowpass(DigitSystem(2, (0, 1))), 2)
+        compare_filters(haar, haar)
