@@ -16,12 +16,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter, ne
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,6 +66,16 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 def _scalar_json(s) -> dict:
     z = s.to_complex()
     return {"re": z.real, "im": z.imag, "exact": s.exact_str()}
+
+
+def _scalar_columns(*columns) -> list[list]:
+    """Each column of Scalars (or None) as their `_scalar_json` fields, built
+    once per Scalar object: rows that hold one object share one dict."""
+    objects = {}
+    for col in columns:
+        objects.update(zip(map(id, col), col))
+    fields = {i: None if v is None else _scalar_json(v) for i, v in objects.items()}
+    return [list(map(fields.__getitem__, map(id, col))) for col in columns]
 
 
 def _poly_json(poly: LaurentPolynomial) -> dict:
@@ -136,28 +149,21 @@ def _run_moments(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range)
-    profile = measure_mod.wiener_profile(table, args.range)
+    rows, wiener = table.rows(), measure_mod.wiener_profile(table, args.range).rows
+    values, sums, ratios = _scalar_columns(
+        [e.value for e in rows], [r.partial_sum for r in wiener], [r.ratio for r in wiener]
+    )
     return {
         **head,
         "range": args.range,
         "moments": [
-            {
-                "n": e.n,
-                **_scalar_json(e.value),
-                "status": e.status,
-                "iterations": e.iterations,
-                "cesaro": False,
-            }
-            for e in table.rows()
+            {"n": e.n, **v, "status": e.status, "iterations": e.iterations, "cesaro": False}
+            for e, v in zip(rows, values)
         ],
         "wiener": {
             "rows": [
-                {
-                    "k": r.k,
-                    "s": _scalar_json(r.partial_sum),
-                    "ratio": None if r.ratio is None else _scalar_json(r.ratio),
-                }
-                for r in profile.rows
+                {"k": r.k, "s": s, "ratio": ratio}
+                for r, s, ratio in zip(wiener, sums, ratios)
             ],
             "unsettled": [],
         },
@@ -225,10 +231,10 @@ def _run_classify(args):
         ],
     }
     if cls.moments is not None:
+        rows = [e for e in cls.moments.rows() if e.n >= 0]
+        (values,) = _scalar_columns([e.value for e in rows])
         obj["moments"] = [
-            {"n": e.n, **_scalar_json(e.value), "status": e.status}
-            for e in cls.moments.rows()
-            if e.n >= 0
+            {"n": e.n, **v, "status": e.status} for e, v in zip(rows, values)
         ]
     return obj
 
@@ -288,17 +294,16 @@ def _run_onb_check(args):
 def _run_cascade(args):
     sys_, head = _system(args)
     m = _modifier_polynomial(args.modifier, canonical_lowpass(sys_))
+    rows = cascade_experiment(sys_, m, args.steps)
+    columns = _scalar_columns(
+        [r.diff_norm_sq for r in rows], [r.inner for r in rows], [r.transfer_inner for r in rows]
+    )
     return {
         **head,
         "modifier": args.modifier,
         "rows": [
-            {
-                "n": r.n,
-                "norm_sq": _scalar_json(r.diff_norm_sq),
-                "inner": _scalar_json(r.inner),
-                "transfer_inner": _scalar_json(r.transfer_inner),
-            }
-            for r in cascade_experiment(sys_, m, args.steps)
+            {"n": r.n, "norm_sq": norm_sq, "inner": inner, "transfer_inner": transfer_inner}
+            for r, norm_sq, inner, transfer_inner in zip(rows, *columns)
         ],
     }
 
@@ -335,19 +340,23 @@ def _run_replimit(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range)
-    rows = []
-    for m in range(-args.range, args.range + 1):
-        value = representation_limit(op, args.level, m)
-        mom = table.value(m)
-        rows.append(
+    ms = range(-args.range, args.range + 1)
+    values = [representation_limit(op, args.level, m) for m in ms]
+    moments = [table.value(m) for m in ms]
+    columns = _scalar_columns(values, moments)
+    return {
+        **head,
+        "level": args.level,
+        "rows": [
             {
                 "m": m,
-                "value": _scalar_json(value),
-                "moment": _scalar_json(mom),
+                "value": value_json,
+                "moment": moment_json,
                 "abs_diff": abs(value.to_complex() - mom.to_complex()),
             }
-        )
-    return {**head, "level": args.level, "rows": rows}
+            for m, value, mom, value_json, moment_json in zip(ms, values, moments, *columns)
+        ],
+    }
 
 
 def _run_table(args):
@@ -572,79 +581,141 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LEAF, _DICT, _LIST = 0, 1, 2
+
+
+class _Kinds(dict):
+    """type -> _LEAF, _DICT or _LIST, as `json` tells containers apart."""
+
+    def __missing__(self, cls):
+        if issubclass(cls, dict):
+            return _DICT
+        return _LIST if issubclass(cls, (list, tuple)) else _LEAF
+
+
+_KIND = _Kinds({
+    dict: _DICT, list: _LIST, tuple: _LIST,
+    str: _LEAF, int: _LEAF, float: _LEAF, bool: _LEAF, type(None): _LEAF,
+}).__getitem__
+
+
+def _changes(seq) -> set[int]:
+    """The indices i >= 1 with seq[i] != seq[i - 1]."""
+    if seq.count(seq[0]) == len(seq):
+        return set()
+    return set(compress(count(1), map(ne, islice(seq, 1, None), seq)))
+
+
+def _shape_cuts(col, first, kind: int) -> set[int]:
+    """Where the values of `col` stop sharing the kind and size of `first`:
+    the indices i >= 1 at which col[i] differs in that from col[i - 1]."""
+    types = set(map(type, col))
+    if len(types) > 1 and len(set(map(_KIND, types))) > 1:
+        return _changes(list(map(_KIND, map(type, col))))
+    if kind == _LEAF:
+        return set()
+    if kind == _DICT and types != {dict}:  # a subclass may answer for a missing key
+        return _changes(list(map(tuple, col)))
+    return _changes(list(map(len, col)))
+
+
+def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
+    """Append to `parts` the %-template of one value of `col`, and to
+    `columns` its leaf columns in the order of the template's `%s`s, when
+    the values of `col` share one shape; else return the indices i at which
+    col[i] differs in shape from col[i - 1], as far as one column shows.
+
+    Two values share a shape when both are leaves, or both dicts with the
+    same keys, or both lists or tuples of one length, and their values at
+    each key or position share a shape.  A column of several dicts or lists
+    is written key by key or position by position, each key's values taken
+    at once by `map` and `itemgetter`.  One list is written run by run: the
+    items of a run share one shape, so one item template, repeated, writes
+    them all, and `zip` interleaves their leaf columns.  Keys are escaped
+    with `%` doubled."""
+    first = col[0]
+    kind = _KIND(type(first))
+    if len(col) > 1:
+        cuts = _shape_cuts(col, first, kind)
+        if cuts:
+            return cuts
+    if kind == _LEAF:
+        parts.append("%s")
+        columns.append(col)
+        return set()
+    if not first:
+        parts.append("{}" if kind == _DICT else "[]")
+        return set()
+    inner = nl + "  "
+    comma = "," + inner
+    if kind == _DICT:
+        for k in first:
+            if not isinstance(k, str):  # no document has other keys
+                raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
+        sep = "{" + inner
+        for k in sorted(first):
+            parts.append(sep + encode_basestring_ascii(k).replace("%", "%%") + ": ")
+            try:
+                values = list(map(itemgetter(k), col))
+            except KeyError:  # as many keys as `first`, but other ones
+                return _changes(list(map(tuple, col)))
+            cuts = _emit(values, inner, parts, columns)
+            if cuts:
+                return cuts
+            sep = comma
+        parts.append(nl + "}")
+        return set()
+    sep = "[" + inner
+    if len(col) > 1:
+        for i in range(len(first)):
+            parts.append(sep)
+            cuts = _emit(list(map(itemgetter(i), col)), inner, parts, columns)
+            if cuts:
+                return cuts
+            sep = comma
+    else:
+        runs = [(0, len(first))]  # a stack, next run last
+        while runs:
+            start, end = runs.pop()
+            mark, run_columns = len(parts), []
+            parts.append(sep)
+            cuts = _emit(first[start:end], inner, parts, run_columns)
+            if cuts:  # write the runs between the cuts instead
+                del parts[mark:]
+                bounds = sorted(start + i for i in cuts)
+                runs += reversed(list(zip([start, *bounds], [*bounds, end])))
+                continue
+            if end - start > 1:
+                item = "".join(parts[mark + 1:])
+                parts[mark + 1:] = [item + (comma + item) * (end - start - 1)]
+                columns.append(chain.from_iterable(zip(*run_columns)))
+            else:
+                columns += run_columns
+            sep = comma
+    parts.append(nl + "]")
+    return set()
+
+
 def _dumps(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2).
 
     Any `indent` sends `json` to its pure-Python encoder, which encodes each
-    leaf with a Python call.  Here the containers are walked once into a
-    %-template (keys escaped with `%` doubled, a `%s` per leaf), and all
-    leaves are encoded by one call of the C encoder with "\\x00" between
-    them; ensure_ascii output cannot hold a raw "\\x00", so the split is
-    exact.  The text before each value of a dict is built once per key set
-    and depth, and shared by every dict of that shape."""
+    leaf with a Python call.  Here the containers are written once into a
+    %-template with a `%s` per leaf (`_emit`), one template per run of list
+    items of one shape, and all leaves are encoded by one call of the C
+    encoder with "\\x00" between them; ensure_ascii output cannot hold a raw
+    "\\x00", so the split is exact."""
     parts: list[str] = []
-    leaves: list = []
-    append, leaf = parts.append, leaves.append
-    layouts: dict[tuple, list[tuple]] = {}
-    containers = (dict, list, tuple)
-
-    def layout(o: dict, inner: str) -> list[tuple]:
-        """(key, text before a container value, text before a leaf), sorted."""
-        rows, sep = [], "{" + inner
-        for k in sorted(o):
-            if not isinstance(k, str):  # no document has other keys
-                raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
-            head = sep + encode_basestring_ascii(k).replace("%", "%%") + ": "
-            rows.append((k, head, head + "%s"))
-            sep = "," + inner
-        return rows
-
-    def walk(o, nl: str) -> None:
-        inner = nl + "  "
-        if isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            shape = (nl, *o)
-            rows = layouts.get(shape)
-            if rows is None:
-                rows = layouts[shape] = layout(o, inner)
-            for k, head, head_leaf in rows:
-                v = o[k]
-                if isinstance(v, containers):
-                    append(head)
-                    walk(v, inner)
-                else:
-                    append(head_leaf)
-                    leaf(v)
-            append(nl + "}")
-        else:
-            if not o:
-                append("[]")
-                return
-            sep, sep_leaf = "[" + inner, "[" + inner + "%s"
-            comma, comma_leaf = "," + inner, "," + inner + "%s"
-            for v in o:
-                if isinstance(v, containers):
-                    append(sep)
-                    walk(v, inner)
-                else:
-                    append(sep_leaf)
-                    leaf(v)
-                sep, sep_leaf = comma, comma_leaf
-            append(nl + "]")
-
-    if isinstance(obj, containers):
-        walk(obj, "\n")
-    else:
-        append("%s")
-        leaf(obj)
+    columns: list = []
+    _emit([obj], "\n", parts, columns)  # one value always shares its shape
     template = "".join(parts)
-    del parts, append  # freed before the leaf text and the filled copy exist
+    del parts  # freed before the leaf text and the filled copy exist
+    leaves = list(chain.from_iterable(columns))
+    del columns
     encoded = tuple(
         json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00") if leaves else ()
     )
-    del leaves, leaf
+    del leaves
     return template % encoded
 
 
@@ -659,6 +730,20 @@ def _render(command: Subcommand, args, obj) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one request and return its exit code.
+
+    The cyclic garbage collector is paused for the request, since a request
+    makes no reference cycles, and its state is put back on every exit."""
+    if not gc.isenabled():
+        return _request(argv)
+    gc.disable()
+    try:
+        return _request(argv)
+    finally:
+        gc.enable()
+
+
+def _request(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         sys.stderr.write(

@@ -108,7 +108,8 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
     Signed dual digits make Lambda two-sided and non-monotone in string
     length, so only strings up to SIGNED_LAMBDA_DEPTH digits are enumerated
     and the prefix collects the `count` elements of smallest magnitude,
-    sorted ascending.
+    sorted ascending; the p^SIGNED_LAMBDA_DEPTH strings are capped at
+    LAMBDA_CAP, whatever `count` asks for.
     """
     if not pair.is_dual:
         raise PreconditionError("lambda_set requires a Dual pair")
@@ -119,6 +120,10 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
     N = pair.system.scale
     B = pair.dual
     if min(B) < 0:
+        if len(B) ** SIGNED_LAMBDA_DEPTH > LAMBDA_CAP:
+            raise CapExceededError(
+                f"p^{SIGNED_LAMBDA_DEPTH} signed dual strings exceed cap {LAMBDA_CAP}"
+            )
         values = {0}
         layer = {0}
         for _ in range(SIGNED_LAMBDA_DEPTH):
@@ -227,7 +232,10 @@ def exponential_gram(
     """Gram matrix G_ij = B(n_j - n_i) of exponentials in L^2(C, mu).
 
     B is evaluated once per distinct difference; one lookup in that table
-    fills the matrix."""
+    fills the matrix.  The differences are symmetric, so B is evaluated at
+    the nonnegative ones and B(-k) = conj B(k) fills the rest, except where
+    a part of B(k) is zero: a zero has no sign to mirror, so B(-k) is
+    evaluated there."""
     exponents = list(exponents)
     # Python integers where a difference could wrap around int64
     wide = max(map(abs, exponents), default=0) >= 2 ** 62
@@ -238,7 +246,14 @@ def exponential_gram(
     keep = np.ones(diffs.shape, dtype=bool)
     keep[1:] = diffs[1:] != diffs[:-1]
     diffs = diffs[keep]
-    table = HutchinsonTransform(sys, depth).values(diffs)
+    transform = HutchinsonTransform(sys, depth)
+    h = int(np.searchsorted(diffs, 0))  # diffs[:h] = -diffs[:h:-1] < 0 <= diffs[h:]
+    table = np.empty(diffs.shape, dtype=complex)
+    table[h:] = transform.values(diffs[h:])
+    mirror = table[:h:-1]
+    table[:h] = mirror.conjugate()
+    signless = (mirror.real == 0) | (mirror.imag == 0)
+    table[:h][signless] = transform.values(diffs[:h][signless])
     where = np.searchsorted(diffs, d)
     del d  # an n^2 array fewer at the peak, while table[where] is built
     return table[where].T

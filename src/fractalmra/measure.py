@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,11 @@ CYCLE_POINT_CAP = 10 ** 9
 CLASSIFY_MOMENT_RANGE = 16
 
 
-@dataclass(frozen=True)
-class MomentEntry:
+# a row of a table built without a Python-level call: _row(cls, (field, ...))
+_row = tuple.__new__
+
+
+class MomentEntry(NamedTuple):
     """One Fourier coefficient of the invariant measure.
 
     Every value is the exact limit, so the status is always "stabilized";
@@ -47,7 +50,7 @@ class MomentEntry:
     n: int
     value: Scalar
     iterations: int
-    status: ClassVar[str] = STABILIZED
+    status = STABILIZED  # unannotated: a class attribute, not a field
 
 
 @dataclass
@@ -139,8 +142,8 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     table = MomentTable(scale=N)
     for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
         iterations = 0 if t is None else max(t + 1, 2)
-        table.entries[n] = MomentEntry(n, nu[n], iterations)
-        table.entries[-n] = MomentEntry(-n, nu[-n], iterations)
+        table.entries[n] = _row(MomentEntry, (n, nu[n], iterations))
+        table.entries[-n] = _row(MomentEntry, (-n, nu[-n], iterations))
     return table
 
 
@@ -337,8 +340,7 @@ def classify_support(
     )
 
 
-@dataclass(frozen=True)
-class WienerRow:
+class WienerRow(NamedTuple):
     k: int
     partial_sum: Scalar
     ratio: Scalar | None
@@ -367,7 +369,7 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
             ratio = _exact(s.p, 0, 0, s.den * k)
         else:
             ratio = s * _exact(1, 0, 0, k)
-        rows.append(WienerRow(k, s, ratio))
+        rows.append(_row(WienerRow, (k, s, ratio)))
     return WienerProfile(tuple(rows))
 
 

@@ -222,10 +222,21 @@ class Scalar:
         return Scalar.approx(-self.z)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        """self + (-other) in one step, with the same bits."""
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if self.z is None and other.z is None:
+            q, q2 = self.q, other.q
+            if not q or not q2 or self.d == other.d:
+                d = self.d if q else other.d
+                den, den2 = self.den, other.den
+                return _exact(self.p * den2 - other.p * den, q * den2 - q2 * den, d, den * den2)
+        if other.z is None:  # the double of -other, whose zeros are +0.0
+            return Scalar.approx(self.to_complex() + (-other).to_complex())
+        return Scalar.approx(self.to_complex() - other.z)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        return Scalar.coerce(other) - self
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:  # skips a call on the hot path

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -234,6 +235,16 @@ def test_exit_code_cap_exceeded():
                            "--steps", "13")
     assert code == 3
     assert "cap" in err
+
+
+def test_signed_dual_set_beyond_the_cap_is_refused_at_once():
+    """p = 4 signed dual digits would enumerate 4^12 strings whatever the count."""
+    start = time.perf_counter()
+    code, out, err = run_cli("duality", "--scale", "4", "--digits", "0,1,2,3",
+                             "--dual=-1,0,1,2", "--count", "8")
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: p^12 signed dual strings exceed cap 1000000\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gram_deep_jrange_succeeds_quickly():
@@ -551,6 +562,7 @@ def nested(leaf, depth):
     {"%": {"%s": ["%d", "%%"]}, "\x00": "\x00"},
     nested({"deep": [1, 2.5, None]}, 60),
     {"√": -0.0, "k": [float("inf"), -float("inf"), 1e16, 5e-324]},
+    [Counter(a=1), Counter(b=2)] * 4,  # a dict subclass that answers for missing keys
 ])
 def test_dumps_edge_cases(obj):
     assert cli._dumps(obj) == stdlib_dumps(obj)
@@ -572,6 +584,124 @@ def test_dumps_refuses_what_the_stdlib_refuses(obj):
         stdlib_dumps(obj)
     with pytest.raises(TypeError):
         cli._dumps(obj)
+
+
+# Long lists of dicts that share their keys, one column varied at a time: the
+# renderer writes each run of items of one shape from one item template.
+VARIED_COLUMNS = {
+    "null or dict": st.one_of(
+        st.none(), st.fixed_dictionaries({"re": st.floats(), "exact": st.text(max_size=3)})
+    ),
+    "signed zeros and nan": st.sampled_from([0.0, -0.0, float("nan")]),
+    "true, 1 and 1.0": st.sampled_from([True, 1, 1.0]),
+    "lists, tuples, empty containers": st.one_of(
+        st.lists(st.integers(), max_size=2),
+        st.lists(st.integers(), max_size=2).map(tuple),
+        st.just({}),
+        st.just([]),
+    ),
+}
+
+
+@st.composite
+def long_tables(draw):
+    """8 to 40 rows {"n", "re", "s": {"re", "exact"}, "v%"}; "v%" holds the
+    varied column, or the rows vary in key order or by one extra key."""
+    rows = [
+        {"n": i, "re": draw(st.floats(allow_nan=False)),
+         "s": {"re": draw(st.floats(-2, 2)), "exact": draw(st.sampled_from(["1/2", "√2"]))}}
+        for i in range(draw(st.integers(8, 40)))
+    ]
+    variation = draw(st.sampled_from([*VARIED_COLUMNS, "key order", "extra key"]))
+    if variation == "key order":
+        for i in draw(st.sets(st.sampled_from(range(len(rows))), min_size=1)):
+            rows[i] = dict(reversed(rows[i].items()))
+    elif variation == "extra key":
+        rows[draw(st.sampled_from(range(len(rows))))]["extra"] = draw(JSON_LEAVES)
+    else:
+        for row in rows:
+            row["v%"] = draw(VARIED_COLUMNS[variation])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_tables())
+def test_dumps_long_lists_match_the_stdlib(rows):
+    assert cli._dumps(rows) == stdlib_dumps(rows)
+    doc = {"rows": rows, "tail": rows[-3:]}
+    assert cli._dumps(doc) == stdlib_dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_tables(), st.sampled_from([1, 2.5, None, True, (1, 2)]), st.data())
+def test_dumps_refuses_a_non_str_key_in_a_late_item(rows, key, data):
+    late = data.draw(st.integers(len(rows) // 2, len(rows) - 1))
+    rows[late][key] = 0
+    with pytest.raises(TypeError, match="JSON keys must be str"):
+        cli._dumps(rows)
+
+
+# -- the cyclic garbage collector -----------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RUNS))
+def test_request_leaves_no_cyclic_garbage(name):
+    run_cli(*SAMPLE_RUNS[name])  # fills the caches a first request fills
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, err = run_cli(*SAMPLE_RUNS[name])
+        assert code == 0, err
+        assert gc.collect() == 0, gc.garbage[:10]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def raise_runtime_error(args):
+    raise RuntimeError("handler failed")
+
+
+# (argv, exit code or what main raises, whether a handler runs)
+EXIT_PATHS = [
+    (SAMPLE_RUNS["dimension"], 0, True),
+    (("dimension", "--scale", "3", "--digits", "0,x"), 2, True),
+    (("cascade", "--scale", "3", "--digits", "0,2", "--steps", "13"), 3, True),
+    (("no-such-command",), 64, False),
+    ((), 64, False),
+    (("moments", "--scale", "3", "--digits", "0,2", "--range", "x"), SystemExit, False),
+    (("moments", "--help"), SystemExit, False),
+    (("riesz", "--depth", "2", "--grid", "4"), RuntimeError, True),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,outcome,handled", EXIT_PATHS, ids=[str(o) for _, o, _ in EXIT_PATHS])
+def test_main_puts_back_the_collector_state(argv, outcome, handled, enabled, monkeypatch):
+    """The collector is paused while a handler runs, and main leaves it as
+    it found it on every exit path."""
+    seen = []
+
+    def spy(run):
+        def handler(args):
+            seen.append(gc.isenabled())
+            return run(args)
+        return handler
+
+    for name, command in cli.COMMANDS.items():
+        run = raise_runtime_error if name == "riesz" else command.run
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=spy(run)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert run_cli(*argv)[0] == outcome
+        else:
+            with pytest.raises(outcome):
+                run_cli(*argv)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if handled else [])
 
 
 def test_parser_is_built_once_and_keeps_no_state():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalmra.errors import PreconditionError
+from fractalmra.errors import CapExceededError, PreconditionError
 from fractalmra.duality import (
     b_cycles,
     dual_matrix,
@@ -132,6 +132,14 @@ def test_lambda_set_digit_oracle(c4_pair):
         return True
 
     assert all(representable(n) for n in prefix)
+
+
+def test_lambda_set_refuses_signed_duals_beyond_the_cap():
+    """4^12 signed strings would be enumerated for any count."""
+    pair = dual_matrix(DigitSystem(4, (0, 1, 2, 3)), (-1, 0, 1, 2))
+    assert pair.is_dual
+    with pytest.raises(CapExceededError, match="exceed cap"):
+        lambda_set(pair, 1)
 
 
 def test_lambda_set_rejects_non_dual():

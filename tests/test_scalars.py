@@ -1,11 +1,12 @@
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalmra.scalars import Scalar, _squarefree_split
 
@@ -308,3 +309,36 @@ def test_mixed_fields_demote_to_approximate(de, a, b, c, e):
         assert not (x / y).is_exact
     assert not (x + Scalar.approx(0.5)).is_exact
     assert not (Scalar(a) * Scalar.approx(1.0)).is_exact
+
+
+def scalar_bits(x):
+    """The exact parts, or the bytes of the double pair (signed zeros kept)."""
+    if x.is_exact:
+        return ("exact", x.p, x.q, x.d, x.den)
+    return ("approx", struct.pack("<dd", x.z.real, x.z.imag))
+
+
+SIGNED_PARTS = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.5, -1.5, float("inf")])
+)
+SCALARS = st.one_of(
+    st.builds(Scalar, fractions_),
+    st.builds(Scalar, fractions_, fractions_, st.sampled_from(RADICANDS)),
+    st.builds(lambda re, im: Scalar.approx(complex(re, im)), SIGNED_PARTS, SIGNED_PARTS),
+)
+OPERANDS = st.one_of(
+    SCALARS, st.integers(-5, 5), fractions_, SIGNED_PARTS,
+    st.builds(complex, SIGNED_PARTS, SIGNED_PARTS),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example(Scalar.approx(complex(-0.0, 0.0)), 0)  # -0 is the exact 0, whose double is +0.0
+@example(Scalar.approx(complex(-0.0, -0.0)), Fraction(1, 10 ** 400))  # a double that underflows
+@given(SCALARS, OPERANDS)
+def test_subtraction_has_the_bits_of_adding_the_negation(x, y):
+    """x - y is computed in one step, bit for bit as x + (-y), on both
+    tiers, whichever operand is a Scalar (NaN operands are left out: IEEE
+    does not fix the sign of a NaN that passes through)."""
+    assert scalar_bits(x - y) == scalar_bits(x + (-Scalar.coerce(y)))
+    assert scalar_bits(y - x) == scalar_bits(Scalar.coerce(y) + (-x))
