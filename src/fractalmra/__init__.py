@@ -73,6 +73,7 @@ from .duality import (
     dual_transfer_eval,
     exponential_gram,
     lambda_set,
+    onb_check,
     onb_defect,
 )
 from .space import (

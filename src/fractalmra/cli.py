@@ -27,8 +27,6 @@ from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter, ne
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import duality as dual_mod
 from . import measure as measure_mod
 from .errors import CapExceededError, FractalMRAError, PreconditionError
@@ -275,10 +273,7 @@ def _run_onb_check(args):
     if not pair.is_dual:
         raise PreconditionError("onb-check requires a Dual pair")
     prefix = dual_mod.lambda_set(pair, args.count).prefix
-    gram = dual_mod.exponential_gram(sys_, prefix, args.depth)
-    gram.flat[::len(prefix) + 1] -= 1
-    off = float(np.max(np.abs(gram)))
-    sums = dual_mod.onb_defect(pair, args.xi, prefix, args.depth)
+    off, sums = dual_mod.onb_check(pair, args.xi, prefix, args.depth)
     return {
         **head,
         "dual": list(pair.dual),

@@ -18,9 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
+from itertools import accumulate, combinations
 
 from .errors import CapExceededError, PreconditionError
 from .filterbank import canonical_lowpass
@@ -52,6 +50,7 @@ class SpectralPair:
         return self.verdict == "Dual"
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         sys = self.system
         p = sys.p
         return np.array(
@@ -88,6 +87,7 @@ def dual_matrix(sys: DigitSystem, dual) -> SpectralPair:
     )
     defect = 0.0
     if not exact:
+        import numpy as np
         m = SpectralPair(sys, dual, 0.0, False).matrix()
         defect = float(np.linalg.norm(m.conj().T @ m - np.eye(sys.p), 2))
     return SpectralPair(sys, dual, defect, exact)
@@ -226,6 +226,26 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
 
 # -- orthogonality of exponentials -------------------------------------------
 
+def _differences(exponents):
+    """d[i, j] = n_i - n_j, in Python integers where a difference could wrap
+    around int64."""
+    import numpy as np
+    exponents = list(exponents)
+    wide = max(map(abs, exponents), default=0) >= 2 ** 62
+    e = np.array(exponents, dtype=object if wide else None)
+    return np.subtract.outer(e, e)
+
+
+def _distinct(a):
+    """The sorted distinct entries of `a`; np.unique would import numpy.ma on
+    first use."""
+    import numpy as np
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.shape, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def exponential_gram(
     sys: DigitSystem, exponents, depth: int = DEFAULT_TRANSFORM_DEPTH
 ) -> np.ndarray:
@@ -236,16 +256,9 @@ def exponential_gram(
     the nonnegative ones and B(-k) = conj B(k) fills the rest, except where
     a part of B(k) is zero: a zero has no sign to mirror, so B(-k) is
     evaluated there."""
-    exponents = list(exponents)
-    # Python integers where a difference could wrap around int64
-    wide = max(map(abs, exponents), default=0) >= 2 ** 62
-    e = np.array(exponents, dtype=object if wide else None)
-    d = np.subtract.outer(e, e)  # d[i, j] = n_i - n_j, so G = table(d)^T
-    # sorted distinct differences; np.unique would import numpy.ma on first use
-    diffs = np.sort(d, axis=None)
-    keep = np.ones(diffs.shape, dtype=bool)
-    keep[1:] = diffs[1:] != diffs[:-1]
-    diffs = diffs[keep]
+    import numpy as np
+    d = _differences(exponents)  # G = table(d)^T
+    diffs = _distinct(d)
     transform = HutchinsonTransform(sys, depth)
     h = int(np.searchsorted(diffs, 0))  # diffs[:h] = -diffs[:h:-1] < 0 <= diffs[h:]
     table = np.empty(diffs.shape, dtype=complex)
@@ -253,10 +266,16 @@ def exponential_gram(
     mirror = table[:h:-1]
     table[:h] = mirror.conjugate()
     signless = (mirror.real == 0) | (mirror.imag == 0)
-    table[:h][signless] = transform.values(diffs[:h][signless])
+    if signless.any():
+        table[:h][signless] = transform.values(diffs[:h][signless])
     where = np.searchsorted(diffs, d)
     del d  # an n^2 array fewer at the peak, while table[where] is built
     return table[where].T
+
+
+def _partial_sums(vals) -> list[float]:
+    # a Python running sum: numpy's abs, square and cumsum need not give these bits
+    return list(accumulate(abs(v) ** 2 for v in vals.tolist()))
 
 
 def onb_defect(
@@ -273,13 +292,42 @@ def onb_defect(
     if not pair.is_dual:
         raise PreconditionError("onb_defect requires a Dual pair")
     vals = HutchinsonTransform(pair.system, depth).values([xi - n for n in prefix])
-    sums = []
-    acc = 0.0
-    # a Python running sum: numpy's abs, square and cumsum need not give these bits
-    for v in vals.tolist():
-        acc += abs(v) ** 2
-        sums.append(acc)
-    return sums
+    return _partial_sums(vals)
+
+
+def onb_check(
+    pair: SpectralPair,
+    xi: float,
+    prefix,
+    depth: int = DEFAULT_TRANSFORM_DEPTH,
+) -> tuple[float, list[float]]:
+    """max |G - I| over the entries of G = `exponential_gram(pair.system,
+    prefix, depth)`, and `onb_defect(pair, xi, prefix, depth)`, with their
+    bits, from one `values` call at the nonnegative distinct differences and
+    the points xi - n together (`values` works element by element).
+
+    G is never built.  Its entries B(k) and B(-k) = conj B(k) differ at most
+    in the signs of zero parts (the mirror of `exponential_gram`), so they
+    have one modulus and the nonnegative differences give the maximum.  With
+    distinct exponents the difference 0 lies on the diagonal and nowhere
+    else."""
+    import numpy as np
+    if not pair.is_dual:
+        raise PreconditionError("onb_check requires a Dual pair")
+    prefix = list(prefix)
+    if not prefix or len(set(prefix)) < len(prefix):
+        raise PreconditionError("onb_check requires a nonempty prefix of distinct exponents")
+    d = _differences(prefix)
+    ks = d[d >= 0]
+    del d  # an n^2 array fewer at the peak of the sort
+    ks = _distinct(ks)  # ks[0] = 0
+    points = np.asarray([xi - n for n in prefix], dtype=float)
+    vals = HutchinsonTransform(pair.system, depth).values(
+        np.concatenate((np.asarray(ks, dtype=float), points))
+    )
+    table = vals[: len(ks)]
+    table[0] -= 1
+    return float(np.max(np.abs(table))), _partial_sums(vals[len(ks):])
 
 
 def dual_transfer_eval(pair: SpectralPair, f, xi, n: int = 1) -> float:

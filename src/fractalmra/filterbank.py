@@ -17,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
 from .laurent import LaurentPolynomial, monomial, one, zero
@@ -122,6 +120,7 @@ def _identity_defect(
             )
     if exact_pass:
         return 0.0
+    import numpy as np
     ts = np.arange(samples) / samples
     sample_dev = 0.0
     values = [[gram[i][j].eval_turns(ts) for j in range(N)] for i in range(N)]

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapExceededError, InvalidDigitError, PreconditionError
 
 DEFAULT_TRANSFORM_DEPTH = 40
@@ -138,6 +136,7 @@ class HutchinsonTransform:
         order of operations, the complex product as real ufuncs (numpy's
         complex multiply rounds differently) and the result assembled
         through .real and .imag, which keeps signed zeros."""
+        import numpy as np
         sys = self.system
         kf = np.asarray(ks, dtype=float)
         re, im = np.ones_like(kf), np.zeros_like(kf)

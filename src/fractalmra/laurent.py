@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .scalars import Scalar, ZERO
 
 
@@ -127,6 +125,7 @@ class LaurentPolynomial:
 
     def eval_turns(self, t):
         """Evaluate at z = e^{2*pi*i*t}; t may be a float or a numpy array."""
+        import numpy as np
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for k, v in self.coeffs.items():

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     CapExceededError,
     CyclesFoundError,
@@ -155,7 +153,8 @@ def moment(op: TransferOperator, n: int) -> MomentEntry:
 @dataclass(frozen=True)
 class Cycle:
     """A finite orbit of theta -> N theta mod 1; angles are exact fractions
-    of a turn, values are |m0|^2 at the points."""
+    of a turn, values are |m0|^2 at the points (N at every point of a
+    `find_cycles` orbit)."""
 
     angles: tuple[Fraction, ...]
     values: tuple[float, ...]
@@ -255,11 +254,9 @@ def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleRep
             while todo:
                 orbit = _orbit_from(min(todo), M, N)
                 todo.difference_update(orbit)
+                # the division proved W = N exactly at every point
                 cycles.append(
-                    Cycle(
-                        tuple(Fraction(q, M) for q in orbit),
-                        tuple(float(weight.eval_turns(q / M).real) for q in orbit),
-                    )
+                    Cycle(tuple(Fraction(q, M) for q in orbit), (float(N),) * len(orbit))
                 )
     cycles.sort(key=lambda c: c.angles)
     return CycleReport(searched_length=L, scale=N, cycles=tuple(cycles))
@@ -383,6 +380,7 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
         raise PreconditionError("n must be >= 1")
     if grid < 2:
         raise PreconditionError("grid must be >= 2")
+    import numpy as np
     t = 2.0 * math.pi * np.arange(grid) / grid
     vals = np.full(grid, 1.0 / (2.0 * math.pi))
     for k in range(1, n + 1):

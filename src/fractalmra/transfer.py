@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import CapExceededError, PreconditionError
 from .laurent import LaurentPolynomial, one
 from .scalars import ONE, Scalar, ZERO
@@ -205,6 +203,7 @@ def _left_fixed_vectors(M) -> tuple[tuple[Scalar, ...], ...]:
 
 def spectral_block(op: TransferOperator) -> SpectralBlock:
     """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
+    import numpy as np
     matrix = np.array([[x.to_complex() for x in row] for row in op.block])
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 

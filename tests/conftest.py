@@ -1,6 +1,8 @@
 """Shared helpers: seeded exact random vectors, polynomials, and matrices."""
 
 import random
+import warnings
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,14 @@ import pytest
 from fractalmra import DigitSystem, LatticeVector, LaurentPolynomial, Scalar
 from fractalmra.filterbank import FilterBank, LoopMatrix
 from fractalmra.laurent import monomial, one, zero
+
+# To report a failing property, the hypothesis plugin imports this module
+# (and does without it when libcst is missing); its import of libcst warns
+# (DeprecationWarning), which -W error would turn into an INTERNALERROR that
+# hides the test's name and falsifying example.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

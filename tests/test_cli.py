@@ -4,10 +4,14 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -483,6 +487,53 @@ def test_stdout_matches_golden_digest(request_line, digest):
 
 def test_golden_digests_cover_every_subcommand():
     assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)
+
+
+# -- numpy only where floats are computed ----------------------------------------
+
+FRESH_RUN = """
+import contextlib, hashlib, io, json, sys
+import fractalmra, fractalmra.cli as cli
+results = [["import", None, None, "numpy" in sys.modules]]
+for line in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(line.split())
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    results.append([line, code, digest, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def fresh_run(*lines):
+    """[request, exit code, stdout sha256, numpy loaded] after importing the
+    package and after each request, in a new interpreter with this one's
+    warning and dev-mode flags."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    flags = [f"-W{w}" for w in sys.warnoptions] + (["-X", "dev"] if sys.flags.dev_mode else [])
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", FRESH_RUN, *lines],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    return [tuple(row) for row in json.loads(done.stdout)]
+
+
+def test_exact_tier_runs_never_load_numpy():
+    system = "--scale 3 --digits 0,2"
+    lines = [
+        f"{name} {system}"
+        for name in ("dimension", "moments", "replimit", "cascade", "gram", "filters", "cycles")
+    ]
+    assert fresh_run(*lines) == [("import", None, None, False)] + [
+        (line, 0, hashlib.sha256(run_cli(*line.split())[1].encode()).hexdigest(), False)
+        for line in lines
+    ]
+
+
+def test_first_numpy_import_mid_request_keeps_bytes():
+    line, digest = next((r, d) for r, d in GOLDEN_STDOUT if r.startswith("onb-check"))
+    assert fresh_run(line) == [("import", None, None, False), (line, 0, digest, True)]
 
 
 def census_requests():

@@ -15,6 +15,7 @@ from fractalmra.duality import (
     dual_transfer_eval,
     exponential_gram,
     lambda_set,
+    onb_check,
     onb_defect,
 )
 from fractalmra.filterbank import canonical_lowpass
@@ -390,6 +391,57 @@ def test_transform_values_bits_equal_scalar_loop():
             ref = [scalar_transform(transform.system, k, depth) for k in ks]
             assert bits(transform.values(ks)) == bits(ref), (N, S, depth)
             assert bits([transform.value(k) for k in ks]) == bits(ref), (N, S, depth)
+
+
+@pytest.mark.parametrize("family", [(6, 1, 2), (8, 2, 1), (9, 3, 1), (4, 2, 1), (6, 3, 1)])
+def test_onb_check_bits_equal_gram_and_defect(family):
+    for N, S, B in hadamard_translates(*family):
+        pair = dual_matrix(DigitSystem(N, S), B)
+        prefixes = [lambda_set(pair, 40).prefix, (-(2 ** 62), 5, 2 ** 62 + 1)]  # past int64
+        for prefix, xi, depth in itertools.product(prefixes, (0.0, 0.3, -2.5, 1e6), (5, 40)):
+            off, sums = onb_check(pair, xi, prefix, depth)
+            gram = exponential_gram(pair.system, prefix, depth)
+            gram.flat[::len(prefix) + 1] -= 1
+            assert bits([off]) == bits([np.max(np.abs(gram))]), (N, S, xi)
+            assert bits(sums) == bits(onb_defect(pair, xi, prefix, depth)), (N, S, xi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.sampled_from(TABLE_PAIRS),
+    exponents=st.lists(
+        st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 70, 2 ** 70)),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    xi=st.floats(-1e6, 1e6),
+)
+def test_onb_check_deviation_is_gram_deviation(pair, exponents, xi):
+    pair = dual_matrix(DigitSystem(*pair[:2]), pair[2])
+    off, sums = onb_check(pair, xi, exponents)
+    gram = exponential_gram(pair.system, exponents)
+    gram.flat[::len(exponents) + 1] -= 1
+    assert bits([off]) == bits([np.max(np.abs(gram))])
+    assert bits(sums) == bits(onb_defect(pair, xi, exponents))
+
+
+def test_onb_check_one_transform_call(c4_pair, monkeypatch):
+    calls = []
+    values = HutchinsonTransform.values
+    monkeypatch.setattr(
+        HutchinsonTransform, "values", lambda self, ks: calls.append(len(ks)) or values(self, ks)
+    )
+    prefix = lambda_set(c4_pair, 64).prefix
+    onb_check(c4_pair, 0.3, prefix)
+    # the nonnegative distinct differences and the 64 points xi - n share it
+    nonnegative = {b - a for a in prefix for b in prefix if b >= a}
+    assert calls == [len(nonnegative) + len(prefix)]
+    with pytest.raises(PreconditionError, match="Dual"):
+        onb_check(dual_matrix(DigitSystem(4, (0, 2)), (0, 2)), 0.3, prefix)
+    for bad in ((0, 1, 1), ()):
+        with pytest.raises(PreconditionError, match="distinct"):
+            onb_check(c4_pair, 0.3, bad)
 
 
 @st.composite
