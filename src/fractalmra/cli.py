@@ -14,7 +14,6 @@ subcommand.  Output is byte-identical across runs for a fixed configuration
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import io
@@ -719,6 +718,7 @@ def _render(command: Subcommand, args, obj) -> str:
         return _dumps(obj) + "\n"
     if args.format == "text":
         return command.text(obj)
+    import csv  # only --format csv needs it
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(command.csv(obj, args))
     return buf.getvalue()

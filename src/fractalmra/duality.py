@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
 from .filterbank import canonical_lowpass
@@ -32,8 +32,7 @@ B_CYCLE_WORD_CAP = 10 ** 6
 
 # -- dual pairs --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralPair:
+class SpectralPair(NamedTuple):
     """A digit system with a candidate dual digit set and its verdict."""
 
     system: DigitSystem
@@ -93,8 +92,7 @@ def dual_matrix(sys: DigitSystem, dual) -> SpectralPair:
     return SpectralPair(sys, dual, defect, exact)
 
 
-@dataclass(frozen=True)
-class LambdaSet:
+class LambdaSet(NamedTuple):
     """Sorted prefix of the candidate spectrum sum n_i N^i, n_i in B."""
 
     pair: SpectralPair
@@ -145,8 +143,7 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
             return LambdaSet(pair, tuple(ordered[:count]))
 
 
-@dataclass(frozen=True)
-class BCycle:
+class BCycle(NamedTuple):
     """A cycle of the inverse branches xi -> (xi - b)/N, reported by its
     torus angles, the digit word that closes it, and |m0|^2 at the points."""
 
@@ -158,8 +155,7 @@ class BCycle:
         return all(a == 0 for a in self.angles)
 
 
-@dataclass(frozen=True)
-class BCycleReport:
+class BCycleReport(NamedTuple):
     max_length: int
     cycles: tuple[BCycle, ...]
     trivial_only: bool
@@ -179,7 +175,7 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
     the test at xi_1 decides the whole cycle."""
     if K < 1:
         raise PreconditionError("K must be >= 1")
-    sys = pair.system
+    sys, dual = pair.system, pair.dual
     N, p = sys.scale, sys.p
     if max(p, 2) ** K > B_CYCLE_WORD_CAP:
         raise CapExceededError(f"p^K exceeds cap {B_CYCLE_WORD_CAP}")
@@ -190,7 +186,7 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
     found: list[BCycle] = []
     words: list[tuple[int, ...]] = [()]
     for _ in range(K):
-        words = [w + (b,) for w in words for b in pair.dual]
+        words = [w + (b,) for w in words for b in dual]
         for word in words:
             k = len(word)
             modulus = N ** k - 1

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
@@ -52,30 +51,31 @@ def detail_filters(sys: DigitSystem) -> list[LaurentPolynomial]:
     return out
 
 
-@dataclass(frozen=True)
 class FilterBank:
-    """An N-tuple of filters (m_0, ..., m_{N-1}) over scale N."""
+    """An N-tuple of filters (m_0, ..., m_{N-1}) over scale N; immutable."""
 
-    scale: int
-    filters: tuple[LaurentPolynomial, ...]
+    __slots__ = ("scale", "filters")
 
-    def __post_init__(self):
-        if len(self.filters) != self.scale:
+    def __init__(self, scale: int, filters: tuple[LaurentPolynomial, ...]):
+        if len(filters) != scale:
             raise PreconditionError(
-                f"bank over scale {self.scale} needs {self.scale} filters, "
-                f"got {len(self.filters)}"
+                f"bank over scale {scale} needs {scale} filters, "
+                f"got {len(filters)}"
             )
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "filters", filters)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r} of a FilterBank")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, (self.scale, self.filters)
 
     @property
     def is_exact(self) -> bool:
         return all(f.is_exact for f in self.filters)
-
-    def reordered(self, perm) -> "FilterBank":
-        """Permute the filters (ordering is a convention, not a property)."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.scale)):
-            raise PreconditionError(f"not a permutation of 0..{self.scale - 1}: {perm}")
-        return FilterBank(self.scale, tuple(self.filters[i] for i in perm))
 
 
 def build_bank(sys: DigitSystem) -> FilterBank:
@@ -139,19 +139,25 @@ def unitarity_defect(bank: FilterBank, samples: int = 64) -> float:
     return _identity_defect(gram, bank.is_exact, samples)
 
 
-@dataclass(frozen=True)
 class LoopMatrix:
     """An N x N matrix of Laurent polynomials, acting on banks by
-    m -> A(z^N) m(z)."""
+    m -> A(z^N) m(z); immutable."""
 
-    scale: int
-    entries: tuple[tuple[LaurentPolynomial, ...], ...]
+    __slots__ = ("scale", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.scale or any(
-            len(row) != self.scale for row in self.entries
-        ):
+    def __init__(self, scale: int, entries: tuple[tuple[LaurentPolynomial, ...], ...]):
+        if len(entries) != scale or any(len(row) != scale for row in entries):
             raise PreconditionError("loop matrix must be N x N")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r} of a LoopMatrix")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, (self.scale, self.entries)
 
     @classmethod
     def identity(cls, N: int) -> "LoopMatrix":

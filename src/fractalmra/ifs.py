@@ -10,7 +10,6 @@ Cantor set is (3, {0, 2}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, InvalidDigitError, PreconditionError
@@ -18,12 +17,13 @@ from .errors import CapExceededError, InvalidDigitError, PreconditionError
 DEFAULT_TRANSFORM_DEPTH = 40
 
 
-@dataclass(frozen=True, init=False)
 class DigitSystem:
-    """Scale N >= 2 together with a nonempty set of digits in {0, ..., N-1}."""
+    """Scale N >= 2 together with a nonempty set of digits in {0, ..., N-1}.
 
-    scale: int
-    digits: tuple[int, ...]
+    Immutable; two systems are equal, and hash equal, when their scales and
+    digit sets agree.  A system never equals a plain (scale, digits) tuple."""
+
+    __slots__ = ("scale", "digits")
 
     def __init__(self, scale: int, digits):
         digits = tuple(sorted(int(d) for d in digits))
@@ -40,6 +40,25 @@ class DigitSystem:
         object.__setattr__(self, "scale", int(scale))
         object.__setattr__(self, "digits", digits)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r} of a DigitSystem")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, (self.scale, self.digits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scale == other.scale and self.digits == other.digits
+
+    def __hash__(self):
+        return hash((self.scale, self.digits))
+
+    def __repr__(self):
+        return f"DigitSystem(scale={self.scale!r}, digits={self.digits!r})"
+
     @property
     def p(self) -> int:
         """Number of digits (= number of IFS branches)."""
@@ -51,22 +70,14 @@ class DigitSystem:
         used = set(self.digits)
         return tuple(d for d in range(self.scale) if d not in used)
 
-    def map_point(self, digit: int, x: Fraction) -> Fraction:
-        """Apply the branch sigma_digit(x) = (x + digit)/N."""
-        if digit not in self.digits:
-            raise InvalidDigitError(f"{digit} is not a digit of {self}")
-        return (x + digit) / self.scale
-
     def __str__(self):
         return f"({self.scale},{{{','.join(map(str, self.digits))}}})"
 
 
-@dataclass(frozen=True, init=False)
 class CylinderAddress:
     """A depth-n cylinder of the attractor, addressed by its digit word."""
 
-    system: DigitSystem
-    word: tuple[int, ...]
+    __slots__ = ("system", "word")
 
     def __init__(self, system: DigitSystem, word):
         word = tuple(int(a) for a in word)
@@ -77,6 +88,14 @@ class CylinderAddress:
                 raise InvalidDigitError(f"letter {a} not in digit set {system.digits}")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r} of a CylinderAddress")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, (self.system, self.word)
 
     @property
     def depth(self) -> int:

@@ -53,13 +53,6 @@ class LaurentPolynomial:
             return 0
         return max(abs(k) for k in self.coeffs)
 
-    def coefficient_norm_sq(self) -> Scalar:
-        """sum_k |a_k|^2 (Parseval norm on the torus)."""
-        total = ZERO
-        for c in self.coeffs.values():
-            total = total + c.abs_sq()
-        return total
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":

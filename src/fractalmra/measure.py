@@ -13,7 +13,6 @@ measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,12 +50,14 @@ class MomentEntry(NamedTuple):
     status = STABILIZED  # unannotated: a class attribute, not a field
 
 
-@dataclass
 class MomentTable:
     """Moments nu^(n) for |n| <= range, symmetric under conjugation."""
 
-    scale: int
-    entries: dict[int, MomentEntry] = field(default_factory=dict)
+    __slots__ = ("scale", "entries")
+
+    def __init__(self, scale: int, entries: dict[int, MomentEntry] | None = None):
+        self.scale = scale
+        self.entries = {} if entries is None else entries
 
     def covers(self, K: int) -> bool:
         return all(n in self.entries for n in range(-K, K + 1))
@@ -150,8 +151,7 @@ def moment(op: TransferOperator, n: int) -> MomentEntry:
     return moment_table(op, abs(n)).entries[n]
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A finite orbit of theta -> N theta mod 1; angles are exact fractions
     of a turn, values are |m0|^2 at the points (N at every point of a
     `find_cycles` orbit)."""
@@ -167,8 +167,7 @@ class Cycle:
         return self.angles == (Fraction(0),)
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     searched_length: int
     scale: int
     cycles: tuple[Cycle, ...]
@@ -262,16 +261,14 @@ def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleRep
     return CycleReport(searched_length=L, scale=N, cycles=tuple(cycles))
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(NamedTuple):
     """An extreme invariant measure supported on one cycle, uniform weights."""
 
     cycle: Cycle
     weights: tuple[Fraction, ...]
 
 
-@dataclass
-class SupportClassification:
+class SupportClassification(NamedTuple):
     """Either full support (with its moment table) or atomic on cycles."""
 
     kind: str  # "full_support" | "atomic_on_cycles"
@@ -343,8 +340,7 @@ class WienerRow(NamedTuple):
     ratio: Scalar | None
 
 
-@dataclass(frozen=True)
-class WienerProfile:
+class WienerProfile(NamedTuple):
     rows: tuple[WienerRow, ...]
 
 
@@ -397,8 +393,7 @@ def tail_measure(table: MomentTable, n: int, f: LaurentPolynomial) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class FilterComparison:
+class FilterComparison(NamedTuple):
     verdict: str  # "SameMeasure" | "DifferentMeasure"
     max_difference: float
     same_modulus: bool | None

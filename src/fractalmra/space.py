@@ -22,10 +22,10 @@ cascade iterations, correlation polynomials and Gram sections are exact.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -101,20 +101,6 @@ class LatticeVector:
             for k, v in self.poly.items()
         )
         return f"LatticeVector(res={self.resolution}, {{{terms}}})"
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for k, v in self.poly.items():
-            s = v.exact_str()
-            if s is None:
-                z = v.to_complex()
-                s = [z.real, z.imag]
-            entries.append([k, s])
-        return {
-            "system": {"scale": self.system.scale, "digits": list(self.system.digits)},
-            "resolution": self.resolution,
-            "entries": entries,
-        }
 
 
 def basis_delta(sys: DigitSystem, n: int, k: int) -> LatticeVector:
@@ -273,15 +259,19 @@ def wavelet_generators(sys: DigitSystem) -> list[LatticeVector]:
     return [cascade_step(phi, m) for m in bank.filters[1:]]
 
 
-@dataclass
 class GramSection:
     """Finite Gram matrix of dilated translates of a family of generators.
 
     Only the nonzero entries are stored, keyed (row, column) in row-major
     order; `matrix` is the dense view, built on first use."""
 
-    labels: tuple[tuple[int, int, int], ...]  # (generator index, scale j, translate k)
-    entries: dict[tuple[int, int], Scalar]
+    def __init__(
+        self,
+        labels: tuple[tuple[int, int, int], ...],  # (generator index, scale j, translate k)
+        entries: dict[tuple[int, int], Scalar],
+    ):
+        self.labels = labels
+        self.entries = entries
 
     @property
     def size(self) -> int:
@@ -382,8 +372,7 @@ def gram_section(
     return GramSection(labels, dict(sorted(entries.items())))
 
 
-@dataclass(frozen=True)
-class CascadeRow:
+class CascadeRow(NamedTuple):
     """One step of a cascade experiment, with the transfer-side cross-check."""
 
     n: int

@@ -9,8 +9,8 @@ support and cascade dichotomies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
 from .laurent import LaurentPolynomial, one
@@ -82,9 +82,6 @@ class TransferOperator:
             return 0.0
         return max(abs(c.to_complex()) for c in diff.coeffs.values())
 
-    def is_normalized(self) -> bool:
-        return self.normalization_defect() == 0.0
-
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """(Rf)^(m) = sum_b W^(Nm - b) f^(b): the Haar average of W f."""
         return apply_haar_average(self.scale, self.weight * f, 1)
@@ -142,8 +139,7 @@ class TransferOperator:
         return total
 
 
-@dataclass
-class SpectralBlock:
+class SpectralBlock(NamedTuple):
     """Dense realization of the transfer operator on its invariant
     coefficient block [-D, D], with eigendata and peripheral flags."""
 

@@ -489,51 +489,57 @@ def test_golden_digests_cover_every_subcommand():
     assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)
 
 
-# -- numpy only where floats are computed ----------------------------------------
+# -- numpy, dataclasses and csv only where they are needed -----------------------
+
+WATCHED = ("csv", "dataclasses", "numpy")
 
 FRESH_RUN = """
 import contextlib, hashlib, io, json, sys
 import fractalmra, fractalmra.cli as cli
-results = [["import", None, None, "numpy" in sys.modules]]
-for line in sys.argv[1:]:
+watched = sys.argv[1].split(",")
+def loaded():
+    return [name for name in watched if name in sys.modules]
+results = [["import", None, None, loaded()]]
+for line in sys.argv[2:]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(line.split())
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    results.append([line, code, digest, "numpy" in sys.modules])
+    results.append([line, code, digest, loaded()])
 print(json.dumps(results))
 """
 
 
 def fresh_run(*lines):
-    """[request, exit code, stdout sha256, numpy loaded] after importing the
-    package and after each request, in a new interpreter with this one's
-    warning and dev-mode flags."""
+    """[request, exit code, stdout sha256, the WATCHED modules loaded] after
+    importing the package and after each request, in a new interpreter with
+    this one's warning and dev-mode flags."""
     src = str(Path(cli.__file__).resolve().parents[1])
     flags = [f"-W{w}" for w in sys.warnoptions] + (["-X", "dev"] if sys.flags.dev_mode else [])
     done = subprocess.run(
-        [sys.executable, *flags, "-c", FRESH_RUN, *lines],
+        [sys.executable, *flags, "-c", FRESH_RUN, ",".join(WATCHED), *lines],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0 and not done.stderr, done.stderr
-    return [tuple(row) for row in json.loads(done.stdout)]
+    return [(*row[:3], tuple(row[3])) for row in json.loads(done.stdout)]
 
 
 def test_exact_tier_runs_never_load_numpy():
+    """Nor dataclasses or csv, which no request in the json format needs."""
     system = "--scale 3 --digits 0,2"
     lines = [
         f"{name} {system}"
         for name in ("dimension", "moments", "replimit", "cascade", "gram", "filters", "cycles")
     ]
-    assert fresh_run(*lines) == [("import", None, None, False)] + [
-        (line, 0, hashlib.sha256(run_cli(*line.split())[1].encode()).hexdigest(), False)
+    assert fresh_run(*lines) == [("import", None, None, ())] + [
+        (line, 0, hashlib.sha256(run_cli(*line.split())[1].encode()).hexdigest(), ())
         for line in lines
     ]
 
 
 def test_first_numpy_import_mid_request_keeps_bytes():
     line, digest = next((r, d) for r, d in GOLDEN_STDOUT if r.startswith("onb-check"))
-    assert fresh_run(line) == [("import", None, None, False), (line, 0, digest, True)]
+    assert fresh_run(line) == [("import", None, None, ()), (line, 0, digest, ("numpy",))]
 
 
 def census_requests():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -71,6 +73,27 @@ def test_unitarity_defect_examples(cantor3, cantor4):
     assert unitarity_defect(bad) >= 0.5
 
 
+def test_bank_and_loop_records(cantor3):
+    bank = build_bank(cantor3)
+    A = LoopMatrix.identity(3)
+    for record, name in ((bank, "scale"), (bank, "filters"), (A, "scale"), (A, "entries")):
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(PreconditionError):
+        FilterBank(3, bank.filters[:2])
+    with pytest.raises(PreconditionError):
+        LoopMatrix(3, A.entries[:2])
+    with pytest.raises(PreconditionError):
+        LoopMatrix(3, (A.entries[0][:2],) + A.entries[1:])
+    copied = pickle.loads(pickle.dumps(bank))
+    assert (copied.scale, copied.filters) == (3, bank.filters)
+    assert copy.deepcopy(A).entries == A.entries
+
+
 def test_unitarity_all_systems_up_to_scale_8():
     for N in range(2, 9):
         for r in range(1, N + 1):
@@ -95,7 +118,8 @@ def test_pairing_parseval():
         coeffs = {rng.randint(-5, 5): Fraction(rng.randint(-3, 3), 2) for _ in range(4)}
         m = LaurentPolynomial(coeffs)
         N = rng.choice([2, 3, 4])
-        assert pairing(m, m, N)[0] == m.coefficient_norm_sq()
+        norm_sq = sum((c.abs_sq() for c in m.coeffs.values()), Scalar(0))
+        assert pairing(m, m, N)[0] == norm_sq
 
 
 def test_loop_apply_examples(cantor3, haar2):
@@ -198,10 +222,3 @@ def test_unitarity_defect_rejects_sample_counts_below_one():
     assert half.unitarity_defect(samples=1) == 0.75
 
 
-def test_reordered():
-    bank = build_bank(DigitSystem(4, (0, 2)))
-    perm = bank.reordered((0, 3, 1, 2))
-    assert perm.filters[1] == bank.filters[3]
-    assert unitarity_defect(perm) == 0.0
-    with pytest.raises(PreconditionError):
-        bank.reordered((0, 0, 1, 2))

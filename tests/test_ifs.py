@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fractalmra.errors import CapExceededError, InvalidDigitError, PreconditionError
 from fractalmra.ifs import (
@@ -26,6 +29,38 @@ def test_digit_validation():
         DigitSystem(3, ())
     with pytest.raises(PreconditionError):
         DigitSystem(1, (0,))
+
+
+@given(st.integers(2, 12).flatmap(lambda N: st.tuples(
+    st.just(N), st.lists(st.integers(0, N - 1), min_size=1, unique=True))))
+@example((3, [2, 0]))
+def test_digit_system_is_a_value(system):
+    N, digits = system
+    a, b = DigitSystem(N, digits), DigitSystem(N, sorted(digits, reverse=True))
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a.digits == tuple(sorted(digits)) and len({a, b}) == 1
+    assert a != (N, a.digits) and (N, a.digits) != a
+    assert a != DigitSystem(N + 1, digits)
+    for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert other == a and hash(other) == hash(a)
+
+
+def test_records_are_immutable(cantor3):
+    addr = CylinderAddress(cantor3, (2, 0))
+    for record, name, value in ((cantor3, "scale", 4), (cantor3, "digits", (0, 1)),
+                                (cantor3, "p", 3), (addr, "word", (0,)), (addr, "system", None)):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (cantor3.scale, cantor3.digits, addr.word) == (3, (0, 2), (2, 0))
+    assert pickle.loads(pickle.dumps(addr)).word == (2, 0)
+
+
+def test_digit_system_text():
+    system = DigitSystem(3, (2, 0))
+    assert repr(system) == "DigitSystem(scale=3, digits=(0, 2))"
+    assert str(system) == "(3,{0,2})"
 
 
 def test_hausdorff_dimension_values(cantor3, cantor4):
@@ -62,7 +97,7 @@ def test_attractor_refinement_invariant(cantor3):
             coarse = attractor_sample(sys, n)
             fine = set(attractor_sample(sys, n + 1))
             for a in sys.digits:
-                assert all(sys.map_point(a, x) in fine for x in coarse)
+                assert all((x + a) / sys.scale in fine for x in coarse)
 
 
 def test_transform_normalization(cantor3):

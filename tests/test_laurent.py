@@ -72,11 +72,6 @@ def test_eval_turns_array():
     assert vals[2] == pytest.approx(1)
 
 
-def test_coefficient_norm_sq():
-    f = LaurentPolynomial({0: Scalar.inv_sqrt(2), 2: Scalar.inv_sqrt(2)})
-    assert f.coefficient_norm_sq() == Scalar(1)
-
-
 def test_degree_and_equality():
     assert zero().degree() == 0
     assert constant(5).degree() == 0

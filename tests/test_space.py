@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
@@ -608,21 +607,6 @@ def test_cylinder_norm(cantor3):
     for word in ((2,), (2, 0), (0, 0, 2)):
         v = cylinder_vector(CylinderAddress(cantor3, word))
         assert v.norm_sq() == Scalar(Fraction(1, 2 ** len(word)))
-
-
-def test_serialization_round_trip(cantor3):
-    rng = random.Random(97)
-    v = random_vector(cantor3, rng)
-    payload = json.dumps(v.to_json_dict(), sort_keys=True)
-    data = json.loads(payload)
-    assert data["resolution"] == v.resolution
-    assert data["system"] == {"scale": 3, "digits": [0, 2]}
-    for k, rendered in data["entries"]:
-        if isinstance(rendered, str):
-            assert v.coeffs[k].exact_str() == rendered
-        else:
-            z = v.coeffs[k].to_complex()
-            assert rendered == [z.real, z.imag]
 
 
 # -- the lattice model as Laurent polynomials, against the hand-written loops --

@@ -173,4 +173,3 @@ def test_normalization_defect():
         LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)}), 2
     )
     assert op.normalization_defect() == 0.5
-    assert not op.is_normalized()
