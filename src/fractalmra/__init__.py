@@ -80,7 +80,6 @@ from .space import (
     CascadeRow,
     GramSection,
     LatticeVector,
-    apply_dilation,
     apply_filter,
     apply_shift,
     basis_delta,

@@ -30,7 +30,7 @@ from . import duality as dual_mod
 from . import measure as measure_mod
 from .errors import CapExceededError, FractalMRAError, PreconditionError
 from .filterbank import build_bank, canonical_lowpass, unitarity_defect
-from .ifs import DigitSystem, hausdorff_dimension
+from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, hausdorff_dimension
 from .laurent import LaurentPolynomial, monomial
 from .space import (
     cascade_experiment,
@@ -42,9 +42,8 @@ from .transfer import TransferOperator, spectral_block
 
 DEFAULT_MOMENT_RANGE = 256
 DEFAULT_CASCADE_STEPS = 8
-DEFAULT_PRODUCT_DEPTH = 40
 
-# the three reference dual systems tabulated by the `table` subcommand
+# the four reference dual systems tabulated by the `table` subcommand
 TABLE_SYSTEMS = (
     (4, (0, 2), (0, 1)),
     (6, (0, 3), (0, 1)),
@@ -178,19 +177,9 @@ def _moments_csv(obj, args):
     ]
 
 
-def _feasible_cycle_length(N: int, requested: int) -> int:
-    """Longest length within the library's point cap, at most `requested`."""
-    if requested < 1:
-        raise PreconditionError("cycle length must be >= 1")
-    L = 1
-    while L < requested and N ** (L + 1) - 1 <= measure_mod.CYCLE_POINT_CAP:
-        L += 1
-    return L
-
-
 def _run_cycles(args):
     sys_, head = _system(args)
-    length = _feasible_cycle_length(sys_.scale, args.length)
+    length = measure_mod.feasible_cycle_length(sys_.scale, args.length)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     report = measure_mod.find_cycles(op, length)
     return {
@@ -211,7 +200,7 @@ def _run_cycles(args):
 
 def _run_classify(args):
     sys_, head = _system(args)
-    length = _feasible_cycle_length(sys_.scale, args.length)
+    length = measure_mod.feasible_cycle_length(sys_.scale, args.length)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     cls = measure_mod.classify_support(op, length)
     obj = {
@@ -481,13 +470,13 @@ COMMANDS = {
     ),
     "cycles": Subcommand(
         _run_cycles, "cycles of theta -> N theta carrying peak weight", True,
-        (_arg("--length", "max cycle length (clamped to the point cap)",
+        (_arg("--length", "max cycle length (clamped to keep N^L - 1 within the cycle cap)",
               type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
         lambda o: f"{o['verdict']}: {[c['angles'] for c in o['cycles']]!r}\n",
     ),
     "classify": Subcommand(
         _run_classify, "support dichotomy of the invariant measure", True,
-        (_arg("--length", "max cycle length (clamped to the point cap)",
+        (_arg("--length", "max cycle length (clamped to keep N^L - 1 within the cycle cap)",
               type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
         lambda o: f"{o['kind']}\n",
     ),
@@ -502,7 +491,7 @@ COMMANDS = {
         _run_onb_check, "exponential Gram and spectral partial sums", True,
         (_arg("--dual", "comma-separated dual digits", required=True),
          _arg("--count", "spectrum prefix length", type=int, default=8),
-         _arg("--depth", "transform product depth", type=int, default=DEFAULT_PRODUCT_DEPTH),
+         _arg("--depth", "transform product depth", type=int, default=DEFAULT_TRANSFORM_DEPTH),
          _arg("--xi", "frequency for the partial sums", type=float, default=0.0)),
         lambda o: (
             f"gram deviation {o['gram_max_deviation']!r}; partial sums "

@@ -22,12 +22,13 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
 from .filterbank import canonical_lowpass
-from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
+from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform, digit_sums
 from .laurent import vanishes_at_primitive_roots
 
 LAMBDA_CAP = 10 ** 6
 SIGNED_LAMBDA_DEPTH = 12
 B_CYCLE_WORD_CAP = 10 ** 6
+DIFFERENCE_CAP = 4096 ** 2  # pairwise exponent differences: 128 MiB of int64
 
 
 # -- dual pairs --------------------------------------------------------------
@@ -102,13 +103,12 @@ class LambdaSet(NamedTuple):
 def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
     """First `count` elements of Lambda_N(B) in increasing order.
 
-    Nonnegative dual digits: breadth-first growth by digit position, exact.
-    Signed dual digits make Lambda two-sided and non-monotone in string
-    length, so only strings up to SIGNED_LAMBDA_DEPTH digits are enumerated
-    and the prefix collects the `count` elements of smallest magnitude,
-    sorted ascending; the p^SIGNED_LAMBDA_DEPTH strings are capped at
-    LAMBDA_CAP, whatever `count` asks for.
-    """
+    Distinct residues mod N keep the strings (`ifs.digit_sums`) distinct,
+    and 0 in B puts the shorter strings among those of n digits.  Signed dual
+    digits make Lambda two-sided and non-monotone in string length, so the
+    prefix collects the `count` strings of SIGNED_LAMBDA_DEPTH digits of
+    smallest magnitude, sorted ascending; those p^SIGNED_LAMBDA_DEPTH strings
+    are capped at LAMBDA_CAP, whatever `count` asks for."""
     if not pair.is_dual:
         raise PreconditionError("lambda_set requires a Dual pair")
     if count < 1:
@@ -122,25 +122,18 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
             raise CapExceededError(
                 f"p^{SIGNED_LAMBDA_DEPTH} signed dual strings exceed cap {LAMBDA_CAP}"
             )
-        values = {0}
-        layer = {0}
-        for _ in range(SIGNED_LAMBDA_DEPTH):
-            layer = {b + N * t for t in layer for b in B}
-            values |= layer
-        nearest = sorted(values, key=lambda n: (abs(n), n))[:count]
+        strings = digit_sums(B, N, SIGNED_LAMBDA_DEPTH)
+        nearest = sorted(strings, key=lambda n: (abs(n), n))[:count]
         return LambdaSet(pair, tuple(sorted(nearest)))
-    values = {0}
-    depth = 0
-    while True:
+    depth, strings = 0, [0]
+    # a string with a nonzero digit at position `depth` or past it is at least
+    # N^depth, so the prefix is final once `count` strings lie below N^depth
+    while len(B) > 1 and (
+        len(strings) < count or count > sum(map((N ** depth).__gt__, strings))
+    ):
         depth += 1
-        new = {b + N * t for t in values for b in B}
-        grew = not new <= values
-        values |= new
-        ordered = sorted(values)
-        if len(ordered) >= count and N ** depth > ordered[count - 1]:
-            return LambdaSet(pair, tuple(ordered[:count]))
-        if not grew:
-            return LambdaSet(pair, tuple(ordered[:count]))
+        strings = digit_sums(B, N, depth)
+    return LambdaSet(pair, tuple(sorted(strings)[:count]))
 
 
 class BCycle(NamedTuple):
@@ -184,24 +177,16 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
 
     seen: set[frozenset] = set()
     found: list[BCycle] = []
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(K):
-        words = [w + (b,) for w in words for b in dual]
-        for word in words:
-            k = len(word)
-            modulus = N ** k - 1
-            # value of the word read with b_k in the units place
-            c = 0
-            for b in word:
-                c = c * N + b
+    # each word with its value c, read with b_k in the units place
+    words: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for k in range(1, K + 1):
+        words = [(w + (b,), c * N + b) for w, c in words for b in dual]
+        modulus = N ** k - 1
+        for word, c in words:
             if g * c % modulus:
                 continue
-            angles = []
-            cs = c
-            for _ in range(k):
-                angles.append(Fraction(cs, modulus) % 1)
-                # rotating the word multiplies the value by N mod (N^k - 1)
-                cs = (cs * N) % modulus
+            # rotating the word multiplies the value by N mod (N^k - 1)
+            angles = [Fraction(c * N ** i % modulus, modulus) for i in range(k)]
             key = frozenset(angles)
             if key in seen:
                 continue
@@ -224,9 +209,14 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
 
 def _differences(exponents):
     """d[i, j] = n_i - n_j, in Python integers where a difference could wrap
-    around int64."""
-    import numpy as np
+    around int64; refused past DIFFERENCE_CAP entries before any is built."""
     exponents = list(exponents)
+    n = len(exponents)
+    if n * n > DIFFERENCE_CAP:
+        raise CapExceededError(
+            f"{n}^2 exponent differences exceed cap {DIFFERENCE_CAP}"
+        )
+    import numpy as np
     wide = max(map(abs, exponents), default=0) >= 2 ** 62
     e = np.array(exponents, dtype=object if wide else None)
     return np.subtract.outer(e, e)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
+from .errors import CapExceededError, NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
 from .transfer import apply_haar_average
 
 UNITARITY_TOL = 1e-8
+UNITARITY_SAMPLE_CAP = 10 ** 4
 
 
 def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:
@@ -106,6 +107,8 @@ def _identity_defect(
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
+    if samples > UNITARITY_SAMPLE_CAP:
+        raise CapExceededError(f"samples capped at {UNITARITY_SAMPLE_CAP}")
     N = len(gram)
     coeff_dev = 0.0
     exact_pass = exact
@@ -158,15 +161,6 @@ class LoopMatrix:
 
     def __reduce__(self):
         return self.__class__, (self.scale, self.entries)
-
-    @classmethod
-    def identity(cls, N: int) -> "LoopMatrix":
-        return cls(
-            N,
-            tuple(
-                tuple(one() if i == j else zero() for j in range(N)) for i in range(N)
-            ),
-        )
 
     @classmethod
     def diagonal(cls, diag) -> "LoopMatrix":

@@ -27,6 +27,8 @@ class DigitSystem:
 
     def __init__(self, scale: int, digits):
         digits = tuple(sorted(int(d) for d in digits))
+        if scale != int(scale):
+            raise PreconditionError(f"scale must be an integer, got {scale!r}")
         if scale < 2:
             raise PreconditionError(f"scale must be >= 2, got {scale}")
         if not digits:
@@ -122,17 +124,24 @@ def cylinder_translate_index(addr: CylinderAddress) -> tuple[int, int]:
     return n, l
 
 
+def digit_sums(digits, N: int, n: int) -> list[int]:
+    """The base-N strings sum_{i<n} a_i N^i with every a_i in `digits`, the
+    first letter most significant: [N * e + a for e in sums for a in digits],
+    n times over [0]."""
+    sums = [0]
+    for _ in range(n):
+        sums = [N * e + a for e in sums for a in digits]
+    return sums
+
+
 def attractor_sample(sys: DigitSystem, depth: int, cap: int = 10 ** 6) -> list[Fraction]:
     """Left endpoints of all depth-n cylinders, as exact sorted rationals."""
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     if sys.p ** depth > cap:
         raise CapExceededError(f"p^depth = {sys.p ** depth} exceeds cap {cap}")
-    points = [Fraction(0)]
-    for level in range(1, depth + 1):
-        scale = Fraction(1, sys.scale ** level)
-        points = [x + a * scale for x in points for a in sys.digits]
-    return sorted(points)
+    q = sys.scale ** depth
+    return sorted(Fraction(e, q) for e in digit_sums(sys.digits, sys.scale, depth))
 
 
 class HutchinsonTransform:

@@ -185,6 +185,24 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return _poly_trim(q), num
 
 
+def _prime_factors(n: int, bound: int) -> list[tuple[int, int]]:
+    """The primes q <= bound dividing n >= 1, ascending, with exponents; trial
+    division stops at the square root of what remains, then 1 or prime."""
+    factors = []
+    rest, q = n, 2
+    while q <= bound and q * q <= rest:
+        if rest % q == 0:
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            factors.append((q, e))
+        q += 1
+    if 1 < rest <= bound:
+        factors.append((rest, 1))
+    return factors
+
+
 def _cyclotomic(M: int, _cache={}) -> list[int]:
     """Coefficients of the M-th cyclotomic polynomial (ascending).
 
@@ -193,14 +211,8 @@ def _cyclotomic(M: int, _cache={}) -> list[int]:
     with mu = 1, then divide exactly by those with mu = -1, each in O(deg)."""
     if M not in _cache:
         mu = {1: 1}  # over the squarefree divisors of M
-        rest, f = M, 2
-        while rest > 1:
-            f = f if f * f <= rest else rest  # rest is prime past its root
-            if rest % f == 0:
-                mu.update({e * f: -s for e, s in mu.items()})
-                while rest % f == 0:
-                    rest //= f
-            f += 1
+        for q, _ in _prime_factors(M, M):
+            mu.update({e * q: -s for e, s in mu.items()})
         c = [1]
         for e, s in sorted(mu.items(), key=lambda t: -t[1]):
             d = M // e

@@ -22,7 +22,7 @@ from .errors import (
     NotNormalizedError,
     PreconditionError,
 )
-from .laurent import LaurentPolynomial, vanishes_at_primitive_roots
+from .laurent import LaurentPolynomial, _prime_factors, vanishes_at_primitive_roots
 from .scalars import Scalar, ZERO, _exact
 from .transfer import TransferOperator, apply_haar_average, spectral_block
 
@@ -31,6 +31,8 @@ STABILIZED = "stabilized"
 DEFAULT_CYCLE_LENGTH = 12
 CYCLE_POINT_CAP = 10 ** 9
 CLASSIFY_MOMENT_RANGE = 16
+RIESZ_DEPTH_CAP = 31  # past it, doubles space the phases 2 * 3^k t over a radian apart
+RIESZ_GRID_CAP = 10 ** 5
 
 
 # a row of a table built without a Python-level call: _row(cls, (field, ...))
@@ -163,9 +165,6 @@ class Cycle(NamedTuple):
     def length(self) -> int:
         return len(self.angles)
 
-    def is_trivial(self) -> bool:
-        return self.angles == (Fraction(0),)
-
 
 class CycleReport(NamedTuple):
     searched_length: int
@@ -189,30 +188,27 @@ def _orbit_from(j: int, modulus: int, N: int) -> list[int]:
 def _divisors_with_small_totient(n: int, bound: int) -> list[int]:
     """Divisors M of n with phi(M) <= bound.
 
-    A prime q dividing M adds the factor q - 1 to phi(M), so only primes up
-    to bound + 1 are divided out of n; trial division also stops at the
-    square root of what remains, which is then 1 or prime."""
-    factors = []
-    rest = n
-    q = 2
-    while q <= bound + 1 and q * q <= rest:
-        if rest % q == 0:
-            e = 0
-            while rest % q == 0:
-                rest //= q
-                e += 1
-            factors.append((q, e))
-        q += 1
-    if 1 < rest <= bound + 1:
-        factors.append((rest, 1))
+    A prime q dividing M adds the factor q - 1 to phi(M), so only the primes
+    up to bound + 1 are divided out of n."""
     divisors = [(1, 1)]
-    for q, e in factors:
+    for q, e in _prime_factors(n, bound + 1):
         divisors += [
             (m * q ** i, phi * (q - 1) * q ** (i - 1))
             for m, phi in divisors
             for i in range(1, e + 1)
         ]
     return [m for m, phi in divisors if phi <= bound]
+
+
+def feasible_cycle_length(N: int, requested: int) -> int:
+    """Longest length L <= `requested` with N^L - 1 within CYCLE_POINT_CAP,
+    the bound `find_cycles` enforces (at least 1)."""
+    if requested < 1:
+        raise PreconditionError("cycle length must be >= 1")
+    L = 1
+    while L < requested and N ** (L + 1) - 1 <= CYCLE_POINT_CAP:
+        L += 1
+    return L
 
 
 def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleReport:
@@ -289,10 +285,10 @@ def classify_support(
     invariant measure per orbit, uniform on the orbit (the normalization
     forces weight N on cycle points and 0 on their sibling preimages).
     """
-    defect = op.normalization_defect()
-    if defect > 1e-12:
+    if not op.fixes_constant:
         raise NotNormalizedError(
-            f"filter is not transfer-normalized: R(1) deviates by {defect:.3e}"
+            "filter is not transfer-normalized: R(1) deviates by "
+            f"{op.normalization_defect():.3e}"
         )
     report = find_cycles(op, L)
     block = spectral_block(op)
@@ -376,6 +372,10 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
         raise PreconditionError("n must be >= 1")
     if grid < 2:
         raise PreconditionError("grid must be >= 2")
+    if n > RIESZ_DEPTH_CAP:
+        raise CapExceededError(f"depth capped at {RIESZ_DEPTH_CAP}")
+    if grid > RIESZ_GRID_CAP:
+        raise CapExceededError(f"grid capped at {RIESZ_GRID_CAP}")
     import numpy as np
     t = 2.0 * math.pi * np.arange(grid) / grid
     vals = np.full(grid, 1.0 / (2.0 * math.pi))
@@ -413,9 +413,10 @@ def compare_filters(
     forces for cycle-free filters); distinct tables mean the associated
     wavelet representations are disjoint."""
     for name, op in (("first", op_a), ("second", op_b)):
-        defect = op.normalization_defect()
-        if defect > 1e-12:
-            raise NotNormalizedError(f"{name} filter not normalized ({defect:.3e})")
+        if not op.fixes_constant:
+            raise NotNormalizedError(
+                f"{name} filter not normalized ({op.normalization_defect():.3e})"
+            )
         if find_cycles(op, L).cycles:
             raise CyclesFoundError(
                 f"{name} filter has cycles up to length {L}; the invariant "

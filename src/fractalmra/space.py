@@ -34,12 +34,13 @@ from .errors import (
     SystemMismatchError,
 )
 from .filterbank import build_bank, canonical_lowpass, pairing
-from .ifs import CylinderAddress, DigitSystem, cylinder_translate_index
+from .ifs import CylinderAddress, DigitSystem, cylinder_translate_index, digit_sums
 from .laurent import LaurentPolynomial, monomial
 from .scalars import ONE, Scalar, ZERO
 from .transfer import TransferOperator
 
 CASCADE_STEP_CAP = 12
+CASCADE_TERM_CAP = 10 ** 6
 GRAM_SECTION_CAP = 10 ** 4
 
 
@@ -136,9 +137,7 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     if not steps:
         return v
     sys = v.system
-    sums = [0]
-    for _ in range(steps):
-        sums = [sys.scale * e + a for e in sums for a in sys.digits]
+    sums = digit_sums(sys.digits, sys.scale, steps)
     P = LaurentPolynomial(dict.fromkeys(sums, _inv_sqrt_power(sys.p, steps)))
     return LatticeVector(sys, m, v.poly.compose_power(sys.scale ** steps) * P)
 
@@ -196,13 +195,6 @@ def apply_shift(v: LatticeVector, k: int) -> LatticeVector:
     return apply_filter(v, monomial(k)) if k else v
 
 
-def apply_dilation(v: LatticeVector, direction: int) -> LatticeVector:
-    """U v (direction +1) or U^-1 v (direction -1): pure index bookkeeping."""
-    if direction not in (+1, -1):
-        raise PreconditionError("direction must be +1 (U) or -1 (U inverse)")
-    return dilate_power(v, -direction)
-
-
 def dilate_power(v: LatticeVector, j: int) -> LatticeVector:
     """U^-j v: the same polynomial, read j levels finer."""
     return LatticeVector(v.system, v.resolution + j, v.poly)
@@ -220,7 +212,7 @@ def apply_filter(v: LatticeVector, m: LaurentPolynomial) -> LatticeVector:
 
 def cascade_step(v: LatticeVector, m: LaurentPolynomial) -> LatticeVector:
     """One cascade iteration U^-1 m(T) v."""
-    return apply_dilation(apply_filter(v, m), -1)
+    return dilate_power(apply_filter(v, m), 1)
 
 
 def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
@@ -389,11 +381,16 @@ def cascade_experiment(
     The inner products are cross-checked against the transfer route: the
     correlation of phi with M phi is the pairing of the canonical low-pass
     with m, and its n-fold transfer image integrates (coefficient at 0) to
-    the same inner product."""
+    the same inner product.  The vector after n steps has up to
+    (#terms of m)^n terms, capped at CASCADE_TERM_CAP."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if steps > CASCADE_STEP_CAP:
         raise CapExceededError(f"steps capped at {CASCADE_STEP_CAP}")
+    if len(m.coeffs) ** steps > CASCADE_TERM_CAP:
+        raise CapExceededError(
+            f"{len(m.coeffs)}^{steps} cascade terms exceed cap {CASCADE_TERM_CAP}"
+        )
     phi = scaling_vector(sys)
     a00 = pairing(canonical_lowpass(sys), m, sys.scale)
     op = TransferOperator.from_filter(m, sys.scale)

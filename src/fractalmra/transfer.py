@@ -74,10 +74,14 @@ class TransferOperator:
         deg W (1 + N + ... + N^(k-1)) = deg W (N^k - 1)/(N - 1)."""
         return self.weight.degree() * (self.scale ** k - 1) // (self.scale - 1)
 
+    @cached_property
+    def fixes_constant(self) -> bool:
+        """Whether R(1) = 1 exactly: the operator is normalized."""
+        return self.apply(one()) == one()
+
     def normalization_defect(self) -> float:
-        """Max deviation of R(1) from 1 (0.0 when R(1) = 1 exactly)."""
-        r1 = self.apply(one())
-        diff = r1 - one()
+        """Max deviation of R(1) from 1, for messages: `fixes_constant` decides."""
+        diff = self.apply(one()) - one()
         if diff.is_zero():
             return 0.0
         return max(abs(c.to_complex()) for c in diff.coeffs.values())
@@ -203,8 +207,6 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
     matrix = np.array([[x.to_complex() for x in row] for row in op.block])
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 
-    # R fixes the constant function iff the operator is normalized
-    fixes_constant = op.apply(one()) == one()
     mult = int(np.sum(np.abs(eigenvalues - 1.0) <= PERIPHERAL_TOL))
     peripheral = np.abs(np.abs(eigenvalues) - 1.0) <= PERIPHERAL_TOL
     other = bool(np.any(peripheral & (np.abs(eigenvalues - 1.0) > PERIPHERAL_TOL)))
@@ -214,7 +216,7 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
         halfwidth=op.block_halfwidth,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        fixes_constant=fixes_constant,
+        fixes_constant=op.fixes_constant,
         eigenvalue_one_multiplicity=mult,
         has_other_peripheral=other,
         eigenvalue_one_simple_exact=simple_exact,

@@ -352,6 +352,40 @@ def test_edge_inputs_refused_before_computing(argv, message, monkeypatch):
     assert err == f"precondition error: {message}\n"
 
 
+DIGITS_7 = ",".join(map(str, range(7)))
+CAP_REFUSALS = [
+    (("cascade", "--scale", "4", "--digits", "0,1,2,3", "--steps", "12"),
+     "4^12 cascade terms exceed cap 1000000"),
+    (("cascade", "--scale", "7", "--digits", DIGITS_7, "--steps", "8"),
+     "7^8 cascade terms exceed cap 1000000"),
+    (("riesz", "--depth", "2000"), "depth capped at 31"),
+    (("riesz", "--grid", "100000000"), "grid capped at 100000"),
+    (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--count", "100000"),
+     "100000^2 exponent differences exceed cap 16777216"),
+    (("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "100000000"),
+     "samples capped at 10000"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CAP_REFUSALS, ids=[" ".join(a) for a, _ in CAP_REFUSALS])
+def test_work_caps_refuse_at_once(argv, message):
+    """Each request ran for minutes, or raised, before its cap existed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"cap exceeded: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cascade", "--scale", "3", "--digits", "0,2", "--steps", "12"),
+    ("riesz", "--depth", "31", "--grid", "9"),
+    ("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "10000"),
+])
+def test_requests_at_the_work_caps_run(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 0, err
+
+
 def test_seed_flag_removed():
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stderr(err):

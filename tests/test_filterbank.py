@@ -75,7 +75,7 @@ def test_unitarity_defect_examples(cantor3, cantor4):
 
 def test_bank_and_loop_records(cantor3):
     bank = build_bank(cantor3)
-    A = LoopMatrix.identity(3)
+    A = LoopMatrix.diagonal((one(),) * 3)
     for record, name in ((bank, "scale"), (bank, "filters"), (A, "scale"), (A, "entries")):
         value = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -124,7 +124,7 @@ def test_pairing_parseval():
 
 def test_loop_apply_examples(cantor3, haar2):
     bank = build_bank(cantor3)
-    ident = LoopMatrix.identity(3)
+    ident = LoopMatrix.diagonal((one(),) * 3)
     assert loop_apply(ident, bank).filters == bank.filters
 
     A = LoopMatrix.diagonal((monomial(1), monomial(0), monomial(0)))
@@ -146,7 +146,7 @@ def test_loop_apply_examples(cantor3, haar2):
     assert unitarity_defect(rotated) == 0.0
 
     with pytest.raises(ScaleMismatchError):
-        loop_apply(LoopMatrix.identity(2), bank)
+        loop_apply(LoopMatrix.diagonal((one(),) * 2), bank)
 
 
 def test_connecting_matrix_examples(cantor3, haar2):

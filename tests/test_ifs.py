@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -14,6 +15,7 @@ from fractalmra.ifs import (
     HutchinsonTransform,
     attractor_sample,
     cylinder_translate_index,
+    digit_sums,
     hausdorff_dimension,
 )
 
@@ -29,6 +31,24 @@ def test_digit_validation():
         DigitSystem(3, ())
     with pytest.raises(PreconditionError):
         DigitSystem(1, (0,))
+
+
+def test_scale_must_be_integral():
+    with pytest.raises(PreconditionError, match="scale must be an integer, got 2.5"):
+        DigitSystem(2.5, (0, 2))
+    np = pytest.importorskip("numpy")
+    system = DigitSystem(np.int64(3), (0, 2))
+    assert system == DigitSystem(3, (0, 2)) and type(system.scale) is int
+    assert DigitSystem(3.0, (0, 2)) == system
+
+
+def test_digit_sums_order():
+    """First letter most significant; the n-digit strings in word order."""
+    assert digit_sums((0, 2), 3, 0) == [0]
+    assert digit_sums((0, 2), 3, 2) == [0, 2, 6, 8]
+    assert digit_sums((1, 0), 4, 2) == [5, 4, 1, 0]
+    words = itertools.product((0, 1, 3), repeat=3)
+    assert digit_sums((0, 1, 3), 5, 3) == [25 * a + 5 * b + c for a, b, c in words]
 
 
 @given(st.integers(2, 12).flatmap(lambda N: st.tuples(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fractalmra.laurent import (
     LaurentPolynomial,
     _cyclotomic,
+    _prime_factors,
     _poly_divmod,
     _poly_trim,
     constant,
@@ -114,6 +115,20 @@ def test_cyclotomic_matches_recursive_construction():
         expected = [0] * (step * (q - 1) + 1)
         expected[::step] = [1] * q
         assert _cyclotomic(q ** k) == expected
+
+
+def test_prime_factors_match_a_sieve():
+    primes = [q for q in range(2, 600) if all(q % d for d in range(2, q))]
+    for n in range(1, 600):
+        for bound in (1, 2, 5, 13, 600):
+            expected = []
+            for q in primes:
+                e = 0
+                while n % q ** (e + 1) == 0:
+                    e += 1
+                if e and q <= bound:
+                    expected.append((q, e))
+            assert _prime_factors(n, bound) == expected, (n, bound)
 
 
 def _combination(M, q, r):

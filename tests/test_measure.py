@@ -565,6 +565,10 @@ def test_classify_rejects_unnormalized():
     bad = LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)})
     with pytest.raises(NotNormalizedError):
         classify_support(TransferOperator.from_filter(bad, 2))
+    # decided exactly: a deviation of 10^-20 is no normalization
+    nearly = TransferOperator(2, LaurentPolynomial({0: 1 + Fraction(1, 10 ** 20)}))
+    with pytest.raises(NotNormalizedError, match="deviates by 1.000e-20"):
+        classify_support(nearly)
 
 
 def test_compare_filters_same(cantor3):

@@ -15,7 +15,6 @@ from fractalmra.measure import moment
 from fractalmra.scalars import Scalar
 from fractalmra.space import (
     LatticeVector,
-    apply_dilation,
     apply_filter,
     apply_shift,
     basis_delta,
@@ -92,17 +91,17 @@ def test_shift_dilation_unitary(cantor3):
     for _ in range(20):
         v = random_vector(cantor3, rng)
         assert apply_shift(v, rng.randint(-5, 5)).norm_sq() == v.norm_sq()
-        assert apply_dilation(v, +1).norm_sq() == v.norm_sq()
-        assert apply_dilation(v, -1).norm_sq() == v.norm_sq()
+        assert dilate_power(v, -1).norm_sq() == v.norm_sq()
+        assert dilate_power(v, 1).norm_sq() == v.norm_sq()
 
 
 def test_dilation_inverse_pair(cantor3):
     rng = random.Random(61)
     for _ in range(10):
         v = random_vector(cantor3, rng)
-        assert apply_dilation(apply_dilation(v, -1), +1) == v
+        assert dilate_power(dilate_power(v, 1), -1) == v
     phi = scaling_vector(cantor3)
-    assert apply_dilation(phi, -1) == basis_delta(cantor3, 1, 0)
+    assert dilate_power(phi, 1) == basis_delta(cantor3, 1, 0)
 
 
 def test_commutation_relation(cantor3):
@@ -111,7 +110,7 @@ def test_commutation_relation(cantor3):
     for _ in range(50):
         v = random_vector(cantor3, rng)
         k = rng.randint(-4, 4)
-        lhs = apply_dilation(apply_shift(apply_dilation(v, -1), k), +1)
+        lhs = dilate_power(apply_shift(dilate_power(v, 1), k), -1)
         rhs = apply_shift(v, 3 * k)
         assert lhs == rhs
 

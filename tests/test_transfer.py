@@ -173,3 +173,14 @@ def test_normalization_defect():
         LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)}), 2
     )
     assert op.normalization_defect() == 0.5
+
+
+def test_fixes_constant_is_exact(cantor3):
+    """R(1) = 1 is decided exactly: a deviation far below any float
+    tolerance still counts."""
+    assert TransferOperator.from_filter(canonical_lowpass(cantor3), 3).fixes_constant
+    tiny = Fraction(1, 10 ** 20)
+    op = TransferOperator(2, LaurentPolynomial({0: 1 + tiny}))
+    assert not op.fixes_constant
+    assert 0 < op.normalization_defect() < 1e-15
+    assert not spectral_block(op).fixes_constant
