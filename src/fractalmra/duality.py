@@ -177,16 +177,14 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
 
     seen: set[frozenset] = set()
     found: list[BCycle] = []
-    # each word with its value c, read with b_k in the units place
-    words: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for k in range(1, K + 1):
-        words = [(w + (b,), c * N + b) for w, c in words for b in dual]
         modulus = N ** k - 1
-        for word, c in words:
+        # the i-th value, of the word whose letters are the base-p digits of i
+        for i, c in enumerate(digit_sums(dual, N, k)):
             if g * c % modulus:
                 continue
             # rotating the word multiplies the value by N mod (N^k - 1)
-            angles = [Fraction(c * N ** i % modulus, modulus) for i in range(k)]
+            angles = [Fraction(c * N ** j % modulus, modulus) for j in range(k)]
             key = frozenset(angles)
             if key in seen:
                 continue
@@ -196,7 +194,7 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
             found.append(
                 BCycle(
                     tuple(ordered),
-                    word,
+                    tuple(dual[i // p ** (k - 1 - j) % p] for j in range(k)),
                     tuple(abs(m0.eval_turns(float(a))) ** 2 for a in ordered),
                 )
             )
