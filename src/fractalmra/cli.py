@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 from . import duality as dual_mod
 from . import measure as measure_mod
 from .errors import CapExceededError, FractalMRAError, PreconditionError
-from .filterbank import build_bank, canonical_lowpass, unitarity_defect
+from .filterbank import UNITARITY_SCALE_CAP, build_bank, canonical_lowpass, unitarity_defect
 from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, hausdorff_dimension
 from .laurent import LaurentPolynomial, monomial
 from .space import (
@@ -116,6 +116,8 @@ def _run_dimension(args):
 
 def _run_filters(args):
     sys_, head = _system(args)
+    if sys_.scale > UNITARITY_SCALE_CAP:
+        raise CapExceededError(f"scale {sys_.scale} exceeds cap {UNITARITY_SCALE_CAP}")
     bank = build_bank(sys_)
     return {
         **head,

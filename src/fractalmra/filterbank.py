@@ -24,6 +24,7 @@ from .transfer import apply_haar_average
 
 UNITARITY_TOL = 1e-8
 UNITARITY_SAMPLE_CAP = 10 ** 4
+UNITARITY_SCALE_CAP = 24  # the pairing Gram has N^2 entries of up to p^2 products each
 
 
 def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:

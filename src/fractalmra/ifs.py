@@ -163,22 +163,49 @@ class HutchinsonTransform:
         out *= sum(cmath.exp(1j * phase * a) for a in digits) / p: the same
         order of operations, the complex product as real ufuncs (numpy's
         complex multiply rounds differently) and the result assembled
-        through .real and .imag, which keeps signed zeros."""
+        through .real and .imag, which keeps signed zeros.
+
+        No cos or sin is called where its result is known exactly:
+        - a digit 0 adds cos(+-0) = 1 and sin(+-0) = +-0 (IEEE 754), which
+          leave 1.0 and +0.0 in the sums, as long as every k is finite;
+        - at a level j with max|2 pi k| a_max N^-j < 2^-28, every |phase * a|
+          is below 2^-27 despite the roundings, where a correctly rounded
+          libm (glibc by explicit branches) returns cos x = 1 and sin x = x.
+          The factor is then (p * 1.0) / p + i (sum_a phase * a) / p, the
+          sum in digit order.  tests/test_duality.py checks the libm."""
         import numpy as np
         sys = self.system
-        kf = np.asarray(ks, dtype=float)
-        re, im = np.ones_like(kf), np.zeros_like(kf)
+        twopik = (2.0 * math.pi) * np.asarray(ks, dtype=float)
+        reach = float(np.abs(twopik).max(initial=0.0)) * sys.digits[-1]
+        digits = [float(a) for a in sys.digits]
+        skip_zero = digits[0] == 0.0 and math.isfinite(reach)
+        if skip_zero:
+            digits = digits[1:]
+        re, im = np.ones_like(twopik), np.zeros_like(twopik)
+        phase, x, y, f_re, f_im = (np.empty_like(twopik) for _ in range(5))
         scale = 1.0
         for _ in range(self.depth):
             scale /= sys.scale
-            phase = 2.0 * math.pi * kf * scale
-            f_re, f_im = np.zeros_like(kf), np.zeros_like(kf)
-            for a in sys.digits:
-                f_re += np.cos(phase * float(a))
-                f_im += np.sin(phase * float(a))
-            f_re, f_im = f_re / sys.p, f_im / sys.p
-            re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        out = np.empty(kf.shape, dtype=complex)
+            tiny = reach * scale < 2.0 ** -28
+            np.multiply(twopik, scale, out=phase)
+            # the cosines summed so far: all p when they are all exactly 1
+            f_re.fill(sys.p if tiny else float(skip_zero))
+            f_im.fill(0.0)
+            for a in digits:
+                np.multiply(phase, a, out=x)
+                if not tiny:
+                    f_re += np.cos(x, out=y)
+                    np.sin(x, out=x)
+                f_im += x
+            f_re /= sys.p
+            f_im /= sys.p
+            np.multiply(re, f_im, out=x)
+            np.multiply(im, f_re, out=y)
+            re *= f_re
+            im *= f_im
+            re -= im
+            np.add(x, y, out=im)
+        out = np.empty(twopik.shape, dtype=complex)
         out.real, out.imag = re, im
         return out
 

@@ -382,14 +382,18 @@ def cascade_experiment(
     correlation of phi with M phi is the pairing of the canonical low-pass
     with m, and its n-fold transfer image integrates (coefficient at 0) to
     the same inner product.  The vector after n steps has up to
-    (#terms of m)^n terms, capped at CASCADE_TERM_CAP."""
+    (#terms of m)^n terms, capped at CASCADE_TERM_CAP, and so are the
+    p * #terms + #terms^2 products of the two cross-checks' set-up."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if steps > CASCADE_STEP_CAP:
         raise CapExceededError(f"steps capped at {CASCADE_STEP_CAP}")
-    if len(m.coeffs) ** steps > CASCADE_TERM_CAP:
+    t = len(m.coeffs)
+    if t ** steps > CASCADE_TERM_CAP:
+        raise CapExceededError(f"{t}^{steps} cascade terms exceed cap {CASCADE_TERM_CAP}")
+    if sys.p * t + t * t > CASCADE_TERM_CAP:
         raise CapExceededError(
-            f"{len(m.coeffs)}^{steps} cascade terms exceed cap {CASCADE_TERM_CAP}"
+            f"{sys.p}*{t} + {t}^2 term products exceed cap {CASCADE_TERM_CAP}"
         )
     phi = scaling_vector(sys)
     a00 = pairing(canonical_lowpass(sys), m, sys.scale)

@@ -353,6 +353,7 @@ def test_edge_inputs_refused_before_computing(argv, message, monkeypatch):
 
 
 DIGITS_7 = ",".join(map(str, range(7)))
+DIGITS_707, DIGITS_708 = (",".join(map(str, range(p))) for p in (707, 708))
 CAP_REFUSALS = [
     (("cascade", "--scale", "4", "--digits", "0,1,2,3", "--steps", "12"),
      "4^12 cascade terms exceed cap 1000000"),
@@ -364,10 +365,13 @@ CAP_REFUSALS = [
      "100000^2 exponent differences exceed cap 16777216"),
     (("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "100000000"),
      "samples capped at 10000"),
+    (("filters", "--scale", "300", "--digits", "0"), "scale 300 exceeds cap 24"),
+    (("cascade", "--scale", "708", "--digits", DIGITS_708, "--steps", "0"),
+     "708*708 + 708^2 term products exceed cap 1000000"),
 ]
 
 
-@pytest.mark.parametrize("argv,message", CAP_REFUSALS, ids=[" ".join(a) for a, _ in CAP_REFUSALS])
+@pytest.mark.parametrize("argv,message", CAP_REFUSALS, ids=[" ".join(a)[:80] for a, _ in CAP_REFUSALS])
 def test_work_caps_refuse_at_once(argv, message):
     """Each request ran for minutes, or raised, before its cap existed."""
     start = time.perf_counter()
@@ -380,6 +384,8 @@ def test_work_caps_refuse_at_once(argv, message):
     ("cascade", "--scale", "3", "--digits", "0,2", "--steps", "12"),
     ("riesz", "--depth", "31", "--grid", "9"),
     ("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "10000"),
+    ("filters", "--scale", "24", "--digits", "0"),
+    ("cascade", "--scale", "707", "--digits", DIGITS_707, "--steps", "0"),
 ])
 def test_requests_at_the_work_caps_run(argv):
     code, _, err = run_cli(*argv)

@@ -393,6 +393,83 @@ def test_transform_values_bits_equal_scalar_loop():
             assert bits([transform.value(k) for k in ks]) == bits(ref), (N, S, depth)
 
 
+def near_tiny_edge(sys, level, ulps):
+    """k whose level-`level` bound |2 pi k| a_max N^-level, as `values`
+    rounds it, lies about `ulps` ulps from 2^-28, where the level stops
+    calling cos and sin."""
+    scale = 1.0
+    for _ in range(level):
+        scale /= sys.scale
+    k = 2.0 ** -28 / (2.0 * math.pi) / sys.digits[-1] / scale
+    for _ in range(abs(ulps)):
+        k = math.nextafter(k, math.copysign(math.inf, ulps))
+    return k
+
+
+@st.composite
+def transform_cases(draw):
+    N = draw(st.integers(2, 12))
+    sys = DigitSystem(N, draw(st.sets(st.integers(0, N - 1), min_size=1)))
+    depth = draw(st.integers(1, 80))
+    k = st.one_of(
+        st.integers(-2 ** 70, 2 ** 70),
+        st.floats(-1e307, 1e307),  # -0.0 and subnormals too; 2 pi k stays finite
+    )
+    if sys.digits[-1] > 0:
+        edge = st.builds(near_tiny_edge, st.just(sys), st.integers(1, depth), st.integers(-6, 6))
+        k = st.one_of(k, edge, edge.map(lambda k: -k))
+    return sys, depth, draw(st.lists(k, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=(DigitSystem(3, (0, 2)), 40, [near_tiny_edge(DigitSystem(3, (0, 2)), 20, u)
+                                            for u in (-3, 0, 3)]))
+@example(case=(DigitSystem(2, (0,)), 80, [0, -0.0, 5e-324, 2 ** 70]))
+@given(case=transform_cases())
+def test_transform_values_bits_equal_scalar_loop_property(case):
+    sys, depth, ks = case
+    transform = HutchinsonTransform(sys, depth)
+    ref = [scalar_transform(sys, k, depth) for k in ks]
+    assert bits(transform.values(ks)) == bits(ref)
+    # alone, each k sets the per-level bound by itself
+    assert bits([transform.values([k])[0] for k in ks]) == bits(ref)
+
+
+@pytest.mark.parametrize(
+    "N,S", [(2, (0,)), (3, (1,)), (3, (0, 2)), (4, (1, 3)), (5, (0, 1, 2, 3, 4))]
+)
+def test_transform_values_of_non_finite_k(N, S):
+    """cos and sin of inf and nan, and inf * 0, are nan, so each such k gives
+    nan + nan j, as before any trig call was skipped; the finite k beside them
+    keep their bits."""
+    transform = HutchinsonTransform(DigitSystem(N, S))
+    ks = [math.inf, -math.inf, math.nan, 1.0, 2 ** 40 + 1]
+    with np.errstate(invalid="ignore"):
+        got = transform.values(ks)
+    for z in got[:3]:
+        assert math.isnan(z.real) and math.isnan(z.imag)  # nan + nan j
+    assert bits(got[3:]) == bits([scalar_transform(transform.system, k) for k in ks[3:]])
+
+
+def test_libm_is_exact_where_values_skips_it():
+    """`values` replaces cos x by 1 for 0 < |x| < 2^-27 and sin x by x for
+    |x| < 2^-26 (it uses |x| < 2^-27 only); a libm that rounds otherwise
+    must fail here rather than change onb-check bytes."""
+    rng = np.random.default_rng(20)
+    x = np.exp2(rng.uniform(-1074, -26, 10 ** 5)) * rng.choice([-1.0, 1.0], 10 ** 5)
+    edges = [2.0 ** -27, 2.0 ** -28, 2.0 ** -26]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, np.nextafter(2.0 ** -1022, 0)]
+    special += [np.nextafter(e, t) for e in edges for t in (0.0, 1.0)] + edges
+    x = np.concatenate((x, special, np.negative(special)))
+    cos, sin = np.cos(x), np.sin(x)
+    assert np.all(cos[np.abs(x) < 2.0 ** -27] == 1.0)
+    below = np.abs(x) < 2.0 ** -26
+    assert np.all(sin[below] == x[below])
+    assert bits(sin[x == 0]) == bits(x[x == 0])  # sin(+-0) = +-0
+    assert cos.tolist() == [math.cos(v) for v in x.tolist()]
+    assert sin.tolist() == [math.sin(v) for v in x.tolist()]
+
+
 @pytest.mark.parametrize("family", [(6, 1, 2), (8, 2, 1), (9, 3, 1), (4, 2, 1), (6, 3, 1)])
 def test_onb_check_bits_equal_gram_and_defect(family):
     for N, S, B in hadamard_translates(*family):
