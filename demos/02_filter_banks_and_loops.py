@@ -1,9 +1,9 @@
 """Filter banks and the loop-group action.
 
 The canonical low-pass filter of (N, S) is m0(z) = p^(-1/2) sum z^a.  The
-bank is completed by monomials at the gap digits and by root-of-unity
-modulations of m0; the polyphase matrix is unitary by construction, exactly
-so whenever p <= 2.  Unitary matrices of Laurent polynomials act on banks by
+bank is completed by monomials at the gap digits and by the other rows of
+the Householder reflection whose row 0 is m0's coefficient vector, exact in
+Q(sqrt p); the polyphase matrix is exactly unitary for every p.  Unitary matrices of Laurent polynomials act on banks by
 m -> A(z^N) m(z), and any two unitary banks are connected by a unique loop
 matrix recovered from the subsampled pairing.
 """

@@ -60,7 +60,6 @@ from .measure import (
     moment,
     moment_table,
     riesz_samples,
-    tail_measure,
     wiener_profile,
 )
 from .duality import (

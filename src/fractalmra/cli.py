@@ -121,9 +121,9 @@ def _run_filters(args):
     bank = build_bank(sys_)
     return {
         **head,
-        "unitarity_defect": unitarity_defect(bank, samples=args.samples),
+        "unitarity_defect": unitarity_defect(bank),
         "filters": [_poly_json(f) for f in bank.filters],
-        "exact": bank.is_exact,
+        "exact": True,  # every bank is exact; the field keeps the schema
     }
 
 
@@ -441,8 +441,7 @@ COMMANDS = {
         lambda o: f"dimension {o['dimension']!r}\n",
     ),
     "filters": Subcommand(
-        _run_filters, "canonical filter bank and unitarity defect", True,
-        (_arg("--samples", "torus sample count for the defect", type=int, default=64),),
+        _run_filters, "canonical filter bank and unitarity defect", True, (),
         lambda o: _lines(
             [f"m_{i} = {f['display']}" for i, f in enumerate(o["filters"])]
             + [f"unitarity defect: {o['unitarity_defect']!r}"]

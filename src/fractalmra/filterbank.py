@@ -2,8 +2,10 @@
 
 The canonical low-pass filter of (N, S) is m0(z) = p^(-1/2) sum z^a over the
 digits.  The bank is completed by gap-filling high-pass filters (monomials at
-the unused digits) and detail-filling filters (p-th-root-of-unity modulations
-of m0).  The module also provides the subsampled pairing
+the unused digits) and detail filters: the other rows of the Householder
+reflection whose row 0 is m0's coefficient vector, so every coefficient lies
+in m0's own field Q(sqrt(p)) and the bank is exactly unitary for every p.
+The module also provides the subsampled pairing
 
     <m, m'>_N (z) = (1/N) sum_{w^N = z} conj(m(w)) m'(w),
 
@@ -13,17 +15,14 @@ with its connecting matrix.
 
 from __future__ import annotations
 
-import cmath
-import math
+from fractions import Fraction
 
-from .errors import CapExceededError, NotUnitaryError, PreconditionError, ScaleMismatchError
+from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
 from .transfer import apply_haar_average
 
-UNITARITY_TOL = 1e-8
-UNITARITY_SAMPLE_CAP = 10 ** 4
 UNITARITY_SCALE_CAP = 24  # the pairing Gram has N^2 entries of up to p^2 products each
 
 
@@ -34,23 +33,24 @@ def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:
 
 
 def detail_filters(sys: DigitSystem) -> list[LaurentPolynomial]:
-    """The p-1 modulated filters p^(-1/2) sum_i eta^(k(i-1)) z^(a_i).
+    """The p-1 filters sum_j H_ij z^(a_j), i = 1..p-1, from the Householder
+    reflection H = I - 2 v v^T/|v|^2 with v = e_0 - u, u = p^(-1/2)(1, ..., 1).
 
-    Exact tier for p <= 2 (eta = -1); complex coefficients otherwise.
-    """
-    p = sys.p
-    out = []
-    for k in range(1, p):
-        coeffs = {}
-        for i, a in enumerate(sys.digits):
-            if p == 2:
-                c = Scalar.inv_sqrt(2)
-                coeffs[a] = c if (k * i) % 2 == 0 else -c
-            else:
-                c = cmath.exp(2j * math.pi * k * i / p) / math.sqrt(p)
-                coeffs[a] = Scalar.approx(c)
-        out.append(LaurentPolynomial(coeffs))
-    return out
+    H is symmetric and orthogonal with row 0 equal to u, m0's coefficients,
+    so with m0 its rows make a unitary bank.  H_i0 = p^(-1/2) and
+    H_ij = delta_ij - 1/(p - sqrt p) = delta_ij - 1/(p-1) - sqrt(p)/(p(p-1))
+    for i, j >= 1, all in Q(sqrt(p)); for p = 2 the one filter is
+    (z^(a_0) - z^(a_1))/sqrt 2."""
+    p, (a0, *rest) = sys.p, sys.digits
+    if not rest:
+        return []
+    first = Scalar.inv_sqrt(p)
+    off = Scalar(-Fraction(1, p - 1), -Fraction(1, p * (p - 1)), p)
+    on = off + 1
+    return [
+        LaurentPolynomial({a0: first, **{a: on if a == ai else off for a in rest}})
+        for ai in rest
+    ]
 
 
 class FilterBank:
@@ -75,14 +75,10 @@ class FilterBank:
     def __reduce__(self):
         return self.__class__, (self.scale, self.filters)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(f.is_exact for f in self.filters)
-
 
 def build_bank(sys: DigitSystem) -> FilterBank:
     """Canonical bank: low-pass, then gap monomials (ascending gap digit),
-    then detail filters (ascending modulation index)."""
+    then detail filters (ascending row index of the reflection)."""
     filters = [canonical_lowpass(sys)]
     filters += [monomial(d) for d in sys.gap_digits]
     filters += detail_filters(sys)
@@ -93,54 +89,27 @@ def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolyn
     """<m, m2>_N: the unique Laurent polynomial with
     (1/N) sum_{w^N=z} conj(m(w)) m2(w) = sum_n c_n z^n,
     c_n = sum_k conj(m^(k)) m2^(k + N n), the Haar average of conj(m) m2."""
-    return apply_haar_average(N, m.conj_reciprocal() * m2, 1)
+    return apply_haar_average(N, m.conj_reciprocal() * m2)
 
 
-def _identity_defect(
-    gram: list[list[LaurentPolynomial]], exact: bool, samples: int
-) -> float:
-    """Distance of the N x N Laurent matrix G(z) from the identity.
-
-    For exact inputs G is checked coefficient-by-coefficient and a clean pass
-    reports exactly 0.  Otherwise the defect is the larger of the maximal
-    coefficient deviation and the maximal spectral norm of G(z) - I over
-    `samples` points of the torus.
-    """
-    if samples < 1:
-        raise PreconditionError("samples must be >= 1")
-    if samples > UNITARITY_SAMPLE_CAP:
-        raise CapExceededError(f"samples capped at {UNITARITY_SAMPLE_CAP}")
-    N = len(gram)
-    coeff_dev = 0.0
-    exact_pass = exact
-    for i in range(N):
-        for j in range(N):
-            diff = gram[i][j] - (one() if i == j else zero())
-            if diff.is_zero():
-                continue
-            exact_pass = False
-            coeff_dev = max(
-                coeff_dev, max(abs(c.to_complex()) for c in diff.coeffs.values())
-            )
-    if exact_pass:
-        return 0.0
-    import numpy as np
-    ts = np.arange(samples) / samples
-    sample_dev = 0.0
-    values = [[gram[i][j].eval_turns(ts) for j in range(N)] for i in range(N)]
-    for s in range(samples):
-        g = np.array([[values[i][j][s] for j in range(N)] for i in range(N)])
-        sample_dev = max(sample_dev, float(np.linalg.norm(g - np.eye(N), 2)))
-    return max(coeff_dev, sample_dev)
+def _identity_defect(gram: list[list[LaurentPolynomial]]) -> float:
+    """The largest coefficient modulus of G - I for the N x N Laurent matrix
+    G: exactly 0.0 when G is the identity."""
+    dev = 0.0
+    for i, row in enumerate(gram):
+        for j, g in enumerate(row):
+            for c in (g - one() if i == j else g).coeffs.values():
+                dev = max(dev, abs(c.to_complex()))
+    return dev
 
 
-def unitarity_defect(bank: FilterBank, samples: int = 64) -> float:
+def unitarity_defect(bank: FilterBank) -> float:
     """Distance of the polyphase matrix from unitary: the pairing Gram
     G_ij = <m_i, m_j>_N equals the identity iff the bank is unitary."""
     gram = [
         [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
     ]
-    return _identity_defect(gram, bank.is_exact, samples)
+    return _identity_defect(gram)
 
 
 class LoopMatrix:
@@ -175,11 +144,7 @@ class LoopMatrix:
             ),
         )
 
-    @property
-    def is_exact(self) -> bool:
-        return all(e.is_exact for row in self.entries for e in row)
-
-    def unitarity_defect(self, samples: int = 64) -> float:
+    def unitarity_defect(self) -> float:
         """Distance of A(z) from unitary on the torus: A(z) A(z)* against I."""
         N = self.scale
         gram = [
@@ -193,7 +158,7 @@ class LoopMatrix:
             ]
             for i in range(N)
         ]
-        return _identity_defect(gram, self.is_exact, samples)
+        return _identity_defect(gram)
 
 
 def loop_apply(A: LoopMatrix, bank: FilterBank) -> FilterBank:
@@ -222,7 +187,7 @@ def connecting_matrix(bank: FilterBank, bank2: FilterBank) -> LoopMatrix:
         raise ScaleMismatchError("banks have different scales")
     for which, b in (("first", bank), ("second", bank2)):
         defect = unitarity_defect(b)
-        if defect > UNITARITY_TOL:
+        if defect:
             raise NotUnitaryError(f"{which} bank has unitarity defect {defect:.3e}")
     N = bank.scale
     entries = tuple(

@@ -160,7 +160,8 @@ class HutchinsonTransform:
 
     def values(self, ks) -> np.ndarray:
         """B(k) for every k in `ks`, with the bits of the scalar product
-        out *= sum(cmath.exp(1j * phase * a) for a in digits) / p: the same
+        out *= sum(exp(1j * phase * a) for a in digits) / p, exp the
+        standard library's complex exponential: the same
         order of operations, the complex product as real ufuncs (numpy's
         complex multiply rounds differently) and the result assembled
         through .real and .imag, which keeps signed zeros.

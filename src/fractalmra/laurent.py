@@ -2,7 +2,7 @@
 
 These carry the low-pass/high-pass filters, the transfer-operator weights
 |m0|^2, correlation functions of lattice vectors, and loop-matrix entries.
-Coefficients are Scalars, so arithmetic is exact whenever the inputs are.
+Coefficients are exact Scalars, so all of this arithmetic is exact.
 Cyclotomic reduction lives here too: `vanishes_at_primitive_roots` is the one
 exact root-of-unity test, behind the dual digit sets of `duality.dual_matrix`
 and the peak-weight cycles of `measure.find_cycles`.
@@ -42,10 +42,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.coeffs.values())
 
     def degree(self) -> int:
         """Largest absolute exponent in the support (0 for the zero polynomial)."""
@@ -133,8 +129,6 @@ class LaurentPolynomial:
         parts = []
         for k, v in self.items():
             s = v.exact_str()
-            if s is None:
-                s = repr(v.to_complex())
             parts.append(f"({s})z^{k}" if k else f"({s})")
         return parts
 
@@ -144,7 +138,7 @@ class LaurentPolynomial:
         return " + ".join(self.term_strings())
 
     def __repr__(self):
-        return f"LaurentPolynomial({{{', '.join(f'{k}: {v.exact_str() or v.to_complex()}' for k, v in self.items())}}})"
+        return f"LaurentPolynomial({{{', '.join(f'{k}: {v.exact_str()}' for k, v in self.items())}}})"
 
 
 def zero() -> LaurentPolynomial:

@@ -6,7 +6,7 @@ exists (for the Cantor filters nu is singular).  The module computes moment
 tables as the exact solution of the invariance equation R*nu = nu, detects
 cycles of theta -> N theta on which the weight peaks, classifies the support
 (full vs atomic-on-cycles), evaluates Wiener averages, Riesz-product partial
-samples, tail measures, and compares two filters through their invariant
+samples, and compares two filters through their invariant
 measures.
 """
 
@@ -22,9 +22,9 @@ from .errors import (
     NotNormalizedError,
     PreconditionError,
 )
-from .laurent import LaurentPolynomial, _prime_factors, vanishes_at_primitive_roots
-from .scalars import Scalar, ZERO, _exact
-from .transfer import TransferOperator, apply_haar_average, spectral_block
+from .laurent import _prime_factors, vanishes_at_primitive_roots
+from .scalars import ONE, Scalar, ZERO, _exact
+from .transfer import TransferOperator, spectral_block
 
 STABILIZED = "stabilized"
 
@@ -85,7 +85,7 @@ def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
     threshold never decreases as |idx| grows and one pass finds every row's.
     """
     W = op.weight
-    if not (W[0].is_exact and W[0] == Scalar(1)):
+    if W[0] != ONE:
         return [None] * (R + 1)
     nonzero = [abs(k) for k in W.coeffs if k]
     if not nonzero:
@@ -119,8 +119,6 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     """
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
-    if not op.is_exact:
-        raise PreconditionError("the moment solve needs a weight with exact coefficients")
     basis = op.fixed_vectors
     D = op.block_halfwidth
     if len(basis) != 1:
@@ -350,7 +348,7 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     s = ZERO
     for k in range(K + 1):
         v = table.value(k)
-        if not (v.is_exact and v.is_zero() and s.is_exact):  # else s + |v|^2 is s
+        if not v.is_zero():
             s = s + v.abs_sq()
         if not k:
             ratio = None
@@ -382,15 +380,6 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
     for k in range(1, n + 1):
         vals *= 1.0 + np.cos(2.0 * 3 ** k * t)
     return [(float(tt), float(v)) for tt, v in zip(t, vals)]
-
-
-def tail_measure(table: MomentTable, n: int, f: LaurentPolynomial) -> Scalar:
-    """nu_n(f) = nu(R_1^n f): the tail of the product measure against f."""
-    g = apply_haar_average(table.scale, f, n)
-    total = ZERO
-    for j, c in g.coeffs.items():
-        total = total + c * table.value(j)
-    return total
 
 
 class FilterComparison(NamedTuple):

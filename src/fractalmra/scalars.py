@@ -2,12 +2,11 @@
 
 The coefficients of canonical fractal filters live in Q(sqrt(p)) where p is
 the number of IFS digits (for the Cantor filters, 1/sqrt(2)).  A Scalar is
-either *exact* -- (p + q*sqrt(d))/den with int parts, den > 0,
-gcd(p, q, den) = 1 and d squarefree (d = 0 exactly when q = 0) -- or an
-*approximate* complex double.  Arithmetic stays exact as long as all operands
-lie in one quadratic extension; mixing distinct irrational bases, or touching
-an approximate operand, demotes the result to the approximate tier.  Exact
-scalars are always real.
+(p + q*sqrt(d))/den with int parts, den > 0, gcd(p, q, den) = 1 and d
+squarefree (d = 0 exactly when q = 0), so every Scalar is real.  Arithmetic
+is exact within one quadratic extension; operands with two distinct
+irrational radicands are refused with ValueError, since no request mixes
+fields: each one lives in the Q(sqrt(p)) of its digit system.
 """
 
 from __future__ import annotations
@@ -72,21 +71,23 @@ def _exact(p: int, q: int, d: int, den: int) -> "Scalar":
     x.q = q
     x.d = d if q else 0
     x.den = den
-    x.z = None
     return x
 
 
+def _mixed_fields(x: "Scalar", y: "Scalar"):
+    raise ValueError(f"operands lie in different fields Q(√{x.d}) and Q(√{y.d})")
+
+
 class Scalar:
-    """A number that is exactly (p + q*sqrt(d))/den, or an approximate complex."""
+    """A number that is exactly (p + q*sqrt(d))/den."""
 
-    __slots__ = ("p", "q", "d", "den", "z")
+    __slots__ = ("p", "q", "d", "den")
 
-    def __init__(self, a, b=0, d=0, z=None):
-        if z is not None:
-            self.p = self.q = self.den = None
-            self.d = 0
-            self.z = complex(z)
-            return
+    # every Scalar is exact; the constant stays because perfbench/tracer.py
+    # reads it on each traced operation to count demotions, which are now 0
+    is_exact = True
+
+    def __init__(self, a, b=0, d=0):
         a = Fraction(a)
         b = Fraction(b)
         r = 0
@@ -102,7 +103,7 @@ class Scalar:
         q = b.numerator * a.denominator
         den = a.denominator * b.denominator
         g = gcd(p, q, den)  # den > 0
-        self.p, self.q, self.d, self.den, self.z = p // g, q // g, r if q else 0, den // g, None
+        self.p, self.q, self.d, self.den = p // g, q // g, r if q else 0, den // g
 
     # -- constructors -------------------------------------------------------
 
@@ -119,51 +120,37 @@ class Scalar:
         return cls(0, Fraction(1, s * q), q)
 
     @classmethod
-    def approx(cls, z) -> "Scalar":
-        return cls(0, z=complex(z))
-
-    @classmethod
     def coerce(cls, x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
             return _exact(x.numerator, 0, 0, x.denominator)
-        if isinstance(x, (float, complex)):
-            return cls.approx(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
     # -- parts --------------------------------------------------------------
 
     @property
-    def a(self) -> Fraction | None:
-        """The rational part p/den; None on the approximate tier."""
-        return None if self.z is not None else Fraction(self.p, self.den)
+    def a(self) -> Fraction:
+        """The rational part p/den."""
+        return Fraction(self.p, self.den)
 
     @property
-    def b(self) -> Fraction | None:
-        """The coefficient q/den of sqrt(d); None on the approximate tier."""
-        return None if self.z is not None else Fraction(self.q, self.den)
+    def b(self) -> Fraction:
+        """The coefficient q/den of sqrt(d)."""
+        return Fraction(self.q, self.den)
 
     # -- predicates ---------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self.z is None
-
-    @property
     def is_rational(self) -> bool:
-        return self.z is None and not self.q
+        return not self.q
 
     def is_zero(self) -> bool:
-        if self.z is None:
-            return not self.p and not self.q
-        return self.z == 0
+        return not self.p and not self.q
 
     # -- conversions --------------------------------------------------------
 
     def to_complex(self) -> complex:
-        if self.z is not None:
-            return self.z
         # int / int is correctly rounded, as float(Fraction) is
         v = self.p / self.den
         if self.q:
@@ -174,15 +161,10 @@ class Scalar:
         return self.to_complex()
 
     def __float__(self) -> float:
-        c = self.to_complex()
-        if c.imag:
-            raise ValueError("scalar is not real")
-        return c.real
+        return self.to_complex().real
 
-    def exact_str(self) -> str | None:
-        """Render 'a+b√d' for exact values, None for approximate ones."""
-        if self.z is not None:
-            return None
+    def exact_str(self) -> str:
+        """Render 'a+b√d'."""
         p, q, den = self.p, self.q, self.den
         if not q:  # gcd(p, den) = 1 already
             return str(p) if den == 1 else f"{p}/{den}"
@@ -204,36 +186,30 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is not Scalar:  # skips a call on the hot path
             other = Scalar.coerce(other)
-        if self.z is None and other.z is None:
-            q, q2 = self.q, other.q
-            if not q or not q2 or self.d == other.d:
-                d = self.d if q else other.d
-                den, den2 = self.den, other.den
-                return _exact(self.p * den2 + other.p * den, q * den2 + q2 * den, d, den * den2)
-        return Scalar.approx(self.to_complex() + other.to_complex())
+        q, q2 = self.q, other.q
+        if q and q2 and self.d != other.d:
+            _mixed_fields(self, other)
+        d = self.d if q else other.d
+        den, den2 = self.den, other.den
+        return _exact(self.p * den2 + other.p * den, q * den2 + q2 * den, d, den * den2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.z is None:
-            x = _new(Scalar)
-            x.p, x.q, x.d, x.den, x.z = -self.p, -self.q, self.d, self.den, None
-            return x
-        return Scalar.approx(-self.z)
+        x = _new(Scalar)
+        x.p, x.q, x.d, x.den = -self.p, -self.q, self.d, self.den
+        return x
 
     def __sub__(self, other):
-        """self + (-other) in one step, with the same bits."""
+        """self + (-other) in one step."""
         if other.__class__ is not Scalar:
             other = Scalar.coerce(other)
-        if self.z is None and other.z is None:
-            q, q2 = self.q, other.q
-            if not q or not q2 or self.d == other.d:
-                d = self.d if q else other.d
-                den, den2 = self.den, other.den
-                return _exact(self.p * den2 - other.p * den, q * den2 - q2 * den, d, den * den2)
-        if other.z is None:  # the double of -other, whose zeros are +0.0
-            return Scalar.approx(self.to_complex() + (-other).to_complex())
-        return Scalar.approx(self.to_complex() - other.z)
+        q, q2 = self.q, other.q
+        if q and q2 and self.d != other.d:
+            _mixed_fields(self, other)
+        d = self.d if q else other.d
+        den, den2 = self.den, other.den
+        return _exact(self.p * den2 - other.p * den, q * den2 - q2 * den, d, den * den2)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
@@ -241,20 +217,19 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar:  # skips a call on the hot path
             other = Scalar.coerce(other)
-        if self.z is None and other.z is None:
-            q2 = other.q
-            if not q2:
-                r = other.p
-                return _exact(self.p * r, self.q * r, self.d, self.den * other.den)
-            q = self.q
-            if not q:
-                r = self.p
-                return _exact(r * other.p, r * q2, other.d, self.den * other.den)
-            d = self.d
-            if d == other.d:
-                p, p2 = self.p, other.p
-                return _exact(p * p2 + q * q2 * d, p * q2 + q * p2, d, self.den * other.den)
-        return Scalar.approx(self.to_complex() * other.to_complex())
+        q2 = other.q
+        if not q2:
+            r = other.p
+            return _exact(self.p * r, self.q * r, self.d, self.den * other.den)
+        q = self.q
+        if not q:
+            r = self.p
+            return _exact(r * other.p, r * q2, other.d, self.den * other.den)
+        d = self.d
+        if d != other.d:
+            _mixed_fields(self, other)
+        p, p2 = self.p, other.p
+        return _exact(p * p2 + q * q2 * d, p * q2 + q * p2, d, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -262,24 +237,20 @@ class Scalar:
         other = Scalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        exact = self.z is None and other.z is None
-        if exact and (not self.q or not other.q or self.d == other.d):
-            # den/(p + q sqrt d) = den (p - q sqrt d)/(p^2 - q^2 d)
-            p, q, d, den = other.p, other.q, other.d, other.den
-            return self * _exact(den * p, -den * q, d, p * p - q * q * d)
-        return Scalar.approx(self.to_complex() / other.to_complex())
+        # den/(p + q sqrt d) = den (p - q sqrt d)/(p^2 - q^2 d); a product
+        # across two fields is refused by __mul__
+        p, q, d, den = other.p, other.q, other.d, other.den
+        return self * _exact(den * p, -den * q, d, p * p - q * q * d)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
     def conjugate(self) -> "Scalar":
-        """Complex conjugate; identity on exact (real) values."""
-        if self.z is None:
-            return self
-        return Scalar.approx(self.z.conjugate())
+        """Complex conjugate: every Scalar is real, so itself."""
+        return self
 
     def abs_sq(self) -> "Scalar":
-        return self * self.conjugate()
+        return self * self
 
     # -- comparison ---------------------------------------------------------
 
@@ -288,30 +259,16 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.z is None and other.z is None:
-            return (self.p == other.p and self.q == other.q
-                    and self.den == other.den and self.d == other.d)
-        x, z = (self, other.z) if other.z is not None else (other, self.z)
-        if x.z is not None:
-            return x.z == z
-        # a double equals only the rational it is exactly, as a float equals a
-        # Fraction: equal values then hash equal across the tiers
-        return (not x.q and not z.imag and math.isfinite(z.real)
-                and z.real.as_integer_ratio() == (x.p, x.den))
+        return (self.p == other.p and self.q == other.q
+                and self.den == other.den and self.d == other.d)
 
     def __hash__(self):
-        if self.z is None:
-            if not self.q:
-                return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
-            return hash((self.p, self.q, self.d, self.den))
-        return hash(self.z)
+        if not self.q:  # as the equal int or Fraction hashes
+            return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
+        return hash((self.p, self.q, self.d, self.den))
 
     def _sign(self) -> int:
-        """Exact sign of a real scalar."""
-        if self.z is not None:
-            if self.z.imag:
-                raise ValueError("sign of a non-real scalar")
-            return (self.z.real > 0) - (self.z.real < 0)
+        """Exact sign."""
         p, q = self.p, self.q  # den > 0 leaves the sign to the numerator
         if not q:
             return (p > 0) - (p < 0)
@@ -340,9 +297,7 @@ class Scalar:
         return (self - Scalar.coerce(other))._sign() >= 0
 
     def __repr__(self):
-        if self.z is None:
-            return f"Scalar({self.exact_str()})"
-        return f"Scalar({self.z!r})"
+        return f"Scalar({self.exact_str()})"
 
 
 _new = object.__new__

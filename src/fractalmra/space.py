@@ -61,10 +61,6 @@ class LatticeVector:
         self.poly = coeffs
         self.coeffs = coeffs.coeffs
 
-    @property
-    def is_exact(self) -> bool:
-        return self.poly.is_exact
-
     def norm_sq(self) -> Scalar:
         """Exact squared norm: the basis at one resolution is orthonormal."""
         return inner(self, self)
@@ -98,7 +94,7 @@ class LatticeVector:
 
     def __repr__(self):
         terms = ", ".join(
-            f"{k}: {v.exact_str() or v.to_complex()}"
+            f"{k}: {v.exact_str()}"
             for k, v in self.poly.items()
         )
         return f"LatticeVector(res={self.resolution}, {{{terms}}})"

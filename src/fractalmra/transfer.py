@@ -26,17 +26,10 @@ def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
     return m0.conj_reciprocal() * m0
 
 
-def apply_haar_average(N: int, f: LaurentPolynomial, n: int) -> LaurentPolynomial:
-    """n-fold transfer with unit weight: keeps exponents divisible by N^n and
-    maps exponent N^n j to j."""
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
-    if n == 0:
-        return f
-    step = N ** n
-    return LaurentPolynomial(
-        {k // step: v for k, v in f.coeffs.items() if k % step == 0}
-    )
+def apply_haar_average(N: int, f: LaurentPolynomial) -> LaurentPolynomial:
+    """Transfer with unit weight: keeps the exponents divisible by N and maps
+    exponent N j to j."""
+    return LaurentPolynomial({k // N: v for k, v in f.coeffs.items() if k % N == 0})
 
 
 class TransferOperator:
@@ -57,10 +50,6 @@ class TransferOperator:
     @classmethod
     def from_filter(cls, m0: LaurentPolynomial, scale: int) -> "TransferOperator":
         return cls(scale, weight_from_filter(m0))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.weight.is_exact
 
     @property
     def block_halfwidth(self) -> int:
@@ -88,7 +77,7 @@ class TransferOperator:
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """(Rf)^(m) = sum_b W^(Nm - b) f^(b): the Haar average of W f."""
-        return apply_haar_average(self.scale, self.weight * f, 1)
+        return apply_haar_average(self.scale, self.weight * f)
 
     def iterate_weight(self, n: int) -> LaurentPolynomial:
         """The product weight W(z) W(z^N) ... W(z^(N^(n-1))), fully expanded."""
@@ -153,7 +142,7 @@ class SpectralBlock(NamedTuple):
     fixes_constant: bool
     eigenvalue_one_multiplicity: int
     has_other_peripheral: bool
-    eigenvalue_one_simple_exact: bool | None = None
+    eigenvalue_one_simple_exact: bool
 
     @property
     def dimension(self) -> int:
@@ -211,7 +200,6 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
     peripheral = np.abs(np.abs(eigenvalues) - 1.0) <= PERIPHERAL_TOL
     other = bool(np.any(peripheral & (np.abs(eigenvalues - 1.0) > PERIPHERAL_TOL)))
 
-    simple_exact = len(op.fixed_vectors) == 1 if op.is_exact else None
     return SpectralBlock(
         halfwidth=op.block_halfwidth,
         eigenvalues=eigenvalues,
@@ -219,5 +207,5 @@ def spectral_block(op: TransferOperator) -> SpectralBlock:
         fixes_constant=op.fixes_constant,
         eigenvalue_one_multiplicity=mult,
         has_other_peripheral=other,
-        eigenvalue_one_simple_exact=simple_exact,
+        eigenvalue_one_simple_exact=len(op.fixed_vectors) == 1,
     )

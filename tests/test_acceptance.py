@@ -68,16 +68,12 @@ def ok(line):
 
 
 def test_criterion_01_filter_bank_unitarity():
-    """N <= 6, every nonempty digit subset: defect < 1e-10; p = 2 exact 0."""
+    """N <= 6, every nonempty digit subset: the defect is exactly 0."""
     for N in range(2, 7):
         for r in range(1, N + 1):
             for S in itertools.combinations(range(N), r):
                 bank = build_bank(DigitSystem(N, S))
-                defect = unitarity_defect(bank)
-                assert defect < 1e-10, (N, S, defect)
-                if r == 2:
-                    assert bank.is_exact
-                    assert defect == 0.0, (N, S)
+                assert unitarity_defect(bank) == 0.0, (N, S)
     ok("criterion 1 (filter-bank unitarity, N <= 6)")
 
 

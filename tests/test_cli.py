@@ -352,7 +352,7 @@ def test_edge_inputs_refused_before_computing(argv, message, monkeypatch):
     assert err == f"precondition error: {message}\n"
 
 
-DIGITS_7 = ",".join(map(str, range(7)))
+DIGITS_7, DIGITS_24 = (",".join(map(str, range(p))) for p in (7, 24))
 DIGITS_707, DIGITS_708 = (",".join(map(str, range(p))) for p in (707, 708))
 CAP_REFUSALS = [
     (("cascade", "--scale", "4", "--digits", "0,1,2,3", "--steps", "12"),
@@ -363,8 +363,6 @@ CAP_REFUSALS = [
     (("riesz", "--grid", "100000000"), "grid capped at 100000"),
     (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--count", "100000"),
      "100000^2 exponent differences exceed cap 16777216"),
-    (("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "100000000"),
-     "samples capped at 10000"),
     (("filters", "--scale", "300", "--digits", "0"), "scale 300 exceeds cap 24"),
     (("cascade", "--scale", "708", "--digits", DIGITS_708, "--steps", "0"),
      "708*708 + 708^2 term products exceed cap 1000000"),
@@ -383,7 +381,7 @@ def test_work_caps_refuse_at_once(argv, message):
 @pytest.mark.parametrize("argv", [
     ("cascade", "--scale", "3", "--digits", "0,2", "--steps", "12"),
     ("riesz", "--depth", "31", "--grid", "9"),
-    ("filters", "--scale", "3", "--digits", "0,1,2", "--samples", "10000"),
+    ("filters", "--scale", "24", "--digits", DIGITS_24),
     ("filters", "--scale", "24", "--digits", "0"),
     ("cascade", "--scale", "707", "--digits", DIGITS_707, "--steps", "0"),
 ])
@@ -407,6 +405,15 @@ def test_moments_iteration_flags_removed(flag, value):
         cli.main(["moments", "--scale", "3", "--digits", "0,2", flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in err.getvalue()
+
+
+def test_samples_flag_removed():
+    """Every bank is exact, so no defect samples the torus."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        cli.main(["filters", "--scale", "3", "--digits", "0,1,2", "--samples", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in err.getvalue()
 
 
 def test_cycles_tol_flag_removed():
@@ -473,9 +480,9 @@ def test_each_derivation_runs_once_per_request(request_line, expected, monkeypat
 
 # sha256 of the JSON stdout of each request: exact arithmetic may get faster,
 # never different.  The first five are the heavy exact paths (long moment tables, a deep
-# representation limit, a wide Cantor Gram) and a p = 3 Gram, whose complex
-# detail filters put it on the approximate tier; the rest are the README
-# examples in JSON, plus the p = 3 filters, exact in Q(sqrt3).
+# representation limit, a wide Cantor Gram) and a p = 3 Gram, whose
+# Householder detail filters make it the exact identity; the rest are the
+# README examples in JSON, plus the p = 3 filters, exact in Q(sqrt3).
 GOLDEN_STDOUT = [
     ("moments --scale 3 --digits 0,2 --range 2048",
      "75a4c7142cef8f8d466b619a2e12525fdde5b4e3ac88afddccc6359249bf4bb0"),
@@ -486,13 +493,13 @@ GOLDEN_STDOUT = [
     ("gram --scale 3 --digits 0,2 --jrange 40 --krange 0",
      "91535de304c4b35b6d1209c2b53b900b932b999f2a238ea963b8d00fb2160d88"),
     ("gram --scale 4 --digits 0,1,3 --jrange 2 --krange 2",
-     "b8fa48a7bc4e05ee480c9bde31ef51d11073f146ce8bf9ea2f20b5c851fca24d"),
+     "0cdcdeecc87de8e6fe2032072cf789ec3f27909fe0676ac95b6ae0740a666cd0"),
     ("dimension --scale 3 --digits 0,2",
      "c0fbd998e1ead98b48a44c944b522932623206680fc9417f22222ef627f7b6b8"),
     ("filters --scale 3 --digits 0,2",
      "c02bb4ec86fdccf7a49ef917977fffe7fc9f1df2ba0bb162ae8b613f753b6b8b"),
     ("filters --scale 4 --digits 0,1,3",
-     "63cc14055fb20634d10555676432fa183ee32c94cf08443b18f62ac5e8a2d8dd"),
+     "774894ef617cacff8b18744c0390eb80786f80da31f22a3689032f75ab9373a0"),
     ("spectrum --scale 3 --digits 0,2",
      "597056eed9fd6939deeebe5c20db53534409e16e897d715975ec634267e0334d"),
     ("moments --scale 3 --digits 0,2 --range 64 --emit wiener",
@@ -571,6 +578,7 @@ def test_exact_tier_runs_never_load_numpy():
         f"{name} {system}"
         for name in ("dimension", "moments", "replimit", "cascade", "gram", "filters", "cycles")
     ]
+    lines.append("filters --scale 4 --digits 0,1,3")  # p = 3: Q(sqrt3) detail filters
     assert fresh_run(*lines) == [("import", None, None, ())] + [
         (line, 0, hashlib.sha256(run_cli(*line.split())[1].encode()).hexdigest(), ())
         for line in lines
@@ -606,7 +614,7 @@ def test_census_digest():
         count += 1
     assert count == 412
     assert digest.hexdigest() == (
-        "8567ace4a07dbbfe502b27e4657b326e13868aa3042380d6539f38c20f2e8b02"
+        "d6a1ed4df0e3eb33b80a35a986b7bde20cd297bae3673719715a880f530cc50b"
     )
 
 

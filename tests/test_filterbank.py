@@ -4,8 +4,8 @@ import pickle
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalmra.errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from fractalmra.filterbank import (
@@ -20,7 +20,7 @@ from fractalmra.filterbank import (
 )
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one, zero
-from fractalmra.scalars import Scalar
+from fractalmra.scalars import Scalar, _squarefree_split
 
 from conftest import random_exact_loop_matrix
 
@@ -71,6 +71,9 @@ def test_unitarity_defect_examples(cantor3, cantor4):
     assert unitarity_defect(build_bank(cantor4)) == 0.0
     bad = FilterBank(3, (canonical_lowpass(cantor3), monomial(1), monomial(2)))
     assert unitarity_defect(bad) >= 0.5
+    # the largest coefficient of A A* - I = diag(-3/4, 0)
+    half = LoopMatrix.diagonal([LaurentPolynomial({0: Fraction(1, 2)}), one()])
+    assert half.unitarity_defect() == 0.75
 
 
 def test_bank_and_loop_records(cantor3):
@@ -99,10 +102,7 @@ def test_unitarity_all_systems_up_to_scale_8():
         for r in range(1, N + 1):
             for S in itertools.combinations(range(N), r):
                 bank = build_bank(DigitSystem(N, S))
-                defect = unitarity_defect(bank)
-                assert defect < 1e-10, (N, S, defect)
-                if r <= 2:
-                    assert defect == 0.0, (N, S)
+                assert unitarity_defect(bank) == 0.0, (N, S)
 
 
 def test_pairing_examples(cantor3):
@@ -176,8 +176,6 @@ def test_loop_round_trip_exact(cantor3, haar2, cantor4):
     rng = random.Random(23)
     for sys in (cantor3, haar2, cantor4):
         bank = build_bank(sys)
-        if not bank.is_exact:
-            continue
         for _ in range(5):
             A = random_exact_loop_matrix(sys.scale, rng)
             assert A.unitarity_defect() == 0.0
@@ -188,37 +186,49 @@ def test_loop_round_trip_exact(cantor3, haar2, cantor4):
 
 
 def test_loop_round_trip_numeric():
-    # complex constant unitaries (QR of a seeded Gaussian) x monomial diagonals
-    rng = np.random.default_rng(5)
-    sys = DigitSystem(3, (0, 2))
+    """The round trip on banks with p >= 3, whose detail filters carry
+    irrational Householder entries (Q(sqrt 3), Q(sqrt 5)) or rational ones
+    (p = 4), is exact as well."""
+    rng = random.Random(5)
+    for sys in (DigitSystem(3, (0, 1, 2)), DigitSystem(4, (0, 1, 3)),
+                DigitSystem(5, (0, 2, 3, 4)), DigitSystem(4, (0, 1, 2, 3))):
+        bank = build_bank(sys)
+        for _ in range(3):
+            A = random_exact_loop_matrix(sys.scale, rng)
+            transformed = loop_apply(A, bank)
+            assert unitarity_defect(transformed) == 0.0
+            assert connecting_matrix(bank, transformed).entries == A.entries
+
+
+@st.composite
+def digit_systems(draw):
+    N = draw(st.integers(2, 12))
+    digits = draw(st.sets(st.integers(0, N - 1), min_size=1))
+    return DigitSystem(N, tuple(sorted(digits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(digit_systems())
+def test_householder_banks_are_exactly_unitary(sys):
+    """Every bank is exactly unitary: its low-pass and detail coefficient
+    rows form a symmetric orthogonal p x p matrix over Q(sqrt p), and the
+    gap monomials fill the other residues."""
     bank = build_bank(sys)
-    for _ in range(5):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        diag = [monomial(int(rng.integers(0, 3))) for _ in range(3)]
-        entries = tuple(
-            tuple(diag[i] * Scalar.approx(q[i, j]) for j in range(3)) for i in range(3)
-        )
-        A = LoopMatrix(3, entries)
-        assert A.unitarity_defect() < 1e-12
-        transformed = loop_apply(A, bank)
-        back = connecting_matrix(bank, transformed)
-        for i in range(3):
-            for j in range(3):
-                diff = back.entries[i][j] - A.entries[i][j]
-                dev = max(
-                    (abs(c.to_complex()) for c in diff.coeffs.values()), default=0.0
-                )
-                assert dev < 1e-10
-
-
-def test_unitarity_defect_rejects_sample_counts_below_one():
-    half = LoopMatrix.diagonal([LaurentPolynomial({0: Fraction(1, 2)}), one()])
-    bank = build_bank(DigitSystem(3, (0, 2)))
-    for samples in (0, -3):
-        with pytest.raises(PreconditionError):
-            half.unitarity_defect(samples=samples)
-        with pytest.raises(PreconditionError):
-            unitarity_defect(bank, samples=samples)
-    assert half.unitarity_defect(samples=1) == 0.75
+    assert unitarity_defect(bank) == 0.0
+    p, digits = sys.p, sys.digits
+    rows = [bank.filters[0], *bank.filters[1 + len(sys.gap_digits):]]
+    H = [[f[a] for a in digits] for f in rows]
+    assert all(set(f.coeffs) <= set(digits) for f in rows)
+    for i in range(p):
+        for j in range(p):
+            assert H[i][j] == H[j][i]
+            dot = sum((H[i][k] * H[j][k] for k in range(p)), Scalar(0))
+            assert dot == (1 if i == j else 0), (i, j)
+    squarefree = _squarefree_split(p)[1]
+    assert {c.d for f in bank.filters for c in f.coeffs.values()} <= {0, squarefree}
+    if p == 2:
+        a0, a1 = digits
+        r2 = Scalar.inv_sqrt(2)
+        assert rows[1] == LaurentPolynomial({a0: r2, a1: -r2})
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ def test_zero_coefficients_pruned():
 
 
 def test_products_drop_coefficients_that_vanish():
-    tiny = Scalar.approx(1e-200)
-    f = LaurentPolynomial({0: tiny}) * tiny  # underflows to 0j
+    r2 = Scalar.inv_sqrt(2)
+    f = LaurentPolynomial({0: r2, 1: 1}) * 0
     assert f.coeffs == {} and f.is_zero()
-    assert (LaurentPolynomial({0: tiny, 1: 1}) * tiny).coeffs == {1: tiny}
+    # (1/sqrt2 + z)(1/sqrt2 - z): the z terms cancel exactly
+    g = LaurentPolynomial({0: r2, 1: 1}) * LaurentPolynomial({0: r2, 1: -1})
+    assert g.coeffs == {0: Scalar(Fraction(1, 2)), 2: Scalar(-1)}
     assert (LaurentPolynomial({0: 1, 1: 1}) * LaurentPolynomial({0: 1, 1: -1})).coeffs == {
         0: Scalar(1), 2: Scalar(-1)
     }

@@ -28,7 +28,6 @@ from fractalmra.measure import (
     moment,
     moment_table,
     riesz_samples,
-    tail_measure,
     wiener_profile,
 )
 from fractalmra.scalars import Scalar
@@ -225,7 +224,7 @@ def reference_wiener(table, K):
 
 
 def scalar_fields(x):
-    return None if x is None else (x.a, x.b, x.d, x.z)
+    return None if x is None else (x.a, x.b, x.d)
 
 
 def assert_same_wiener(table, K):
@@ -257,8 +256,8 @@ def test_residue_recursion_and_wiener_match_the_first_form():
 
 
 def test_wiener_profile_off_the_rationals():
-    """Q(sqrt2) moments make the partial sums irrational, an approximate one
-    demotes them; exact and approximate zeros sit in between."""
+    """Q(sqrt2) moments make the partial sums irrational; zeros sit in
+    between."""
     def hand_table(values):
         table = MomentTable(scale=2)
         for n, v in enumerate(values):
@@ -268,11 +267,10 @@ def test_wiener_profile_off_the_rationals():
 
     r2 = Scalar.sqrt(2)
     values = [Scalar(1), HALF + r2, Scalar(0), Scalar(Fraction(-1, 3)) * r2,
-              Scalar.approx(0), Scalar.approx(0.25 + 0.5j), Scalar(0), Scalar(Fraction(2, 7))]
-    rows = wiener_profile(hand_table(values), 7).rows
-    assert rows[1].partial_sum.is_exact and not rows[1].partial_sum.is_rational
-    assert not rows[-1].partial_sum.is_exact
-    assert_same_wiener(hand_table(values), 7)
+              Scalar(0), Scalar(Fraction(2, 7))]
+    rows = wiener_profile(hand_table(values), 5).rows
+    assert not rows[1].partial_sum.is_rational
+    assert_same_wiener(hand_table(values), 5)
     assert_same_wiener(hand_table([Scalar(1), Scalar(0), HALF, Scalar(0), Scalar(0)]), 4)
 
 
@@ -280,7 +278,7 @@ def reference_threshold(op, idx):
     """The per-index stabilization rule, kept as the reference for the
     one-pass `_stabilization_thresholds`."""
     W = op.weight
-    if not (W[0].is_exact and W[0] == Scalar(1)):
+    if W[0] != Scalar(1):
         return None
     nonzero = [abs(k) for k in W.coeffs if k]
     if not nonzero:
@@ -346,9 +344,6 @@ def test_moment_table_properties(system):
 def test_moment_solve_refuses_undecidable_weights():
     with pytest.raises(PreconditionError, match="not simple"):
         moment_table(TransferOperator.from_filter(stretched_haar(), 2), 4)
-    approximate = LaurentPolynomial({0: Scalar.approx(R2.to_complex()), 1: R2})
-    with pytest.raises(PreconditionError, match="exact"):
-        moment_table(TransferOperator.from_filter(approximate, 2), 4)
     # unnormalized: a one-dimensional fixed space that vanishes at 0
     c, d = Scalar(Fraction(-3, 2)), Scalar(1)
     vanishing = LaurentPolynomial({-2: c, -1: d, 0: c, 1: d, 2: c})
@@ -367,12 +362,6 @@ def test_riesz_samples():
     deep = riesz_samples(6, 3 ** 8)
     mass = sum(v for _, v in deep) * 2 * math.pi / 3 ** 8
     assert mass == pytest.approx(1.0, abs=5e-2)
-
-
-def test_tail_measure(cantor3_table):
-    assert tail_measure(cantor3_table, 2, one()) == Scalar(1)
-    assert tail_measure(cantor3_table, 1, monomial(6)) == HALF
-    assert tail_measure(cantor3_table, 1, monomial(1)).is_zero()
 
 
 def test_find_cycles_examples(cantor3, haar2):
@@ -491,10 +480,8 @@ def test_find_cycles_beyond_the_float_grid():
 
 def test_find_cycles_rejects_weights_it_cannot_decide():
     irrational = LaurentPolynomial({0: HALF, 1: Scalar(0, Fraction(1, 2), 2)})
-    approximate = LaurentPolynomial({0: Scalar.approx(R2.to_complex()), 1: R2})
-    for m0 in (irrational, approximate):
-        with pytest.raises(PreconditionError, match="rational"):
-            find_cycles(TransferOperator.from_filter(m0, 2), 4)
+    with pytest.raises(PreconditionError, match="rational"):
+        find_cycles(TransferOperator.from_filter(irrational, 2), 4)
     constant_n = monomial(3, Scalar.sqrt(2))
     for L in (1, 8):
         with pytest.raises(PreconditionError, match="identically N"):

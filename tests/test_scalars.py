@@ -1,12 +1,11 @@
 import math
 import random
-import struct
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractalmra.scalars import Scalar, _squarefree_split
 
@@ -49,19 +48,7 @@ def test_field_axioms_sampled():
 
 def test_conjugate_is_identity_on_exact():
     a = Scalar(1, 2, 2)
-    assert a.conjugate() == a
-    z = Scalar.approx(1 + 2j)
-    assert z.conjugate().to_complex() == 1 - 2j
-
-
-def test_mixed_base_promotes_to_approx():
-    a = Scalar(0, 1, 2)
-    b = Scalar(0, 1, 3)
-    prod = a * b
-    assert not prod.is_exact
-    assert prod.to_complex() == pytest.approx(math.sqrt(6))
-    # rationals coerce into either base
-    assert (Scalar(2) * a).is_exact
+    assert a.conjugate() is a
 
 
 def test_exact_ordering():
@@ -80,7 +67,6 @@ def test_float_conversion_and_abs_sq():
 def test_exact_str_rendering():
     assert Scalar(1, -1, 2).exact_str() == "1-√2"
     assert Scalar(-1, Fraction(1, 2), 2).exact_str() == "-1+1/2√2"
-    assert Scalar.approx(1j).exact_str() is None
 
 
 def _is_squarefree(q: int) -> bool:
@@ -196,7 +182,6 @@ def fraction_str(a: Fraction, b: Fraction, d: int) -> str:
 def assert_canonical(r):
     """The int parts obey the representation's rules and agree with the
     Fraction parts: value, float bits, text and normalising rebuild."""
-    assert r.is_exact
     assert all(type(v) is int for v in (r.p, r.q, r.d, r.den))
     assert r.den > 0 and math.gcd(r.p, r.q, r.den) == 1
     assert (r.q == 0) == (r.d == 0)
@@ -251,34 +236,26 @@ def test_equal_values_hash_equal(xyz):
         assert r == rebuilt and hash(r) == hash(rebuilt)
         if r.is_rational:
             assert r == r.a and hash(r) == hash(r.a)
+    # every pair of the values and their results: a set never keeps two
+    # equal values
+    values = list(xyz) + results(x, y)
+    for u in values:
+        for v in values:
+            if u == v:
+                assert v == u and hash(u) == hash(v)
 
 
-@settings(max_examples=300, deadline=None)
-@given(field_values())
-def test_equal_values_hash_equal_across_tiers(xyz):
-    """x == y implies hash(x) == hash(y) over exact values, the doubles made
-    from them, and every mixed pair: a set never keeps two equal values."""
-    exact = list(xyz) + results(xyz[0], xyz[1])
-    values = exact + [Scalar.approx(v.to_complex()) for v in exact]
-    for x in values:
-        for y in values:
-            if x == y:
-                assert y == x and hash(x) == hash(y)
-    for x in exact:
-        # a double equals an exact value only when it is that rational exactly
-        z = x.to_complex().real
-        assert (x == Scalar.approx(z)) == (x.is_rational and x.a == Fraction(z))
-
-
-def test_cross_tier_equality_is_exact():
-    assert Scalar(Fraction(1, 3)) != Scalar.approx(1 / 3)
-    assert Scalar.sqrt(2) != Scalar.approx(math.sqrt(2))
-    assert len({Scalar(Fraction(1, 3)), Scalar.approx(1 / 3)}) == 2
-    assert Scalar(Fraction(1, 4)) == Scalar.approx(0.25) == 0.25
-    assert hash(Scalar(Fraction(1, 4))) == hash(Scalar.approx(0.25))
-    assert Scalar(0) == Scalar.approx(-0.0) and Scalar(3) == 3.0
-    for z in (float("nan"), float("inf"), -float("inf"), 1 + 1e-300j):
-        assert Scalar(1) != Scalar.approx(z)
+def test_floats_are_refused():
+    """An exact value never meets a float: coercion, arithmetic and the
+    float operand of a comparison are refused, or compare unequal."""
+    for z in (0.25, 1.0, 1 + 2j):
+        with pytest.raises(TypeError):
+            Scalar.coerce(z)
+        with pytest.raises(TypeError):
+            Scalar(1) + z
+        with pytest.raises(TypeError):
+            Scalar(1) * z
+    assert Scalar(Fraction(1, 4)) != 0.25 and Scalar(3) != 3.0
 
 
 def test_sums_that_cancel_the_root_land_in_q():
@@ -294,51 +271,31 @@ def test_sums_that_cancel_the_root_land_in_q():
     st.sampled_from([(d, e) for d in RADICANDS for e in RADICANDS if d != e]),
     fractions_, fractions_.filter(bool), fractions_, fractions_.filter(bool),
 )
-def test_mixed_fields_demote_to_approximate(de, a, b, c, e):
+def test_mixed_fields_are_refused(de, a, b, c, e):
+    """Operands with two irrational radicands never meet in a request; every
+    operator refuses them with both radicands named.  A rational operand
+    joins either field."""
     d, d2 = de
     x, y = Scalar(a, b, d), Scalar(c, e, d2)
-    exact = (float(a) + float(b) * math.sqrt(d), float(c) + float(e) * math.sqrt(d2))
-    for r, ref in [
-        (x + y, exact[0] + exact[1]),
-        (x - y, exact[0] - exact[1]),
-        (x * y, exact[0] * exact[1]),
-    ]:
-        assert not r.is_exact
-        assert r.to_complex() == pytest.approx(ref, rel=1e-12, abs=1e-12)
-    if not y.is_zero():
-        assert not (x / y).is_exact
-    assert not (x + Scalar.approx(0.5)).is_exact
-    assert not (Scalar(a) * Scalar.approx(1.0)).is_exact
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+        with pytest.raises(ValueError, match=rf"Q\(√{d}\) and Q\(√{d2}\)"):
+            op()
+    for r in (Scalar(a) * y, x + Scalar(c), x / Scalar(e)):
+        assert r.d in (0, d, d2)
 
 
 def scalar_bits(x):
-    """The exact parts, or the bytes of the double pair (signed zeros kept)."""
-    if x.is_exact:
-        return ("exact", x.p, x.q, x.d, x.den)
-    return ("approx", struct.pack("<dd", x.z.real, x.z.imag))
-
-
-SIGNED_PARTS = st.one_of(
-    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.5, -1.5, float("inf")])
-)
-SCALARS = st.one_of(
-    st.builds(Scalar, fractions_),
-    st.builds(Scalar, fractions_, fractions_, st.sampled_from(RADICANDS)),
-    st.builds(lambda re, im: Scalar.approx(complex(re, im)), SIGNED_PARTS, SIGNED_PARTS),
-)
-OPERANDS = st.one_of(
-    SCALARS, st.integers(-5, 5), fractions_, SIGNED_PARTS,
-    st.builds(complex, SIGNED_PARTS, SIGNED_PARTS),
-)
+    return (x.p, x.q, x.d, x.den)
 
 
 @settings(max_examples=500, deadline=None)
-@example(Scalar.approx(complex(-0.0, 0.0)), 0)  # -0 is the exact 0, whose double is +0.0
-@example(Scalar.approx(complex(-0.0, -0.0)), Fraction(1, 10 ** 400))  # a double that underflows
-@given(SCALARS, OPERANDS)
-def test_subtraction_has_the_bits_of_adding_the_negation(x, y):
-    """x - y is computed in one step, bit for bit as x + (-y), on both
-    tiers, whichever operand is a Scalar (NaN operands are left out: IEEE
-    does not fix the sign of a NaN that passes through)."""
+@given(st.sampled_from(RADICANDS), fractions_, fractions_, st.one_of(
+    fractions_, st.integers(-5, 5), st.tuples(fractions_, fractions_)))
+def test_subtraction_has_the_bits_of_adding_the_negation(d, a, b, y):
+    """x - y is computed in one step, part for part as x + (-y), whichever
+    operand is a Scalar."""
+    x = Scalar(a, b, d)
+    if isinstance(y, tuple):  # a second value of x's field
+        y = Scalar(*y, d)
     assert scalar_bits(x - y) == scalar_bits(x + (-Scalar.coerce(y)))
     assert scalar_bits(y - x) == scalar_bits(Scalar.coerce(y) + (-x))

@@ -232,11 +232,8 @@ def test_gram_section_sparse_scales_far_apart(cantor3):
 
 
 def _reference_gram(generators, j_range, k_range):
-    """Dense Gram from explicit vectors and pairwise `inner`.
-
-    The vectors are first refined to the section's top resolution, where the
-    section sums its entries: the approximate tier's floats depend on the
-    resolution a sum runs at, the exact values do not."""
+    """Dense Gram from explicit vectors and pairwise `inner`, with the
+    vectors first refined to the section's top resolution."""
     vectors = [
         dilate_power(apply_shift(psi, k), j)
         for psi in generators
@@ -291,16 +288,6 @@ def test_gram_section_matches_pairwise_reference(system, generators, j_range, k_
     assert section.size == len(reference)
     assert len(section.matrix) == section.size
     dev = section.max_identity_deviation()
-    if not all(psi.is_exact for psi in generators):
-        # the approximate tier (detail filters with p >= 3) sums its floats
-        # at the generators' own resolutions, the reference at the top one
-        for r, row in enumerate(reference):
-            assert len(section.matrix[r]) == section.size
-            for c, value in enumerate(row):
-                diff = section.matrix[r][c].to_complex() - value.to_complex()
-                assert abs(diff) <= 1e-12, (r, c)
-        assert abs(dev - _reference_deviation(reference)) <= 1e-12
-        return
     for r, row in enumerate(reference):
         assert len(section.matrix[r]) == section.size
         for c, value in enumerate(row):
@@ -317,6 +304,19 @@ def test_gram_section_matches_pairwise_reference(system, generators, j_range, k_
         for r, row in enumerate(reference)
         for c, value in enumerate(row)
     )
+
+
+@pytest.mark.parametrize("system", [
+    DigitSystem(3, (0, 1, 2)), DigitSystem(4, (0, 1, 3)),
+    DigitSystem(5, (0, 2, 4)), DigitSystem(7, (0, 3, 5)),
+])
+def test_gram_sections_of_householder_banks_are_the_identity(system):
+    """With p >= 3 the wavelets of the Householder bank are exactly
+    orthonormal: the section stores its diagonal only, every entry 1."""
+    section = gram_section(system, wavelet_generators(system), range(-1, 2), range(-2, 3))
+    assert section.is_identity()
+    assert section.max_identity_deviation() == 0.0
+    assert list(section.entries) == [(r, r) for r in range(section.size)]
 
 
 def test_gram_section_sparse_verdicts(cantor3):
@@ -590,16 +590,16 @@ def test_representation_limit_matches_lattice_route(system):
 
 
 def test_representation_limit_matches_lattice_route_approximate():
+    """A p = 3 detail filter, with Q(sqrt 3) coefficients: both routes
+    agree exactly."""
     system = DigitSystem(3, (0, 1, 2))
     detail = build_bank(system).filters[1]
-    assert not detail.is_exact
     op = TransferOperator.from_filter(detail, system.scale)
     lags = range(-12, 13)
     for n in range(7):
         expected = _lattice_representation_limits(system, detail, n, lags)
         for lag in lags:
-            value = representation_limit(op, n, lag)
-            assert abs(value.to_complex() - expected[lag].to_complex()) < 1e-12
+            assert representation_limit(op, n, lag) == expected[lag]
 
 
 def test_cylinder_norm(cantor3):
@@ -649,9 +649,7 @@ def _loop_shift(v, k):
 
 
 def _bits(c):
-    if c.is_exact:
-        return (c.a, c.b, c.d)
-    return (c.z.real.hex(), c.z.imag.hex())
+    return (c.a, c.b, c.d)
 
 
 def _assert_same_terms(v, resolution, expected):
@@ -671,8 +669,7 @@ def _small_systems():
 def test_lattice_operations_match_the_coefficient_loops():
     """Every digit system with N <= 5: exact vectors at resolutions -1 and 0
     (the second with consecutive indices, so products collide and 1 - z
-    cancels a term) and the wavelet generators, which are approximate for
-    p >= 3, refined and shifted at depths 0-4 and filtered at depths 0-2
+    cancels a term) and the wavelet generators, refined and shifted at depths 0-4 and filtered at depths 0-2
     (deeper filter products run the same loop over p^D times the terms)."""
     rng = random.Random(11)
     collide = LaurentPolynomial({0: 1, 1: -1})
@@ -705,8 +702,51 @@ def test_refinement_composes(pair, a, b):
     assert refine_to(refine_to(v, mid), top).coeffs == once.coeffs
 
 
-def test_scaling_drops_products_that_underflow(cantor3):
-    tiny = Scalar.approx(1e-200)
-    v = LatticeVector(cantor3, 0, {0: tiny, 1: 1})
-    assert v.scaled(tiny).coeffs == {1: tiny}
-    assert LatticeVector(cantor3, 0, {0: tiny}).scaled(tiny).coeffs == {}
+
+def _meeting_translates(v, step, f):
+    """The k for which v moved by k * step indices at its own resolution
+    meets f's support once both are read at f's (finer) resolution: the
+    refinement of an index x over D levels lies in
+    N^D x + [min S, max S] (N^D - 1)/(N - 1)."""
+    sys = f.system
+    q = sys.scale ** (f.resolution - v.resolution)
+    spread = (q - 1) // (sys.scale - 1)
+    lo = q * min(v.coeffs) + sys.digits[0] * spread
+    hi = q * max(v.coeffs) + sys.digits[-1] * spread
+    move = step * q
+    return range(-((hi - min(f.coeffs)) // move), (max(f.coeffs) - lo) // move + 1)
+
+
+@st.composite
+def _parseval_cases(draw):
+    N = draw(st.integers(2, 5))
+    system = DigitSystem(N, tuple(sorted(draw(st.sets(st.integers(0, N - 1), min_size=1)))))
+    coeffs = draw(st.dictionaries(
+        st.integers(-4, 4), st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        min_size=1, max_size=3,
+    ).filter(lambda c: any(a or b for a, b in c.values())))
+    f = LatticeVector(system, draw(st.integers(0, 2)), {
+        x: Scalar(Fraction(a, 2), b, system.p) for x, (a, b) in coeffs.items()
+    })
+    return f, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_parseval_cases())
+def test_parseval_identity_is_exact(case):
+    """V_r is the orthogonal sum V_-J + W_-J + ... + W_(r-1), so for f in
+    V_r, ||f||^2 = ||P_(V_-J) f||^2 + the sum over -J <= j < r, every
+    generator i and every k of |<U^-j T^k psi_i, f>|^2, exactly: the
+    projection reads the basis U^J T^k phi of V_-J, and the banks with
+    p >= 3 have Householder detail filters in Q(sqrt p)."""
+    f, J = case
+    sys, r = f.system, f.resolution
+    total = Scalar(0)
+    for k in _meeting_translates(basis_delta(sys, -J, 0), 1, f):
+        total = total + inner(basis_delta(sys, -J, k), f).abs_sq()
+    for psi in wavelet_generators(sys):
+        for j in range(-J, r):
+            # T^k at psi's resolution 1 moves its indices by k N
+            for k in _meeting_translates(dilate_power(psi, j), sys.scale, f):
+                total = total + inner(dilate_power(apply_shift(psi, k), j), f).abs_sq()
+    assert total == f.norm_sq()

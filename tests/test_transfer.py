@@ -124,9 +124,12 @@ def test_spectral_block_haar(haar2):
 
 
 def test_haar_average_examples():
-    assert apply_haar_average(3, monomial(6), 1) == monomial(2)
-    assert apply_haar_average(3, monomial(1), 1).is_zero()
-    assert apply_haar_average(5, constant(5), 3) == constant(5)
+    assert apply_haar_average(3, monomial(6)) == monomial(2)
+    assert apply_haar_average(3, monomial(1)).is_zero()
+    assert apply_haar_average(5, constant(5)) == constant(5)
+    assert apply_haar_average(2, monomial(-4) + monomial(-3, 2) + monomial(2, 3)) == (
+        monomial(-2) + monomial(1, 3)
+    )
 
 
 def test_degree_contraction(cantor3):
