@@ -41,7 +41,6 @@ from .filterbank import (
 from .transfer import (
     SpectralBlock,
     TransferOperator,
-    apply_haar_average,
     spectral_block,
     weight_from_filter,
 )

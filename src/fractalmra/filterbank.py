@@ -9,7 +9,8 @@ The module also provides the subsampled pairing
 
     <m, m'>_N (z) = (1/N) sum_{w^N = z} conj(m(w)) m'(w),
 
-the polyphase unitarity defect, and the loop-group action A: m -> A(z^N) m(z)
+which is the transfer step with weight conj(m) applied to m', the polyphase
+unitarity defect, and the loop-group action A: m -> A(z^N) m(z)
 with its connecting matrix.
 """
 
@@ -21,9 +22,11 @@ from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
 from .ifs import DigitSystem
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
-from .transfer import apply_haar_average
+from .transfer import TransferOperator
 
-UNITARITY_SCALE_CAP = 24  # the pairing Gram has N^2 entries of up to p^2 products each
+# the pairing Gram has N^2 entries; m's digits are distinct mod N, so each
+# term of m2 meets at most one term of conj(m) and an entry forms at most p products
+UNITARITY_SCALE_CAP = 24
 
 
 def canonical_lowpass(sys: DigitSystem) -> LaurentPolynomial:
@@ -88,8 +91,9 @@ def build_bank(sys: DigitSystem) -> FilterBank:
 def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolynomial:
     """<m, m2>_N: the unique Laurent polynomial with
     (1/N) sum_{w^N=z} conj(m(w)) m2(w) = sum_n c_n z^n,
-    c_n = sum_k conj(m^(k)) m2^(k + N n), the Haar average of conj(m) m2."""
-    return apply_haar_average(N, m.conj_reciprocal() * m2)
+    c_n = sum_k conj(m^(k)) m2^(k + N n): the transfer step of scale N with
+    weight conj(m), applied to m2."""
+    return TransferOperator(N, m.conj_reciprocal()).apply(m2)
 
 
 def _identity_defect(gram: list[list[LaurentPolynomial]]) -> float:

@@ -88,6 +88,9 @@ class Scalar:
     is_exact = True
 
     def __init__(self, a, b=0, d=0):
+        for x in (a, b):  # as in coerce: a float would become its binary rational
+            if isinstance(x, (float, complex)):
+                raise TypeError(f"cannot make a Scalar from {type(x).__name__}")
         a = Fraction(a)
         b = Fraction(b)
         r = 0
@@ -106,10 +109,6 @@ class Scalar:
         self.p, self.q, self.d, self.den = p // g, q // g, r if q else 0, den // g
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def sqrt(cls, d: int) -> "Scalar":
-        return cls(0, 1, d)
 
     @classmethod
     def inv_sqrt(cls, p: int) -> "Scalar":

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
@@ -251,7 +251,7 @@ class GramSection:
     """Finite Gram matrix of dilated translates of a family of generators.
 
     Only the nonzero entries are stored, keyed (row, column) in row-major
-    order; `matrix` is the dense view, built on first use."""
+    order."""
 
     def __init__(
         self,
@@ -264,13 +264,6 @@ class GramSection:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        rows = [[ZERO] * self.size for _ in range(self.size)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return tuple(tuple(row) for row in rows)
 
     def max_identity_deviation(self) -> float:
         diagonal = sum(1 for r, c in self.entries if r == c)

@@ -26,12 +26,6 @@ def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
     return m0.conj_reciprocal() * m0
 
 
-def apply_haar_average(N: int, f: LaurentPolynomial) -> LaurentPolynomial:
-    """Transfer with unit weight: keeps the exponents divisible by N and maps
-    exponent N j to j."""
-    return LaurentPolynomial({k // N: v for k, v in f.coeffs.items() if k % N == 0})
-
-
 class TransferOperator:
     """Transfer operator of scale N with weight W acting on Laurent polynomials."""
 
@@ -76,8 +70,16 @@ class TransferOperator:
         return max(abs(c.to_complex()) for c in diff.coeffs.values())
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """(Rf)^(m) = sum_b W^(Nm - b) f^(b): the Haar average of W f."""
-        return apply_haar_average(self.scale, self.weight * f)
+        """(Rf)^(m) = sum_b W^(Nm - b) f^(b): each term b of f meets exactly
+        the terms k of W in by_residue[-b % N], at m = (k + b)/N."""
+        N = self.scale
+        data: dict[int, Scalar] = {}
+        for b, v in f.coeffs.items():
+            for k, w in self.by_residue[-b % N]:
+                m = (k + b) // N
+                s = data.get(m)
+                data[m] = w * v if s is None else s + w * v
+        return LaurentPolynomial(data)
 
     def iterate_weight(self, n: int) -> LaurentPolynomial:
         """The product weight W(z) W(z^N) ... W(z^(N^(n-1))), fully expanded."""

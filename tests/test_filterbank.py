@@ -112,6 +112,13 @@ def test_pairing_examples(cantor3):
     assert pairing(monomial(1), one(), 5) == zero()
 
 
+def test_pairing_refuses_scale_below_two():
+    # the pairing is the transfer step of scale N, which needs N >= 2
+    for N in (1, 0, -1):
+        with pytest.raises(PreconditionError):
+            pairing(one(), one(), N)
+
+
 def test_pairing_parseval():
     rng = random.Random(17)
     for _ in range(10):

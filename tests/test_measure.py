@@ -265,7 +265,7 @@ def test_wiener_profile_off_the_rationals():
             table.entries[-n] = MomentEntry(-n, v.conjugate(), 0)
         return table
 
-    r2 = Scalar.sqrt(2)
+    r2 = Scalar(0, 1, 2)
     values = [Scalar(1), HALF + r2, Scalar(0), Scalar(Fraction(-1, 3)) * r2,
               Scalar(0), Scalar(Fraction(2, 7))]
     rows = wiener_profile(hand_table(values), 5).rows
@@ -425,7 +425,7 @@ def reference_filters():
         for sign in (1, -1):
             yield LaurentPolynomial({0: R2, k: R2 * sign}), 2, 12
     for N in (2, 4, 5):  # |m0|^2 - N = N z^-1 Phi_3
-        yield LaurentPolynomial({0: Scalar.sqrt(N), 1: Scalar.sqrt(N)}), N, lengths[N]
+        yield LaurentPolynomial({0: Scalar(0, 1, N), 1: Scalar(0, 1, N)}), N, lengths[N]
     for N in (3, 5):  # |m0|^2 - N = (N/2) z^-1 Phi_4
         c = Scalar(0, Fraction(1, 2), 2 * N)
         yield LaurentPolynomial({0: c, 1: c}), N, lengths[N]
@@ -482,7 +482,7 @@ def test_find_cycles_rejects_weights_it_cannot_decide():
     irrational = LaurentPolynomial({0: HALF, 1: Scalar(0, Fraction(1, 2), 2)})
     with pytest.raises(PreconditionError, match="rational"):
         find_cycles(TransferOperator.from_filter(irrational, 2), 4)
-    constant_n = monomial(3, Scalar.sqrt(2))
+    constant_n = monomial(3, Scalar(0, 1, 2))
     for L in (1, 8):
         with pytest.raises(PreconditionError, match="identically N"):
             find_cycles(TransferOperator.from_filter(constant_n, 2), L)

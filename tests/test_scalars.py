@@ -83,7 +83,7 @@ def test_squarefree_split_is_bounded():
     # 2^89 - 1 is prime: beyond trial division and not a square, so refused
     start = time.perf_counter()
     with pytest.raises(ValueError):
-        Scalar.sqrt(2 ** 89 - 1)
+        Scalar(0, 1, 2 ** 89 - 1)
     assert time.perf_counter() - start < 1.0
     # the square of the prime 2^61 - 1 is split by its root
     assert Scalar(0, 1, (2 ** 61 - 1) ** 2) == 2 ** 61 - 1
@@ -93,8 +93,8 @@ def test_radicand_must_be_an_integer():
     for d in (2.5, Fraction(7, 2)):
         with pytest.raises(ValueError):
             Scalar(0, 1, d)
-    assert Scalar(0, 1, Fraction(8, 4)) == Scalar.sqrt(2)
-    assert Scalar(0, 1, np.int64(2)) == Scalar.sqrt(np.int64(2)) == Scalar.sqrt(2)
+    assert Scalar(0, 1, Fraction(8, 4)) == Scalar(0, 1, 2)
+    assert Scalar(0, 1, np.int64(2)) == Scalar(np.int64(0), 1, 2) == Scalar(0, 1, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,9 +246,13 @@ def test_equal_values_hash_equal(xyz):
 
 
 def test_floats_are_refused():
-    """An exact value never meets a float: coercion, arithmetic and the
-    float operand of a comparison are refused, or compare unequal."""
-    for z in (0.25, 1.0, 1 + 2j):
+    """An exact value never meets a float: the constructor, coercion,
+    arithmetic and the float operand of a comparison are refused, or compare
+    unequal."""
+    for z in (0.25, 1.0, 1 + 2j, 0.1, np.float64(0.5)):
+        for make in (lambda: Scalar(z), lambda: Scalar(0, z, 2), lambda: Scalar(1, z)):
+            with pytest.raises(TypeError):
+                make()
         with pytest.raises(TypeError):
             Scalar.coerce(z)
         with pytest.raises(TypeError):

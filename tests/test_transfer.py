@@ -5,17 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fractalmra.filterbank import canonical_lowpass
+from fractalmra.filterbank import canonical_lowpass, pairing
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, constant, monomial, one
 from fractalmra.scalars import Scalar
-from fractalmra.transfer import (
-    TransferOperator,
-    apply_haar_average,
-    spectral_block,
-    weight_from_filter,
-)
+from fractalmra.transfer import TransferOperator, spectral_block, weight_from_filter
 
 from conftest import random_polynomial
 
@@ -124,12 +120,43 @@ def test_spectral_block_haar(haar2):
 
 
 def test_haar_average_examples():
-    assert apply_haar_average(3, monomial(6)) == monomial(2)
-    assert apply_haar_average(3, monomial(1)).is_zero()
-    assert apply_haar_average(5, constant(5)) == constant(5)
-    assert apply_haar_average(2, monomial(-4) + monomial(-3, 2) + monomial(2, 3)) == (
+    # the step with unit weight keeps the exponents divisible by N, N j -> j
+    def average(N, f):
+        return TransferOperator(N, one()).apply(f)
+
+    assert average(3, monomial(6)) == monomial(2)
+    assert average(3, monomial(1)).is_zero()
+    assert average(5, constant(5)) == constant(5)
+    assert average(2, monomial(-4) + monomial(-3, 2) + monomial(2, 3)) == (
         monomial(-2) + monomial(1, 3)
     )
+
+
+def _product_then_filter(N: int, W: LaurentPolynomial, f: LaurentPolynomial) -> LaurentPolynomial:
+    """The transfer step by its definition: expand W f in full, keep the
+    exponents divisible by N and map N j to j."""
+    return LaurentPolynomial({k // N: v for k, v in (W * f).coeffs.items() if k % N == 0})
+
+
+@st.composite
+def _polynomials_in_one_field(draw, count):
+    d = draw(st.sampled_from((2, 3, 5, 6, 7)))
+    scalar = st.builds(
+        lambda a, den, b: Scalar(Fraction(a, den), b, d),
+        st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2),
+    )
+    poly = st.dictionaries(st.integers(-12, 12), scalar, max_size=6).map(LaurentPolynomial)
+    return [draw(poly) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(2, 7), polys=_polynomials_in_one_field(4))
+def test_transfer_step_matches_product_then_filter(N, polys):
+    """apply reads W by residue and pairing is the step with weight conj(m);
+    both equal the full product with every exponent off N Z dropped."""
+    W, f, m, m2 = polys
+    assert TransferOperator(N, W).apply(f) == _product_then_filter(N, W, f)
+    assert pairing(m, m2, N) == _product_then_filter(N, m.conj_reciprocal(), m2)
 
 
 def test_degree_contraction(cantor3):
