@@ -36,7 +36,7 @@ print("all entries provably stabilized:",
 
 profile = wiener_profile(table, 81)
 print("Wiener ratios s_k/k at k = 3, 9, 27, 81:",
-      [f"{float(profile.rows[k].ratio.to_complex().real):.5f}" for k in (3, 9, 27, 81)])
+      [f"{float(profile.rows[k].ratio):.5f}" for k in (3, 9, 27, 81)])
 print("(the ratio tends to 0: the measure has no atoms)")
 
 print()

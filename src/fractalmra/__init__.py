@@ -84,7 +84,6 @@ from .space import (
     cascade_experiment,
     cascade_step,
     correlation,
-    cylinder_vector,
     dilate_power,
     gram_section,
     inner,

@@ -60,8 +60,7 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 
 def _scalar_json(s) -> dict:
-    z = s.to_complex()
-    return {"re": z.real, "im": z.imag, "exact": s.exact_str()}
+    return {"re": float(s), "im": 0.0, "exact": s.exact_str()}
 
 
 def _scalar_columns(*columns) -> list[list]:
@@ -337,7 +336,7 @@ def _run_replimit(args):
                 "m": m,
                 "value": value_json,
                 "moment": moment_json,
-                "abs_diff": abs(value.to_complex() - mom.to_complex()),
+                "abs_diff": abs(float(value) - float(mom)),
             }
             for m, value, mom, value_json, moment_json in zip(ms, values, moments, *columns)
         ],
@@ -463,7 +462,7 @@ COMMANDS = {
                  choices=("moments", "wiener"), default="moments"),
         ),
         lambda o: _lines(
-            f"nu^({m['n']}) = {m['exact'] or complex(m['re'], m['im'])} [{m['status']}]"
+            f"nu^({m['n']}) = {m['exact']} [{m['status']}]"
             for m in o["moments"]
             if m["n"] >= 0
         ),

@@ -5,11 +5,12 @@ digits.  The bank is completed by gap-filling high-pass filters (monomials at
 the unused digits) and detail filters: the other rows of the Householder
 reflection whose row 0 is m0's coefficient vector, so every coefficient lies
 in m0's own field Q(sqrt(p)) and the bank is exactly unitary for every p.
-The module also provides the subsampled pairing
+Every coefficient is real, so on the torus conj(m(w)) = m(w^-1), and the
+module provides the subsampled pairing
 
-    <m, m'>_N (z) = (1/N) sum_{w^N = z} conj(m(w)) m'(w),
+    <m, m'>_N (z) = (1/N) sum_{w^N = z} m(w^-1) m'(w),
 
-which is the transfer step with weight conj(m) applied to m', the polyphase
+which is the transfer step with weight m(z^-1) applied to m', the polyphase
 unitarity defect, and the loop-group action A: m -> A(z^N) m(z)
 with its connecting matrix.
 """
@@ -25,7 +26,7 @@ from .scalars import Scalar
 from .transfer import TransferOperator
 
 # the pairing Gram has N^2 entries; m's digits are distinct mod N, so each
-# term of m2 meets at most one term of conj(m) and an entry forms at most p products
+# term of m2 meets at most one term of m(z^-1) and an entry forms at most p products
 UNITARITY_SCALE_CAP = 24
 
 
@@ -90,30 +91,34 @@ def build_bank(sys: DigitSystem) -> FilterBank:
 
 def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolynomial:
     """<m, m2>_N: the unique Laurent polynomial with
-    (1/N) sum_{w^N=z} conj(m(w)) m2(w) = sum_n c_n z^n,
-    c_n = sum_k conj(m^(k)) m2^(k + N n): the transfer step of scale N with
-    weight conj(m), applied to m2."""
-    return TransferOperator(N, m.conj_reciprocal()).apply(m2)
+    (1/N) sum_{w^N=z} m(w^-1) m2(w) = sum_n c_n z^n,
+    c_n = sum_k m^(k) m2^(k + N n): the transfer step of scale N with
+    weight m(z^-1), applied to m2."""
+    return TransferOperator(N, m.compose_power(-1)).apply(m2)
 
 
-def _identity_defect(gram: list[list[LaurentPolynomial]]) -> float:
-    """The largest coefficient modulus of G - I for the N x N Laurent matrix
-    G: exactly 0.0 when G is the identity."""
-    dev = 0.0
-    for i, row in enumerate(gram):
-        for j, g in enumerate(row):
-            for c in (g - one() if i == j else g).coeffs.values():
-                dev = max(dev, abs(c.to_complex()))
-    return dev
+def _identity_residue(gram: list[list[LaurentPolynomial]]) -> list[Scalar]:
+    """The nonzero coefficients of G - I for the N x N Laurent matrix G:
+    none exactly when G is the identity."""
+    return [c for i, row in enumerate(gram) for j, g in enumerate(row)
+            for c in (g - one() if i == j else g).coeffs.values()]
+
+
+def _defect(residue: list[Scalar]) -> float:
+    """The largest modulus in a residue, for reports only: it may underflow."""
+    return max((abs(float(c)) for c in residue), default=0.0)
+
+
+def _pairing_gram(bank: FilterBank) -> list[list[LaurentPolynomial]]:
+    """G_ij = <m_i, m_j>_N, which equals the identity iff the bank is unitary."""
+    return [
+        [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
+    ]
 
 
 def unitarity_defect(bank: FilterBank) -> float:
-    """Distance of the polyphase matrix from unitary: the pairing Gram
-    G_ij = <m_i, m_j>_N equals the identity iff the bank is unitary."""
-    gram = [
-        [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
-    ]
-    return _identity_defect(gram)
+    """Distance of the polyphase matrix from unitary, from the pairing Gram."""
+    return _defect(_identity_residue(_pairing_gram(bank)))
 
 
 class LoopMatrix:
@@ -154,7 +159,7 @@ class LoopMatrix:
         gram = [
             [
                 sum(
-                    (self.entries[i][k] * self.entries[j][k].conj_reciprocal()
+                    (self.entries[i][k] * self.entries[j][k].compose_power(-1)
                      for k in range(N)),
                     zero(),
                 )
@@ -162,7 +167,7 @@ class LoopMatrix:
             ]
             for i in range(N)
         ]
-        return _identity_defect(gram)
+        return _defect(_identity_residue(gram))
 
 
 def loop_apply(A: LoopMatrix, bank: FilterBank) -> FilterBank:
@@ -190,9 +195,11 @@ def connecting_matrix(bank: FilterBank, bank2: FilterBank) -> LoopMatrix:
     if bank.scale != bank2.scale:
         raise ScaleMismatchError("banks have different scales")
     for which, b in (("first", bank), ("second", bank2)):
-        defect = unitarity_defect(b)
-        if defect:
-            raise NotUnitaryError(f"{which} bank has unitarity defect {defect:.3e}")
+        residue = _identity_residue(_pairing_gram(b))
+        if residue:
+            raise NotUnitaryError(
+                f"{which} bank has unitarity defect {_defect(residue):.3e}"
+            )
     N = bank.scale
     entries = tuple(
         tuple(pairing(bank.filters[k], bank2.filters[j], N) for k in range(N))

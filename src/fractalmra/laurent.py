@@ -2,7 +2,7 @@
 
 These carry the low-pass/high-pass filters, the transfer-operator weights
 |m0|^2, correlation functions of lattice vectors, and loop-matrix entries.
-Coefficients are exact Scalars, so all of this arithmetic is exact.
+Coefficients are exact real Scalars, so all of this arithmetic is exact.
 Cyclotomic reduction lives here too: `vanishes_at_primitive_roots` is the one
 exact root-of-unity test, behind the dual digit sets of `duality.dual_matrix`
 and the peak-weight cycles of `measure.find_cycles`.
@@ -85,14 +85,8 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def conj_reciprocal(self) -> "LaurentPolynomial":
-        """The function z -> conj(f(z)) on |z| = 1, i.e. sum conj(a_k) z^-k."""
-        out = LaurentPolynomial()
-        out.coeffs = {-k: v.conjugate() for k, v in self.coeffs.items()}
-        return out
-
     def compose_power(self, m: int) -> "LaurentPolynomial":
-        """f(z^m)."""
+        """f(z^m); with real coefficients, f(z^-1) is conj(f(z)) on |z| = 1."""
         if m == 0:
             raise ValueError("compose_power requires a nonzero exponent")
         out = LaurentPolynomial()
@@ -110,7 +104,7 @@ class LaurentPolynomial:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
-        return sum((v.to_complex() * z ** k for k, v in self.coeffs.items()), 0j)
+        return sum((float(v) * z ** k for k, v in self.coeffs.items()), 0j)
 
     def eval_turns(self, t):
         """Evaluate at z = e^{2*pi*i*t}; t may be a float or a numpy array."""
@@ -118,7 +112,7 @@ class LaurentPolynomial:
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for k, v in self.coeffs.items():
-            out += v.to_complex() * np.exp(2j * math.pi * k * t)
+            out += float(v) * np.exp(2j * math.pi * k * t)
         if out.shape == ():
             return complex(out)
         return out

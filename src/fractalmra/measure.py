@@ -53,7 +53,7 @@ class MomentEntry(NamedTuple):
 
 
 class MomentTable:
-    """Moments nu^(n) for |n| <= range, symmetric under conjugation."""
+    """Moments nu^(n) for |n| <= range; they are real, so nu^(-n) = nu^(n)."""
 
     __slots__ = ("scale", "entries")
 
@@ -137,7 +137,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
             m = nu[(b + k) // N]
             if not m.is_zero():
                 total = total + w * m
-        nu[b], nu[-b] = total, total.conjugate()
+        nu[b] = nu[-b] = total
     table = MomentTable(scale=N)
     for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
         iterations = 0 if t is None else max(t + 1, 2)
@@ -417,5 +417,5 @@ def compare_filters(
     if all(d.is_zero() for d in diffs):
         same_mod = op_a.weight == op_b.weight
         return FilterComparison("SameMeasure", 0.0, same_mod, False)
-    max_diff = max(abs(d.to_complex()) for d in diffs)
+    max_diff = max(abs(float(d)) for d in diffs)
     return FilterComparison("DifferentMeasure", max_diff, None, True)

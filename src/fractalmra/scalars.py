@@ -149,18 +149,10 @@ class Scalar:
 
     # -- conversions --------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        # int / int is correctly rounded, as float(Fraction) is
-        v = self.p / self.den
-        if self.q:
-            v += self.q / self.den * math.sqrt(self.d)
-        return complex(v)
-
-    def __complex__(self) -> complex:
-        return self.to_complex()
-
     def __float__(self) -> float:
-        return self.to_complex().real
+        # int / int is correctly rounded, as float(Fraction) is; every Scalar
+        # is real, and complex(s) falls back to this
+        return self.p / self.den + self.q / self.den * math.sqrt(self.d)
 
     def exact_str(self) -> str:
         """Render 'a+b√d'."""
@@ -243,10 +235,6 @@ class Scalar:
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
-
-    def conjugate(self) -> "Scalar":
-        """Complex conjugate: every Scalar is real, so itself."""
-        return self
 
     def abs_sq(self) -> "Scalar":
         return self * self

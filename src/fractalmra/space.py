@@ -15,8 +15,9 @@ index y comes from its ancestor y div N^D exactly when y mod N^D is a digit
 sum sum_{i<D} a_i N^i with every a_i in S.  Inner products, correlations and
 Gram sections test that membership instead of refining either vector.
 
-Coefficients live in Q(sqrt(p)) for the canonical filters, so inner products,
-cascade iterations, correlation polynomials and Gram sections are exact.
+Coefficients are real and live in Q(sqrt(p)) for the canonical filters, so
+inner products, cascade iterations, correlation polynomials and Gram
+sections are exact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SystemMismatchError,
 )
 from .filterbank import build_bank, canonical_lowpass, pairing
-from .ifs import CylinderAddress, DigitSystem, cylinder_translate_index, digit_sums
+from .ifs import DigitSystem, digit_sums
 from .laurent import LaurentPolynomial, monomial
 from .scalars import ONE, Scalar, ZERO
 from .transfer import TransferOperator
@@ -110,13 +111,6 @@ def scaling_vector(sys: DigitSystem) -> LatticeVector:
     return basis_delta(sys, 0, 0)
 
 
-def cylinder_vector(addr: CylinderAddress) -> LatticeVector:
-    """The indicator of a depth-n cylinder: p^(-n/2) U^-n T^l phi."""
-    n, l = cylinder_translate_index(addr)
-    c = _inv_sqrt_power(addr.system.p, n)
-    return LatticeVector(addr.system, n, {l: c})
-
-
 def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     """Re-express v at resolution m >= resolution(v); exact and isometric.
 
@@ -162,25 +156,26 @@ def _inv_sqrt_power(p: int, n: int) -> Scalar:
 def _overlap(v: LatticeVector, w: LatticeVector, d: int) -> Scalar:
     """<v | w> with w read d places lower at the finer resolution.
 
-    Sums conj(v_x) w_y over the pairs whose indices at the finer resolution,
+    Sums v_x w_y over the pairs whose indices at the finer resolution,
     the coarse one refined, satisfy (w index) = (v index) + d: a fine index
     has one `_ancestor` D = |res(w) - res(v)| levels up, with weight p^(-D/2)."""
     steps = w.resolution - v.resolution
     if steps < 0:
-        return _overlap(w, v, -d).conjugate()
+        return _overlap(w, v, -d)
     q = v.system.scale ** steps
     total = ZERO
     for y, c in w.coeffs.items():
         o = v.coeffs.get(_ancestor(y - d, steps, q, v.system))
         if o is not None:
-            total = total + o.conjugate() * c
+            total = total + o * c
     if steps and not total.is_zero():
         total = total * _inv_sqrt_power(v.system.p, steps)
     return total
 
 
 def inner(v: LatticeVector, w: LatticeVector) -> Scalar:
-    """<v | w>, conjugate-linear in v, computed at the two own resolutions."""
+    """<v | w>, symmetric and bilinear over real coefficients, computed at
+    the two own resolutions."""
     if v.system != w.system:
         raise SystemMismatchError("vectors over different systems")
     return _overlap(v, w, 0)
@@ -217,11 +212,11 @@ def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
     A side below resolution 0 is refined to 0, where T^k is an index shift.
     For res(v) <= res(w) the coarse side is bucketed by residue modulo
     N^res(v), and each fine index of w names its lag k through its ancestor;
-    the other order is p(v, w)[k] = conj(p(w, v)[-k])."""
+    the other order is p(v, w)[k] = p(w, v)[-k]."""
     if v.system != w.system:
         raise SystemMismatchError("vectors over different systems")
     if v.resolution > w.resolution:
-        return correlation(w, v).conj_reciprocal()
+        return correlation(w, v).compose_power(-1)
     sys = v.system
     v, w = refine_to(v, max(v.resolution, 0)), refine_to(w, max(w.resolution, 0))
     steps = w.resolution - v.resolution
@@ -229,7 +224,7 @@ def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
     q = sys.scale ** steps
     buckets: dict[int, list[tuple[int, Scalar]]] = {}
     for x, c in v.coeffs.items():
-        buckets.setdefault(x % step, []).append((x, c.conjugate()))
+        buckets.setdefault(x % step, []).append((x, c))
     out: dict[int, Scalar] = {}
     for y, c in w.coeffs.items():
         a = _ancestor(y, steps, q, sys)
@@ -272,7 +267,7 @@ class GramSection:
         for (r, c), v in self.entries.items():
             d = v - ONE if r == c else v
             if not d.is_zero():
-                dev = max(dev, abs(d.to_complex()))
+                dev = max(dev, abs(float(d)))
         return dev
 
     def is_identity(self) -> bool:
@@ -369,10 +364,12 @@ def cascade_experiment(
 
     The inner products are cross-checked against the transfer route: the
     correlation of phi with M phi is the pairing of the canonical low-pass
-    with m, and its n-fold transfer image integrates (coefficient at 0) to
-    the same inner product.  The vector after n steps has up to
-    (#terms of m)^n terms, capped at CASCADE_TERM_CAP, and so are the
-    p * #terms + #terms^2 products of the two cross-checks' set-up."""
+    with m, and its n-fold image under the transfer operator with weight
+    |m|^2 = m(z^-1) m(z) integrates (coefficient at 0) to the same inner
+    product.  That step applied to f is the pairing <m, m f>_N, taken only
+    before a row that reads it.  The vector after n steps has up to
+    (#terms of m)^n terms, capped at CASCADE_TERM_CAP, and so is the
+    set-up bound p * #terms + #terms^2."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if steps > CASCADE_STEP_CAP:
@@ -384,19 +381,17 @@ def cascade_experiment(
         raise CapExceededError(
             f"{sys.p}*{t} + {t}^2 term products exceed cap {CASCADE_TERM_CAP}"
         )
-    phi = scaling_vector(sys)
-    a00 = pairing(canonical_lowpass(sys), m, sys.scale)
-    op = TransferOperator.from_filter(m, sys.scale)
     rows = []
-    current = phi
-    transfer_image = a00
+    current = scaling_vector(sys)
+    transfer_image = pairing(canonical_lowpass(sys), m, sys.scale)
     for n in range(steps):
+        if n:
+            transfer_image = pairing(m, m * transfer_image, sys.scale)
         nxt = cascade_step(current, m)
         ip = inner(current, nxt)
         diff = current - nxt
         rows.append(CascadeRow(n, diff.norm_sq(), ip, transfer_image[0]))
         current = nxt
-        transfer_image = op.apply(transfer_image)
     return rows
 
 

@@ -22,8 +22,8 @@ ITERATED_SUPPORT_CAP = 10 ** 6
 
 
 def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
-    """|m0|^2 as a Laurent polynomial: W^(k) = sum_j conj(a_j) a_{j+k}."""
-    return m0.conj_reciprocal() * m0
+    """|m0|^2 = m0(z^-1) m0(z) for real coefficients: W^(k) = sum_j a_j a_{j+k}."""
+    return m0.compose_power(-1) * m0
 
 
 class TransferOperator:
@@ -67,7 +67,7 @@ class TransferOperator:
         diff = self.apply(one()) - one()
         if diff.is_zero():
             return 0.0
-        return max(abs(c.to_complex()) for c in diff.coeffs.values())
+        return max(abs(float(c)) for c in diff.coeffs.values())
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """(Rf)^(m) = sum_b W^(Nm - b) f^(b): each term b of f meets exactly
@@ -195,7 +195,8 @@ def _left_fixed_vectors(M) -> tuple[tuple[Scalar, ...], ...]:
 def spectral_block(op: TransferOperator) -> SpectralBlock:
     """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
     import numpy as np
-    matrix = np.array([[x.to_complex() for x in row] for row in op.block])
+    # complex dtype: a real array sends eig to another LAPACK routine
+    matrix = np.array([[float(x) for x in row] for row in op.block], dtype=complex)
     eigenvalues, eigenvectors = np.linalg.eig(matrix)
 
     mult = int(np.sum(np.abs(eigenvalues - 1.0) <= PERIPHERAL_TOL))

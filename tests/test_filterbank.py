@@ -179,6 +179,17 @@ def test_connecting_matrix_examples(cantor3, haar2):
         connecting_matrix(bank, bad)
 
 
+def test_connecting_matrix_decides_unitarity_exactly(cantor3):
+    """A defect below the smallest double still makes the bank not unitary:
+    the float defect underflows to 0.0, the exact check does not."""
+    bank = build_bank(cantor3)
+    m0, *rest = bank.filters
+    bad = FilterBank(3, (m0 * Scalar(1 + Fraction(1, 10 ** 400)), *rest))
+    assert unitarity_defect(bad) == 0.0
+    with pytest.raises(NotUnitaryError, match="second bank has unitarity defect 0.000e"):
+        connecting_matrix(bank, bad)
+
+
 def test_loop_round_trip_exact(cantor3, haar2, cantor4):
     rng = random.Random(23)
     for sys in (cantor3, haar2, cantor4):

@@ -46,9 +46,10 @@ def test_field_axioms_sampled():
                 assert (a / b) * b == a
 
 
-def test_conjugate_is_identity_on_exact():
-    a = Scalar(1, 2, 2)
-    assert a.conjugate() is a
+def test_complex_is_float():
+    # every Scalar is real: complex() falls back to __float__
+    for a in (Scalar(1, 2, 2), Scalar(Fraction(-3, 7)), Scalar(0)):
+        assert complex(a) == float(a) and complex(a).imag == 0
 
 
 def test_exact_ordering():
@@ -190,7 +191,7 @@ def assert_canonical(r):
     a, b = r.a, r.b
     assert (a, b) == (Fraction(r.p, r.den), Fraction(r.q, r.den))
     ref = float(a) + float(b) * math.sqrt(r.d) if b else float(a)
-    assert r.to_complex().real.hex() == ref.hex() and r.to_complex().imag == 0
+    assert float(r).hex() == ref.hex() and complex(r) == complex(ref)
     assert r.exact_str() == fraction_str(a, b, r.d)
     rebuilt = Scalar(a, b, r.d)
     assert (r.p, r.q, r.d, r.den) == (rebuilt.p, rebuilt.q, rebuilt.d, rebuilt.den)

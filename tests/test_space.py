@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fractalmra import space
+from fractalmra import space, transfer
 from fractalmra.errors import CapExceededError, CoarseningError, SystemMismatchError
 from fractalmra.filterbank import build_bank, canonical_lowpass, pairing
-from fractalmra.ifs import CylinderAddress, DigitSystem
+from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import moment
 from fractalmra.scalars import ZERO, Scalar
@@ -21,7 +21,6 @@ from fractalmra.space import (
     cascade_experiment,
     cascade_step,
     correlation,
-    cylinder_vector,
     dilate_power,
     gram_section,
     inner,
@@ -251,7 +250,7 @@ def _reference_deviation(matrix) -> float:
         for c, value in enumerate(row):
             d = value - Scalar(1 if r == c else 0)
             if not d.is_zero():
-                dev = max(dev, abs(d.to_complex()))
+                dev = max(dev, abs(float(d)))
     return dev
 
 
@@ -380,7 +379,7 @@ def _reference_inner(v, w):
     total = Scalar(0)
     for x, c in a.items():
         if x in b:
-            total = total + c.conjugate() * b[x]
+            total = total + c * b[x]
     return total
 
 
@@ -394,7 +393,7 @@ def _reference_correlation(v, w):
         for y, c2 in b.items():
             if (y - x) % step == 0:
                 k = (y - x) // step
-                out[k] = out.get(k, Scalar(0)) + c.conjugate() * c2
+                out[k] = out.get(k, Scalar(0)) + c * c2
     return LaurentPolynomial(out)
 
 
@@ -552,6 +551,20 @@ def test_cascade_transfer_cross_check_is_exact(cantor3):
             assert r.inner == r.transfer_inner
 
 
+def test_cascade_steps_through_the_pairing(cantor3, monkeypatch):
+    """The transfer route advances by the pairing <m, m f>_N and never
+    expands |m|^2."""
+    def never(m0):
+        raise AssertionError("cascade_experiment expanded |m|^2")
+
+    monkeypatch.setattr(transfer, "weight_from_filter", never)
+    m = monomial(3) * canonical_lowpass(cantor3)
+    for steps in range(5):
+        rows = cascade_experiment(cantor3, m, steps)
+        assert len(rows) == steps
+        assert all(r.transfer_inner == r.inner for r in rows)
+
+
 def test_representation_limit(cantor3):
     m0 = canonical_lowpass(cantor3)
     op = TransferOperator.from_filter(m0, 3)
@@ -562,7 +575,7 @@ def test_representation_limit(cantor3):
     for m in range(-10, 11):
         value = representation_limit(op, 8, m)
         target = moment(op, m).value
-        assert abs(value.to_complex() - target.to_complex()) < 1e-6
+        assert abs(float(value) - float(target)) < 1e-6
 
 
 def _lattice_representation_limits(sys, m, n, lags):
@@ -600,12 +613,6 @@ def test_representation_limit_matches_lattice_route_approximate():
         expected = _lattice_representation_limits(system, detail, n, lags)
         for lag in lags:
             assert representation_limit(op, n, lag) == expected[lag]
-
-
-def test_cylinder_norm(cantor3):
-    for word in ((2,), (2, 0), (0, 0, 2)):
-        v = cylinder_vector(CylinderAddress(cantor3, word))
-        assert v.norm_sq() == Scalar(Fraction(1, 2 ** len(word)))
 
 
 # -- the lattice model as Laurent polynomials, against the hand-written loops --

@@ -152,11 +152,13 @@ def _polynomials_in_one_field(draw, count):
 @settings(max_examples=150, deadline=None)
 @given(N=st.integers(2, 7), polys=_polynomials_in_one_field(4))
 def test_transfer_step_matches_product_then_filter(N, polys):
-    """apply reads W by residue and pairing is the step with weight conj(m);
-    both equal the full product with every exponent off N Z dropped."""
+    """apply reads W by residue and pairing is the step with weight m(z^-1);
+    both equal the full product with every exponent off N Z dropped, and the
+    step with weight |m|^2 is the pairing <m, m f>_N."""
     W, f, m, m2 = polys
     assert TransferOperator(N, W).apply(f) == _product_then_filter(N, W, f)
-    assert pairing(m, m2, N) == _product_then_filter(N, m.conj_reciprocal(), m2)
+    assert pairing(m, m2, N) == _product_then_filter(N, m.compose_power(-1), m2)
+    assert pairing(m, m * f, N) == TransferOperator.from_filter(m, N).apply(f)
 
 
 def test_degree_contraction(cantor3):
@@ -192,7 +194,7 @@ def test_positivity_on_samples(cantor3):
     ts = np.arange(64) / 64
     for _ in range(5):
         g = random_polynomial(rng)
-        f = g * g.conj_reciprocal()  # nonnegative on the torus
+        f = g * g.compose_power(-1)  # nonnegative on the torus
         assert np.all(f.eval_turns(ts).real >= -1e-10)
         rf = op.apply(f)
         assert np.all(rf.eval_turns(ts).real >= -1e-10)
