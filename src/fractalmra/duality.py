@@ -235,23 +235,12 @@ def exponential_gram(
 ) -> np.ndarray:
     """Gram matrix G_ij = B(n_j - n_i) of exponentials in L^2(C, mu).
 
-    B is evaluated once per distinct difference; one lookup in that table
-    fills the matrix.  The differences are symmetric, so B is evaluated at
-    the nonnegative ones and B(-k) = conj B(k) fills the rest, except where
-    a part of B(k) is zero: a zero has no sign to mirror, so B(-k) is
-    evaluated there."""
+    B is evaluated once per distinct difference, of either sign; one lookup
+    in that table fills the matrix."""
     import numpy as np
     d = _differences(exponents)  # G = table(d)^T
     diffs = _distinct(d)
-    transform = HutchinsonTransform(sys, depth)
-    h = int(np.searchsorted(diffs, 0))  # diffs[:h] = -diffs[:h:-1] < 0 <= diffs[h:]
-    table = np.empty(diffs.shape, dtype=complex)
-    table[h:] = transform.values(diffs[h:])
-    mirror = table[:h:-1]
-    table[:h] = mirror.conjugate()
-    signless = (mirror.real == 0) | (mirror.imag == 0)
-    if signless.any():
-        table[:h][signless] = transform.values(diffs[:h][signless])
+    table = HutchinsonTransform(sys, depth).values(diffs)
     where = np.searchsorted(diffs, d)
     del d  # an n^2 array fewer at the peak, while table[where] is built
     return table[where].T
@@ -290,11 +279,11 @@ def onb_check(
     bits, from one `values` call at the nonnegative distinct differences and
     the points xi - n together (`values` works element by element).
 
-    G is never built.  Its entries B(k) and B(-k) = conj B(k) differ at most
-    in the signs of zero parts (the mirror of `exponential_gram`), so they
-    have one modulus and the nonnegative differences give the maximum.  With
-    distinct exponents the difference 0 lies on the diagonal and nowhere
-    else."""
+    G is never built.  Its entries B(k) and B(-k) are complex conjugates;
+    with a libm whose cos is even and sin odd their computed values have one
+    modulus bit for bit (tests/test_duality.py compares the two), so the
+    nonnegative differences give the maximum.  With distinct exponents the
+    difference 0 lies on the diagonal and nowhere else."""
     import numpy as np
     if not pair.is_dual:
         raise PreconditionError("onb_check requires a Dual pair")

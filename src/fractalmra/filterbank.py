@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
-from .ifs import DigitSystem
+from .ifs import DigitSystem, FrozenRecord
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
 from .transfer import TransferOperator
@@ -57,7 +57,7 @@ def detail_filters(sys: DigitSystem) -> list[LaurentPolynomial]:
     ]
 
 
-class FilterBank:
+class FilterBank(FrozenRecord):
     """An N-tuple of filters (m_0, ..., m_{N-1}) over scale N; immutable."""
 
     __slots__ = ("scale", "filters")
@@ -68,16 +68,7 @@ class FilterBank:
                 f"bank over scale {scale} needs {scale} filters, "
                 f"got {len(filters)}"
             )
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "filters", filters)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change {name!r} of a FilterBank")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return self.__class__, (self.scale, self.filters)
+        super().__init__(scale, filters)
 
 
 def build_bank(sys: DigitSystem) -> FilterBank:
@@ -121,7 +112,7 @@ def unitarity_defect(bank: FilterBank) -> float:
     return _defect(_identity_residue(_pairing_gram(bank)))
 
 
-class LoopMatrix:
+class LoopMatrix(FrozenRecord):
     """An N x N matrix of Laurent polynomials, acting on banks by
     m -> A(z^N) m(z); immutable."""
 
@@ -130,16 +121,7 @@ class LoopMatrix:
     def __init__(self, scale: int, entries: tuple[tuple[LaurentPolynomial, ...], ...]):
         if len(entries) != scale or any(len(row) != scale for row in entries):
             raise PreconditionError("loop matrix must be N x N")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change {name!r} of a LoopMatrix")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return self.__class__, (self.scale, self.entries)
+        super().__init__(scale, entries)
 
     @classmethod
     def diagonal(cls, diag) -> "LoopMatrix":

@@ -17,7 +17,27 @@ from .errors import CapExceededError, InvalidDigitError, PreconditionError
 DEFAULT_TRANSFORM_DEPTH = 40
 
 
-class DigitSystem:
+class FrozenRecord:
+    """Base of the immutable slotted records: `__init__` sets the subclass's
+    `__slots__` once, in order, and pickling and copying call the subclass's
+    constructor with them, which must take its slots in that order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class DigitSystem(FrozenRecord):
     """Scale N >= 2 together with a nonempty set of digits in {0, ..., N-1}.
 
     Immutable; two systems are equal, and hash equal, when their scales and
@@ -39,16 +59,7 @@ class DigitSystem:
             raise InvalidDigitError(
                 f"digits must lie in [0, {scale - 1}]: {digits}"
             )
-        object.__setattr__(self, "scale", int(scale))
-        object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change {name!r} of a DigitSystem")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return self.__class__, (self.scale, self.digits)
+        super().__init__(int(scale), digits)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,7 +87,7 @@ class DigitSystem:
         return f"({self.scale},{{{','.join(map(str, self.digits))}}})"
 
 
-class CylinderAddress:
+class CylinderAddress(FrozenRecord):
     """A depth-n cylinder of the attractor, addressed by its digit word."""
 
     __slots__ = ("system", "word")
@@ -88,16 +99,7 @@ class CylinderAddress:
         for a in word:
             if a not in system.digits:
                 raise InvalidDigitError(f"letter {a} not in digit set {system.digits}")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change {name!r} of a CylinderAddress")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return self.__class__, (self.system, self.word)
+        super().__init__(system, word)
 
     @property
     def depth(self) -> int:

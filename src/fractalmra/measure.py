@@ -349,7 +349,7 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     for k in range(K + 1):
         v = table.value(k)
         if not v.is_zero():
-            s = s + v.abs_sq()
+            s = s + v * v
         if not k:
             ratio = None
         elif s.is_rational:  # s/k with one gcd

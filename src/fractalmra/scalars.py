@@ -236,9 +236,6 @@ class Scalar:
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
 
-    def abs_sq(self) -> "Scalar":
-        return self * self
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):

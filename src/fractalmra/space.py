@@ -288,10 +288,12 @@ def gram_section(
     <T^k g, U^-D T^k' g'> with D = j' - j and g, g' the generators (refined
     to resolution 0 if below it, where T^k is an index shift): one table of
     nonzero (k, k') values per generator pair and D serves every pair of
-    scales (j, j + D) in the section.  At the finer resolution t of g and
-    U^-D g', the translates shift the indices by k N^t and k' N^(t - D), so an
-    entry is the `_overlap` at the lag k N^t - k' N^(t - D), visited only
-    where the two spans meet; refining D levels spreads an index x over
+    scales (j, j + D) in the section.  Every coefficient is real, so the Gram
+    is symmetric and only D >= 0 is computed, each value stored at its entry
+    and the transpose.  At the finer resolution t of g and U^-D g', the
+    translates shift the indices by k N^t and k' N^(t - D), so an entry is
+    the `_overlap` at the lag k N^t - k' N^(t - D), visited only where the
+    two spans meet; refining D levels spreads an index x over
     N^D x + [min S, max S] (N^D - 1)/(N - 1)."""
     generators = list(generators)
     j_range = list(j_range)
@@ -315,9 +317,9 @@ def gram_section(
     js, ks = sorted(set(j_range)), sorted(set(k_range))
     span = js[-1] - js[0]
     if len(js) == span + 1:  # consecutive scales have every difference
-        deltas = range(-span, span + 1)
+        deltas = range(span + 1)
     else:
-        deltas = sorted({b - a for a in js for b in js})
+        deltas = sorted({b - a for a in js for b in js if b >= a})
     gens = [refine_to(psi, max(psi.resolution, 0)) for psi in generators]
     N = sys.scale
     power = cache(N.__pow__)  # N^e, built once per exponent in the section
@@ -344,7 +346,7 @@ def gram_section(
                 for j in js if not value.is_zero() else ():
                     for r in rows[i, j, k]:
                         for c in rows.get((i2, j + delta, k2), ()):
-                            entries[r, c] = value
+                            entries[r, c] = entries[c, r] = value
     return GramSection(labels, dict(sorted(entries.items())))
 
 
@@ -367,9 +369,11 @@ def cascade_experiment(
     with m, and its n-fold image under the transfer operator with weight
     |m|^2 = m(z^-1) m(z) integrates (coefficient at 0) to the same inner
     product.  That step applied to f is the pairing <m, m f>_N, taken only
-    before a row that reads it.  The vector after n steps has up to
-    (#terms of m)^n terms, capped at CASCADE_TERM_CAP, and so is the
-    set-up bound p * #terms + #terms^2."""
+    before a row that reads it.  Over real coefficients
+    ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b>, so no difference vector is
+    formed and each norm is carried to the next row.  The vector after n
+    steps has up to (#terms of m)^n terms, capped at CASCADE_TERM_CAP, and so
+    is the set-up bound p * #terms + #terms^2."""
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if steps > CASCADE_STEP_CAP:
@@ -382,16 +386,17 @@ def cascade_experiment(
             f"{sys.p}*{t} + {t}^2 term products exceed cap {CASCADE_TERM_CAP}"
         )
     rows = []
-    current = scaling_vector(sys)
+    current, norm_sq = scaling_vector(sys), ONE
     transfer_image = pairing(canonical_lowpass(sys), m, sys.scale)
     for n in range(steps):
         if n:
             transfer_image = pairing(m, m * transfer_image, sys.scale)
         nxt = cascade_step(current, m)
         ip = inner(current, nxt)
-        diff = current - nxt
-        rows.append(CascadeRow(n, diff.norm_sq(), ip, transfer_image[0]))
-        current = nxt
+        nxt_norm_sq = nxt.norm_sq()
+        diff_norm_sq = norm_sq + nxt_norm_sq - ip - ip
+        rows.append(CascadeRow(n, diff_norm_sq, ip, transfer_image[0]))
+        current, norm_sq = nxt, nxt_norm_sq
     return rows
 
 

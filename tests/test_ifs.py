@@ -69,12 +69,15 @@ def test_records_are_immutable(cantor3):
     addr = CylinderAddress(cantor3, (2, 0))
     for record, name, value in ((cantor3, "scale", 4), (cantor3, "digits", (0, 1)),
                                 (cantor3, "p", 3), (addr, "word", (0,)), (addr, "system", None)):
-        with pytest.raises(AttributeError):
+        message = f"cannot change '{name}' of a {type(record).__name__}$"
+        with pytest.raises(AttributeError, match=message):
             setattr(record, name, value)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             delattr(record, name)
     assert (cantor3.scale, cantor3.digits, addr.word) == (3, (0, 2), (2, 0))
-    assert pickle.loads(pickle.dumps(addr)).word == (2, 0)
+    for copied in (pickle.loads(pickle.dumps(addr)), copy.deepcopy(addr)):
+        assert type(copied) is CylinderAddress
+        assert (copied.system, copied.word) == (cantor3, (2, 0))
 
 
 def test_digit_system_text():

@@ -59,10 +59,10 @@ def test_exact_ordering():
     assert Scalar(0, 1, 2) <= Scalar(0, 1, 2)
 
 
-def test_float_conversion_and_abs_sq():
+def test_float_conversion_and_square():
     a = Scalar(1, 1, 2)
     assert float(a) == pytest.approx(1 + math.sqrt(2))
-    assert a.abs_sq() == Scalar(3, 2, 2)
+    assert a * a == Scalar(3, 2, 2)
 
 
 def test_exact_str_rendering():

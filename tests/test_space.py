@@ -505,7 +505,8 @@ def test_gram_section_bessel_parseval(cantor3):
         x = random_vector(cantor3, rng)
         total = Scalar(0)
         for e in section_vectors:
-            total = total + inner(x, e).abs_sq()
+            ip = inner(x, e)
+            total = total + ip * ip
         assert total <= x.norm_sq()
     # a combination of section vectors achieves equality
     combo = section_vectors[0].scaled(Fraction(1, 2)) + section_vectors[7].scaled(
@@ -513,7 +514,8 @@ def test_gram_section_bessel_parseval(cantor3):
     )
     total = Scalar(0)
     for e in section_vectors:
-        total = total + inner(combo, e).abs_sq()
+        ip = inner(combo, e)
+        total = total + ip * ip
     assert total == combo.norm_sq()
 
 
@@ -563,6 +565,30 @@ def test_cascade_steps_through_the_pairing(cantor3, monkeypatch):
         rows = cascade_experiment(cantor3, m, steps)
         assert len(rows) == steps
         assert all(r.transfer_inner == r.inner for r in rows)
+
+
+def test_cascade_difference_norms_without_the_difference(monkeypatch):
+    """||M^n phi - M^(n+1) phi||^2 comes from the two norms and the inner
+    product; no difference vector is formed."""
+    cases = []
+    for N, S in ((3, (0, 2)), (4, (0, 1, 3)), (5, (0, 3))):
+        sys = DigitSystem(N, S)
+        m = monomial(3) * canonical_lowpass(sys)
+        current, expected = scaling_vector(sys), []
+        for _ in range(4):
+            nxt = cascade_step(current, m)
+            expected.append((current - nxt).norm_sq())
+            current = nxt
+        cases.append((sys, m, expected))
+
+    def never(self, other):
+        raise AssertionError("cascade_experiment formed a difference vector")
+
+    monkeypatch.setattr(LatticeVector, "__sub__", never)
+    for sys, m, expected in cases:
+        for steps in range(5):
+            rows = cascade_experiment(sys, m, steps)
+            assert [r.diff_norm_sq for r in rows] == expected[:steps], (sys, steps)
 
 
 def test_representation_limit(cantor3):
@@ -754,10 +780,12 @@ def test_parseval_identity_is_exact(case):
     sys, r = f.system, f.resolution
     total = Scalar(0)
     for k in _meeting_translates(basis_delta(sys, -J, 0), 1, f):
-        total = total + inner(basis_delta(sys, -J, k), f).abs_sq()
+        ip = inner(basis_delta(sys, -J, k), f)
+        total = total + ip * ip
     for psi in wavelet_generators(sys):
         for j in range(-J, r):
             # T^k at psi's resolution 1 moves its indices by k N
             for k in _meeting_translates(dilate_power(psi, j), sys.scale, f):
-                total = total + inner(dilate_power(apply_shift(psi, k), j), f).abs_sq()
+                ip = inner(dilate_power(apply_shift(psi, k), j), f)
+                total = total + ip * ip
     assert total == f.norm_sq()
