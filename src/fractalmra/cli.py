@@ -146,16 +146,17 @@ def _run_moments(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range)
-    rows, wiener = table.rows(), measure_mod.wiener_profile(table, args.range).rows
+    wiener = measure_mod.wiener_profile(table, args.range).rows
     values, sums, ratios = _scalar_columns(
-        [e.value for e in rows], [r.partial_sum for r in wiener], [r.ratio for r in wiener]
+        table.values, [r.partial_sum for r in wiener], [r.ratio for r in wiener]
     )
+    R, its = args.range, table.iterations
     return {
         **head,
         "range": args.range,
-        "moments": [
-            {"n": e.n, **v, "status": e.status, "iterations": e.iterations, "cesaro": False}
-            for e, v in zip(rows, values)
+        "moments": [  # the n >= 0 columns mirrored to n = -R..R
+            {"n": n, **v, "status": measure_mod.STABILIZED, "iterations": i, "cesaro": False}
+            for n, v, i in zip(range(-R, R + 1), values[:0:-1] + values, its[:0:-1] + its)
         ],
         "wiener": {
             "rows": [
@@ -218,10 +219,9 @@ def _run_classify(args):
         ],
     }
     if cls.moments is not None:
-        rows = [e for e in cls.moments.rows() if e.n >= 0]
-        (values,) = _scalar_columns([e.value for e in rows])
+        (values,) = _scalar_columns(cls.moments.values)
         obj["moments"] = [
-            {"n": e.n, **v, "status": e.status} for e, v in zip(rows, values)
+            {"n": n, **v, "status": measure_mod.STABILIZED} for n, v in enumerate(values)
         ]
     return obj
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from .errors import CapExceededError, InvalidDigitError, PreconditionError
 
 DEFAULT_TRANSFORM_DEPTH = 40
+# for every N >= 2, N^-j is 0.0 in double precision at every level j >= 1075
+TRANSFORM_DEPTH_CAP = 1075
 
 
 class FrozenRecord:
@@ -157,6 +159,8 @@ class HutchinsonTransform:
     def __init__(self, system: DigitSystem, depth: int = DEFAULT_TRANSFORM_DEPTH):
         if depth < 1:
             raise PreconditionError("product depth must be >= 1")
+        if depth > TRANSFORM_DEPTH_CAP:
+            raise CapExceededError(f"product depth capped at {TRANSFORM_DEPTH_CAP}")
         self.system = system
         self.depth = depth
 

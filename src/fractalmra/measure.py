@@ -31,12 +31,9 @@ STABILIZED = "stabilized"
 DEFAULT_CYCLE_LENGTH = 12
 CYCLE_POINT_CAP = 10 ** 9
 CLASSIFY_MOMENT_RANGE = 16
+MOMENT_RANGE_CAP = 10 ** 5
 RIESZ_DEPTH_CAP = 31  # past it, doubles space the phases 2 * 3^k t over a radian apart
 RIESZ_GRID_CAP = 10 ** 5
-
-
-# a row of a table built without a Python-level call: _row(cls, (field, ...))
-_row = tuple.__new__
 
 
 class MomentEntry(NamedTuple):
@@ -52,26 +49,23 @@ class MomentEntry(NamedTuple):
     status = STABILIZED  # unannotated: a class attribute, not a field
 
 
-class MomentTable:
-    """Moments nu^(n) for |n| <= range; they are real, so nu^(-n) = nu^(n)."""
+class MomentTable(NamedTuple):
+    """Moments nu^(n) for 0 <= n <= range, and the `MomentEntry.iterations`
+    of each.  The weight is even, so nu^(-n) = nu^(n) and only n >= 0 is
+    stored."""
 
-    __slots__ = ("scale", "entries")
-
-    def __init__(self, scale: int, entries: dict[int, MomentEntry] | None = None):
-        self.scale = scale
-        self.entries = {} if entries is None else entries
-
-    def covers(self, K: int) -> bool:
-        return all(n in self.entries for n in range(-K, K + 1))
+    values: list[Scalar]
+    iterations: list[int]
 
     def value(self, n: int) -> Scalar:
-        entry = self.entries.get(n)
-        if entry is None:
+        if abs(n) >= len(self.values):
             raise PreconditionError(f"moment {n} not in table")
-        return entry.value
+        return self.values[abs(n)]
 
     def rows(self) -> list[MomentEntry]:
-        return [self.entries[n] for n in sorted(self.entries)]
+        """The entries for -range <= n <= range, in order of n."""
+        R = len(self.values) - 1
+        return [MomentEntry(n, self.value(n), self.iterations[abs(n)]) for n in range(-R, R + 1)]
 
 
 def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
@@ -112,13 +106,19 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     equation nu^(b) = sum_m W^(Nm - b) nu^(m) with nu^(0) = 1.
 
     On the block [-D, D] that is the operator's one fixed vector, unique
-    when eigenvalue 1 is simple; for |b| > D every m on the right has
-    |m| < |b|, so the equation itself is a well-founded recursion.  An entry
-    with a finite threshold t (`_stabilization_thresholds`) reports iterations
+    when eigenvalue 1 is simple; for b > D every m on the right has
+    |m| < b, so the equation itself is a well-founded recursion.  The weight
+    must be even, as |m0|^2 is: then so is the fixed vector, whose mirror
+    image is fixed too, and only n >= 0 is computed.  An entry with a finite
+    threshold t (`_stabilization_thresholds`) reports iterations
     max(t + 1, 2), the step at which the product-weight iterate reaches it.
     """
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
+    if moment_range > MOMENT_RANGE_CAP:
+        raise CapExceededError(f"moment range capped at {MOMENT_RANGE_CAP}")
+    if op.weight != op.weight.compose_power(-1):
+        raise PreconditionError("the weight is not even: W(z^-1) != W(z)")
     basis = op.fixed_vectors
     D = op.block_halfwidth
     if len(basis) != 1:
@@ -129,26 +129,24 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     center = basis[0][D]
     if center.is_zero():
         raise PreconditionError("the block's fixed vector has nu^(0) = 0")
-    nu = {b - D: x / center for b, x in enumerate(basis[0])}
+    nu = [x / center for x in basis[0][D:]]
     N = op.scale
     for b in range(D + 1, moment_range + 1):
         total = ZERO
         for k, w in op.by_residue[-b % N]:  # exactly the k with N | b + k
-            m = nu[(b + k) // N]
+            m = nu[abs((b + k) // N)]
             if not m.is_zero():
                 total = total + w * m
-        nu[b] = nu[-b] = total
-    table = MomentTable(scale=N)
-    for n, t in enumerate(_stabilization_thresholds(op, moment_range)):
-        iterations = 0 if t is None else max(t + 1, 2)
-        table.entries[n] = _row(MomentEntry, (n, nu[n], iterations))
-        table.entries[-n] = _row(MomentEntry, (-n, nu[-n], iterations))
-    return table
+        nu.append(total)
+    thresholds = _stabilization_thresholds(op, moment_range)
+    iterations = [0 if t is None else max(t + 1, 2) for t in thresholds]
+    return MomentTable(nu[: moment_range + 1], iterations)
 
 
 def moment(op: TransferOperator, n: int) -> MomentEntry:
     """nu^(n), the exact solution of the invariance equation (`moment_table`)."""
-    return moment_table(op, abs(n)).entries[n]
+    table = moment_table(op, abs(n))
+    return MomentEntry(n, table.value(n), table.iterations[abs(n)])
 
 
 class Cycle(NamedTuple):
@@ -267,7 +265,6 @@ class SupportClassification(NamedTuple):
 
     kind: str  # "full_support" | "atomic_on_cycles"
     moments: MomentTable | None
-    cycle_report: CycleReport
     atoms: tuple[AtomicMeasure, ...]
     diagnostics: dict
 
@@ -307,7 +304,6 @@ def classify_support(
         return SupportClassification(
             kind="full_support",
             moments=table,
-            cycle_report=report,
             atoms=(),
             diagnostics=diagnostics,
         )
@@ -322,7 +318,6 @@ def classify_support(
     return SupportClassification(
         kind="atomic_on_cycles",
         moments=None,
-        cycle_report=report,
         atoms=atoms,
         diagnostics=diagnostics,
     )
@@ -342,21 +337,15 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     """Partial sums s_k = sum_{j<=k} |nu^(j)|^2 and the Cesaro ratios s_k/k.
 
     A vanishing ratio limit certifies that the measure has no atoms."""
-    if not table.covers(K):
+    if K >= len(table.values):
         raise PreconditionError(f"moment table does not cover 0..{K}")
     rows = []
     s = ZERO
-    for k in range(K + 1):
-        v = table.value(k)
+    for k, v in zip(range(K + 1), table.values):
         if not v.is_zero():
             s = s + v * v
-        if not k:
-            ratio = None
-        elif s.is_rational:  # s/k with one gcd
-            ratio = _exact(s.p, 0, 0, s.den * k)
-        else:
-            ratio = s * _exact(1, 0, 0, k)
-        rows.append(_row(WienerRow, (k, s, ratio)))
+        ratio = _exact(s.p, s.q, s.d, s.den * k) if k else None  # s/k with one gcd
+        rows.append(WienerRow(k, s, ratio))
     return WienerProfile(tuple(rows))
 
 
@@ -413,7 +402,7 @@ def compare_filters(
             )
     table_a = moment_table(op_a, R)
     table_b = moment_table(op_b, R)
-    diffs = [table_a.value(n) - table_b.value(n) for n in range(-R, R + 1)]
+    diffs = [a - b for a, b in zip(table_a.values, table_b.values)]
     if all(d.is_zero() for d in diffs):
         same_mod = op_a.weight == op_b.weight
         return FilterComparison("SameMeasure", 0.0, same_mod, False)

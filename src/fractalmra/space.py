@@ -165,7 +165,8 @@ def _overlap(v: LatticeVector, w: LatticeVector, d: int) -> Scalar:
     q = v.system.scale ** steps
     total = ZERO
     for y, c in w.coeffs.items():
-        o = v.coeffs.get(_ancestor(y - d, steps, q, v.system))
+        # zero levels up, the ancestor of y - d is y - d itself
+        o = v.coeffs.get(_ancestor(y - d, steps, q, v.system) if steps else y - d)
         if o is not None:
             total = total + o * c
     if steps and not total.is_zero():
@@ -294,10 +295,10 @@ def gram_section(
     translates shift the indices by k N^t and k' N^(t - D), so an entry is
     the `_overlap` at the lag k N^t - k' N^(t - D), visited only where the
     two spans meet; refining D levels spreads an index x over
-    N^D x + [min S, max S] (N^D - 1)/(N - 1)."""
+    N^D x + [min S, max S] (N^D - 1)/(N - 1).  The ranges are sized and
+    re-iterable (a range or a list), so a section past GRAM_SECTION_CAP is
+    refused before any label is built."""
     generators = list(generators)
-    j_range = list(j_range)
-    k_range = list(k_range)
     n = len(generators) * len(j_range) * len(k_range)
     if n > GRAM_SECTION_CAP:
         raise CapExceededError(

@@ -366,6 +366,14 @@ CAP_REFUSALS = [
     (("filters", "--scale", "300", "--digits", "0"), "scale 300 exceeds cap 24"),
     (("cascade", "--scale", "708", "--digits", DIGITS_708, "--steps", "0"),
      "708*708 + 708^2 term products exceed cap 1000000"),
+    (("moments", "--scale", "3", "--digits", "0,2", "--range", "1000000"),
+     "moment range capped at 100000"),
+    (("replimit", "--scale", "3", "--digits", "0,2", "--range", "300000"),
+     "moment range capped at 100000"),
+    (("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--depth", "100000000"),
+     "product depth capped at 1075"),
+    (("gram", "--scale", "3", "--digits", "0,2", "--jrange", "100000000", "--krange", "0"),
+     "section of 400000002 vectors exceeds cap 10000"),
 ]
 
 
@@ -384,6 +392,7 @@ def test_work_caps_refuse_at_once(argv, message):
     ("filters", "--scale", "24", "--digits", DIGITS_24),
     ("filters", "--scale", "24", "--digits", "0"),
     ("cascade", "--scale", "707", "--digits", DIGITS_707, "--steps", "0"),
+    ("onb-check", "--scale", "4", "--digits", "0,2", "--dual", "0,1", "--depth", "1075"),
 ])
 def test_requests_at_the_work_caps_run(argv):
     code, _, err = run_cli(*argv)

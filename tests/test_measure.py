@@ -17,7 +17,6 @@ from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
 from fractalmra.measure import (
     STABILIZED,
-    MomentEntry,
     MomentTable,
     WienerRow,
     _divisors_with_small_totient,
@@ -98,8 +97,8 @@ def test_haar_moments_converge_to_one(haar2):
     t = moment_table(op, 2)
     for n in range(3):
         assert t.value(n) == Scalar(1)
-        if n:
-            assert t.entries[n].status == STABILIZED
+    assert [e.n for e in t.rows()] == [-2, -1, 0, 1, 2]
+    assert all(e.status == STABILIZED for e in t.rows())
 
 
 def test_unit_weight_moments():
@@ -247,7 +246,8 @@ def test_residue_recursion_and_wiener_match_the_first_form():
         op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, S)), N)
         table = moment_table(op, 64)
         nu = reference_moments(op, 64)
-        assert sorted(table.entries) == sorted(nu)
+        assert sorted(e.n for e in table.rows()) == sorted(nu)
+        assert len(table.values) == len(table.iterations) == 65
         for n, value in nu.items():
             assert table.value(n) == value
             assert scalar_fields(table.value(n)) == scalar_fields(value)
@@ -260,11 +260,7 @@ def test_wiener_profile_off_the_rationals():
     """Q(sqrt2) moments make the partial sums irrational; zeros sit in
     between."""
     def hand_table(values):
-        table = MomentTable(scale=2)
-        for n, v in enumerate(values):
-            table.entries[n] = MomentEntry(n, v, 0)
-            table.entries[-n] = MomentEntry(-n, v, 0)
-        return table
+        return MomentTable(values, [0] * len(values))
 
     r2 = Scalar(0, 1, 2)
     values = [Scalar(1), HALF + r2, Scalar(0), Scalar(Fraction(-1, 3)) * r2,
@@ -350,6 +346,14 @@ def test_moment_solve_refuses_undecidable_weights():
     vanishing = LaurentPolynomial({-2: c, -1: d, 0: c, 1: d, 2: c})
     with pytest.raises(PreconditionError, match=r"nu\^\(0\) = 0"):
         moment_table(TransferOperator(2, vanishing), 4)
+    # not even: one fixed vector on [-3, 3], but nu^(-n) != nu^(n), so the
+    # recursion over n >= 0 would miss the invariance equation at n = -4..-7
+    uneven = LaurentPolynomial({0: Scalar(1), 1: HALF, -1: Scalar(Fraction(1, 4)),
+                                3: Scalar(Fraction(1, 8))})
+    op = TransferOperator(2, uneven)
+    assert len(op.fixed_vectors) == 1
+    with pytest.raises(PreconditionError, match="not even"):
+        moment_table(op, 8)
 
 
 def test_riesz_samples():
