@@ -42,8 +42,9 @@ print()
 block = spectral_block(op)
 print(f"invariant block halfwidth {block.halfwidth}, dimension {block.dimension}")
 print("eigenvalues:", np.round(np.sort(block.eigenvalues.real), 12))
-print("eigenvalue 1 simple (exact rank check):", block.eigenvalue_one_simple_exact)
-print("other peripheral eigenvalues:", block.has_other_peripheral)
+multiplicity, other = op.peripheral  # exact, no eigenvalue tolerance
+print("eigenvalue 1 simple (exact rank check):", multiplicity == 1)
+print("other peripheral eigenvalues:", other)
 
 haar = DigitSystem(2, (0, 1))
 oph = TransferOperator.from_filter(canonical_lowpass(haar), 2)

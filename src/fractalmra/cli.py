@@ -130,15 +130,16 @@ def _run_spectrum(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     block = spectral_block(op)
+    multiplicity, other = op.peripheral
     return {
         **head,
         "halfwidth": block.halfwidth,
         "dimension": block.dimension,
         "eigenvalues": sorted([ev.real, ev.imag] for ev in block.eigenvalues),
-        "eigenvalue_one_multiplicity": block.eigenvalue_one_multiplicity,
-        "has_other_peripheral": block.has_other_peripheral,
+        "eigenvalue_one_multiplicity": multiplicity,
+        "has_other_peripheral": other,
         "fixes_constant": block.fixes_constant,
-        "eigenvalue_one_simple_exact": block.eigenvalue_one_simple_exact,
+        "eigenvalue_one_simple_exact": multiplicity == 1,
     }
 
 

@@ -119,17 +119,11 @@ class LaurentPolynomial:
 
     # -- rendering ----------------------------------------------------------
 
-    def term_strings(self) -> list[str]:
-        parts = []
-        for k, v in self.items():
-            s = v.exact_str()
-            parts.append(f"({s})z^{k}" if k else f"({s})")
-        return parts
-
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(self.term_strings())
+        return " + ".join(f"({v.exact_str()})z^{k}" if k else f"({v.exact_str()})"
+                          for k, v in self.items())
 
     def __repr__(self):
         return f"LaurentPolynomial({{{', '.join(f'{k}: {v.exact_str()}' for k, v in self.items())}}})"

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .laurent import _prime_factors, vanishes_at_primitive_roots
 from .scalars import ONE, Scalar, ZERO, _exact
-from .transfer import TransferOperator, spectral_block
+from .transfer import TransferOperator
 
 STABILIZED = "stabilized"
 
@@ -133,7 +133,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     N = op.scale
     for b in range(D + 1, moment_range + 1):
         total = ZERO
-        for k, w in op.by_residue[-b % N]:  # exactly the k with N | b + k
+        for k, w in op.by_residue.get(-b % N, ()):  # exactly the k with N | b + k
             m = nu[abs((b + k) // N)]
             if not m.is_zero():
                 total = total + w * m
@@ -286,16 +286,14 @@ def classify_support(
             f"{op.normalization_defect():.3e}"
         )
     report = find_cycles(op, L)
-    block = spectral_block(op)
+    multiplicity, other = op.peripheral
     diagnostics = {
-        "eigenvalue_one_multiplicity": block.eigenvalue_one_multiplicity,
-        "has_other_peripheral": block.has_other_peripheral,
-        "eigenvalue_one_simple_exact": block.eigenvalue_one_simple_exact,
+        "eigenvalue_one_multiplicity": multiplicity,
+        "has_other_peripheral": other,
+        "eigenvalue_one_simple_exact": multiplicity == 1,
     }
     if not report.cycles:
-        diagnostics["unique_invariant_measure"] = (
-            block.eigenvalue_one_multiplicity == 1 and not block.has_other_peripheral
-        )
+        diagnostics["unique_invariant_measure"] = multiplicity == 1 and not other
         diagnostics["note"] = (
             "no cycles: invariant measure has full support; singular and "
             "non-atomic whenever the weight is non-constant"

@@ -4,19 +4,19 @@ For a weight W = |m0|^2 the operator (R f)(z) = (1/N) sum_{w^N=z} W(w) f(w)
 acts on Fourier coefficients by (Rf)^(m) = sum_b W^(Nm - b) f^(b).  Degrees
 contract under R, so the operator leaves a finite coefficient block invariant;
 that block is realized as a dense matrix whose peripheral spectrum drives the
-support and cascade dichotomies.
+support and cascade dichotomies; its peripheral verdicts are decided exactly.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
-from .laurent import LaurentPolynomial, one
+from .laurent import LaurentPolynomial, one, vanishes_at_primitive_roots
 from .scalars import ONE, Scalar, ZERO
 
-PERIPHERAL_TOL = 1e-9
 BLOCK_DIMENSION_CAP = 2001
 ITERATED_SUPPORT_CAP = 10 ** 6
 
@@ -34,11 +34,11 @@ class TransferOperator:
             raise PreconditionError("scale must be >= 2")
         self.scale = scale
         self.weight = weight
-        # the terms (k, W^(k)) by k mod N, in coefficient order: one transfer
-        # step pairs index idx with exactly the terms in by_residue[idx % N]
-        self.by_residue: list[list[tuple[int, Scalar]]] = [[] for _ in range(scale)]
+        # the terms (k, W^(k)) by each residue k mod N that occurs: one transfer
+        # step pairs index idx with exactly the terms in by_residue.get(idx % N)
+        self.by_residue: dict[int, list[tuple[int, Scalar]]] = {}
         for k, w in weight.coeffs.items():
-            self.by_residue[k % scale].append((k, w))
+            self.by_residue.setdefault(k % scale, []).append((k, w))
         self._wk_cache: dict[tuple[int, int], Scalar] = {}
 
     @classmethod
@@ -65,9 +65,7 @@ class TransferOperator:
     def normalization_defect(self) -> float:
         """Max deviation of R(1) from 1, for messages: `fixes_constant` decides."""
         diff = self.apply(one()) - one()
-        if diff.is_zero():
-            return 0.0
-        return max(abs(float(c)) for c in diff.coeffs.values())
+        return max((abs(float(c)) for c in diff.coeffs.values()), default=0.0)
 
     def apply(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """(Rf)^(m) = sum_b W^(Nm - b) f^(b): each term b of f meets exactly
@@ -75,7 +73,7 @@ class TransferOperator:
         N = self.scale
         data: dict[int, Scalar] = {}
         for b, v in f.coeffs.items():
-            for k, w in self.by_residue[-b % N]:
+            for k, w in self.by_residue.get(-b % N, ()):
                 m = (k + b) // N
                 s = data.get(m)
                 data[m] = w * v if s is None else s + w * v
@@ -108,6 +106,33 @@ class TransferOperator:
         has one vector."""
         return _left_fixed_vectors(self.block)
 
+    @cached_property
+    def peripheral(self) -> tuple[int, bool]:
+        """(multiplicity of eigenvalue 1, whether another eigenvalue of the
+        block has modulus 1), exact for a rational nonnegative block whose
+        columns sum to at most 1, as every |m0|^2 of a digit system gives, and
+        refused otherwise.  Then ||M^k||_1 <= 1 for all k, so the eigenvalues
+        of modulus 1 are semisimple roots of unity of order <= dim
+        (Perron-Frobenius): 1 has len(fixed_vectors) of them, and another
+        exists iff some Phi_q, 2 <= q <= dim, divides det(zI - M)."""
+        M = self.block
+        if not all(x.is_rational and x.p >= 0 for row in M for x in row):
+            raise PreconditionError("exact peripheral verdicts need rational nonnegative entries")
+        d = math.lcm(*(x.den for row in M for x in row))
+        A = [[x.p * (d // x.den) for x in row] for row in M]  # d M
+        if any(sum(col) > d for col in zip(*A)):
+            raise PreconditionError("exact peripheral verdicts need column sums <= 1")
+        # Faddeev-LeVerrier: c_k = -tr(P_k)/k exactly, P_1 = A and
+        # P_(k+1) = A (P_k + c_k I); then d^n det(zI - M) = det(dzI - A)
+        n, char, P = len(A), {len(A): d ** len(A)}, A
+        for k in range(1, n + 1):
+            c = -sum(row[i] for i, row in enumerate(P)) // k
+            char[n - k] = c * d ** (n - k)
+            P = [[sum(a * b for a, b in zip(row, col)) + c * x for col, x in zip(zip(*P), row)]
+                 for row in A]
+        other = any(vanishes_at_primitive_roots(char, q) for q in range(2, n + 1))
+        return len(self.fixed_vectors), other
+
     def _iterate_coefficient(self, k: int, idx: int) -> Scalar:
         """Single Fourier coefficient of the k-fold product weight.
 
@@ -126,7 +151,7 @@ class TransferOperator:
             return ZERO
         N = self.scale
         total = ZERO
-        for w_exp, w in self.by_residue[idx % N]:
+        for w_exp, w in self.by_residue.get(idx % N, ()):
             term = self._iterate_coefficient(k - 1, (idx - w_exp) // N)
             if not term.is_zero():
                 total = total + w * term
@@ -135,16 +160,12 @@ class TransferOperator:
 
 
 class SpectralBlock(NamedTuple):
-    """Dense realization of the transfer operator on its invariant
-    coefficient block [-D, D], with eigendata and peripheral flags."""
+    """Float eigenvalues of the invariant block [-D, D], for display only:
+    the peripheral verdicts are `TransferOperator.peripheral`, exact."""
 
     halfwidth: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     fixes_constant: bool
-    eigenvalue_one_multiplicity: int
-    has_other_peripheral: bool
-    eigenvalue_one_simple_exact: bool
 
     @property
     def dimension(self) -> int:
@@ -193,22 +214,8 @@ def _left_fixed_vectors(M) -> tuple[tuple[Scalar, ...], ...]:
 
 
 def spectral_block(op: TransferOperator) -> SpectralBlock:
-    """Eigen-decomposition of the invariant block M[m, b] = W^(Nm - b)."""
+    """Float eigenvalues of the invariant block M[m, b] = W^(Nm - b)."""
     import numpy as np
     # complex dtype: a real array sends eig to another LAPACK routine
     matrix = np.array([[float(x) for x in row] for row in op.block], dtype=complex)
-    eigenvalues, eigenvectors = np.linalg.eig(matrix)
-
-    mult = int(np.sum(np.abs(eigenvalues - 1.0) <= PERIPHERAL_TOL))
-    peripheral = np.abs(np.abs(eigenvalues) - 1.0) <= PERIPHERAL_TOL
-    other = bool(np.any(peripheral & (np.abs(eigenvalues - 1.0) > PERIPHERAL_TOL)))
-
-    return SpectralBlock(
-        halfwidth=op.block_halfwidth,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        fixes_constant=op.fixes_constant,
-        eigenvalue_one_multiplicity=mult,
-        has_other_peripheral=other,
-        eigenvalue_one_simple_exact=len(op.fixed_vectors) == 1,
-    )
+    return SpectralBlock(op.block_halfwidth, np.linalg.eig(matrix)[0], op.fixes_constant)

@@ -242,14 +242,11 @@ def test_criterion_08_spectral_block_and_cycle_census(cantor3_op):
     eigs = np.sort(block.eigenvalues.real)
     assert np.max(np.abs(block.eigenvalues.imag)) <= 1e-12
     assert np.allclose(eigs, [0.5, 0.5, 1.0], atol=1e-12)
-    assert block.eigenvalue_one_multiplicity == 1
-    assert block.eigenvalue_one_simple_exact is True
+    assert cantor3_op.peripheral == (1, False)
     # eigenvector of the unit eigenvalue is the constant function's
-    # coefficient vector (delta at the center index)
-    idx = int(np.argmin(np.abs(block.eigenvalues - 1.0)))
-    vec = block.eigenvectors[:, idx]
-    vec = vec / vec[block.halfwidth]
-    assert np.allclose(vec, np.eye(block.dimension)[block.halfwidth], atol=1e-12)
+    # coefficient vector: column D of the block is the unit vector e_D
+    D = block.halfwidth
+    assert [row[D] for row in cantor3_op.block] == [int(m == D) for m in range(block.dimension)]
     assert block.fixes_constant
 
     haar_op = TransferOperator.from_filter(canonical_lowpass(HAAR), 2)

@@ -588,6 +588,7 @@ def test_exact_tier_runs_never_load_numpy():
         for name in ("dimension", "moments", "replimit", "cascade", "gram", "filters", "cycles")
     ]
     lines.append("filters --scale 4 --digits 0,1,3")  # p = 3: Q(sqrt3) detail filters
+    lines.append(f"classify {system}")  # exact peripheral verdicts, no eigenvalues
     assert fresh_run(*lines) == [("import", None, None, ())] + [
         (line, 0, hashlib.sha256(run_cli(*line.split())[1].encode()).hexdigest(), ())
         for line in lines

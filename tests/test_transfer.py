@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractalmra.errors import PreconditionError
 from fractalmra.filterbank import canonical_lowpass, pairing
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, constant, monomial, one
+from fractalmra.measure import classify_support
 from fractalmra.scalars import Scalar
 from fractalmra.transfer import TransferOperator, spectral_block, weight_from_filter
 
@@ -97,10 +100,8 @@ def test_spectral_block_cantor3(cantor3):
     eigs = sorted(block.eigenvalues.real)
     assert np.allclose(eigs, [0.5, 0.5, 1.0], atol=1e-12)
     assert np.allclose(block.eigenvalues.imag, 0, atol=1e-12)
-    assert block.eigenvalue_one_multiplicity == 1
-    assert not block.has_other_peripheral
+    assert op.peripheral == (1, False)
     assert block.fixes_constant
-    assert block.eigenvalue_one_simple_exact is True
 
 
 def test_spectral_block_constant_weight():
@@ -115,8 +116,57 @@ def test_spectral_block_haar(haar2):
     op = TransferOperator.from_filter(canonical_lowpass(haar2), 2)
     block = spectral_block(op)
     assert block.halfwidth == 1
-    assert block.eigenvalue_one_multiplicity == 1
+    assert op.peripheral[0] == 1
     assert block.fixes_constant
+
+
+def test_peripheral_verdicts_of_the_stretched_haar_filter():
+    """(1 + z^3)/sqrt2 at N = 2: a 7x7 block whose eigenvalue 1 is double,
+    next to the eigenvalue -1 of the orbit {1/3, 2/3}."""
+    op = TransferOperator.from_filter(LaurentPolynomial({0: R2, 3: R2}), 2)
+    assert op.block_halfwidth == 3
+    assert op.peripheral == (2, True)
+    diagnostics = classify_support(op, 8).diagnostics
+    assert diagnostics["eigenvalue_one_multiplicity"] == 2
+    assert diagnostics["has_other_peripheral"] is True
+    assert diagnostics["eigenvalue_one_simple_exact"] is False
+
+
+@pytest.mark.parametrize("weight,condition", [
+    ({0: 1, 1: 5}, "column sums <= 1"),  # normalized, with eigenvalue 5
+    ({-1: -HALF, 0: 1, 1: -HALF}, "rational nonnegative entries"),
+    ({0: 1, 2: R2}, "rational nonnegative entries"),
+])
+def test_peripheral_verdicts_refuse_blocks_out_of_scope(weight, condition):
+    op = TransferOperator(2, LaurentPolynomial(weight))
+    with pytest.raises(PreconditionError, match=condition):
+        op.peripheral
+
+
+def library_filters():
+    """p^(-1/2) sum_{a in A} z^a for N <= 4 and every A containing 0 with
+    digits in [0, 3N) of distinct residues mod N: 84 filters."""
+    for N in (2, 3, 4):
+        for size in range(1, N + 1):
+            for residues in itertools.combinations(range(1, N), size - 1):
+                for lifts in itertools.product(range(3), repeat=size - 1):
+                    digits = (0, *(r + N * j for r, j in zip(residues, lifts)))
+                    c = Scalar.inv_sqrt(size)
+                    yield N, LaurentPolynomial({a: c for a in digits})
+
+
+def test_peripheral_verdicts_match_float_eigenvalues():
+    filters = list(library_filters())
+    assert len(filters) == 84
+    nontrivial = 0
+    for N, m0 in filters:
+        op = TransferOperator.from_filter(m0, N)
+        ev = np.linalg.eigvals(np.array([[float(x) for x in row] for row in op.block]))
+        at_one = np.abs(ev - 1) <= 1e-9
+        other = bool(np.any(~at_one & (np.abs(np.abs(ev) - 1) <= 1e-9)))
+        assert op.peripheral == (int(at_one.sum()), other), (N, m0)
+        nontrivial += op.peripheral != (1, False)
+    assert nontrivial == 5
 
 
 def test_haar_average_examples():
