@@ -3,6 +3,8 @@ CSV, or text output.
 
 Each subcommand computes one JSON document; its text and csv forms are
 renderings of that document, and csv columns are projections of its fields.
+Lists of rows that share their keys are held as columns (`RowTable`), and
+the output is written in pieces.
 One table (`COMMANDS`) holds every subcommand's handler, arguments and
 renderers, and drives both the parser and the dispatch.
 
@@ -21,9 +23,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, takewhile, zip_longest
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, ne
+from operator import is_not, itemgetter, ne
 from typing import Callable, NamedTuple
 
 from . import duality as dual_mod
@@ -34,6 +36,7 @@ from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, hausdorff_dimension
 from .laurent import LaurentPolynomial, monomial
 from .space import (
     cascade_experiment,
+    check_section_size,
     gram_section,
     representation_limit,
     wavelet_generators,
@@ -63,14 +66,40 @@ def _scalar_json(s) -> dict:
     return {"re": float(s), "im": 0.0, "exact": s.exact_str()}
 
 
-def _scalar_columns(*columns) -> list[list]:
-    """Each column of Scalars (or None) as their `_scalar_json` fields, built
-    once per Scalar object: rows that hold one object share one dict."""
-    objects = {}
-    for col in columns:
-        objects.update(zip(map(id, col), col))
-    fields = {i: None if v is None else _scalar_json(v) for i, v in objects.items()}
-    return [list(map(fields.__getitem__, map(id, col))) for col in columns]
+class RowTable(NamedTuple):
+    """Rows of JSON objects that share their keys, held as columns.
+
+    `columns` maps each key to a list with one leaf per row, to a nested
+    `RowTable` of one object per row, or to any other value: a leaf that
+    every row holds.  The rows in `nulls` are null instead of objects; the
+    column entries at those rows are not read."""
+
+    rows: int
+    columns: dict
+    nulls: frozenset = frozenset()
+
+
+def _scalars(values) -> RowTable:
+    """The `_scalar_json` objects of a list of Scalars as a row table, in
+    which a None is a null row."""
+    return RowTable(
+        len(values),
+        {
+            "exact": [None if v is None else v.exact_str() for v in values],
+            "im": 0.0,
+            "re": [None if v is None else float(v) for v in values],
+        },
+        frozenset(i for i, v in enumerate(values) if v is None),
+    )
+
+
+def _mirror(column):
+    """A list or `RowTable` (without null rows) column of rows n = 0..R
+    extended to n = -R..R by row(-n) = row(n), as the moments of an even
+    weight are."""
+    if type(column) is RowTable:
+        return RowTable(2 * column.rows - 1, {k: _mirror(c) for k, c in column.columns.items()})
+    return column[:0:-1] + column if type(column) is list else column
 
 
 def _poly_json(poly: LaurentPolynomial) -> dict:
@@ -148,36 +177,47 @@ def _run_moments(args):
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range)
     wiener = measure_mod.wiener_profile(table, args.range).rows
-    values, sums, ratios = _scalar_columns(
-        table.values, [r.partial_sum for r in wiener], [r.ratio for r in wiener]
-    )
-    R, its = args.range, table.iterations
+    R = args.range
     return {
         **head,
-        "range": args.range,
-        "moments": [  # the n >= 0 columns mirrored to n = -R..R
-            {"n": n, **v, "status": measure_mod.STABILIZED, "iterations": i, "cesaro": False}
-            for n, v, i in zip(range(-R, R + 1), values[:0:-1] + values, its[:0:-1] + its)
-        ],
+        "range": R,
+        "moments": RowTable(2 * R + 1, {
+            **_mirror(_scalars(table.values)).columns,  # the table holds n >= 0
+            "n": list(range(-R, R + 1)),
+            "status": measure_mod.STABILIZED,
+            "iterations": _mirror(table.iterations),
+            "cesaro": False,
+        }),
         "wiener": {
-            "rows": [
-                {"k": r.k, "s": s, "ratio": ratio}
-                for r, s, ratio in zip(wiener, sums, ratios)
-            ],
+            "rows": RowTable(len(wiener), {
+                "k": [r.k for r in wiener],
+                "s": _scalars([r.partial_sum for r in wiener]),
+                "ratio": _scalars([r.ratio for r in wiener]),
+            }),
             "unsettled": [],
         },
     }
 
 
+def _moments_text(obj) -> str:
+    m = obj["moments"].columns
+    return _lines(
+        f"nu^({n}) = {exact} [{m['status']}]" for n, exact in zip(m["n"], m["exact"]) if n >= 0
+    )
+
+
 def _moments_csv(obj, args):
     if args.emit == "wiener":
-        return [["k", "s_k", "ratio"]] + [
-            [r["k"], r["s"]["re"], r["ratio"] and r["ratio"]["re"]]
-            for r in obj["wiener"]["rows"]
-        ]
-    return [["n", "re", "im", "status"]] + [
-        [m["n"], m["re"], m["im"], m["status"]] for m in obj["moments"]
-    ]
+        w = obj["wiener"]["rows"].columns
+        return chain(
+            [["k", "s_k", "ratio"]],
+            zip(w["k"], w["s"].columns["re"], w["ratio"].columns["re"]),  # null ratio: None
+        )
+    m = obj["moments"].columns
+    return chain(
+        [["n", "re", "im", "status"]],
+        zip(m["n"], m["re"], repeat(m["im"]), repeat(m["status"])),
+    )
 
 
 def _run_cycles(args):
@@ -220,10 +260,10 @@ def _run_classify(args):
         ],
     }
     if cls.moments is not None:
-        (values,) = _scalar_columns(cls.moments.values)
-        obj["moments"] = [
-            {"n": n, **v, "status": measure_mod.STABILIZED} for n, v in enumerate(values)
-        ]
+        values = _scalars(cls.moments.values)
+        obj["moments"] = RowTable(values.rows, {
+            **values.columns, "n": list(range(values.rows)), "status": measure_mod.STABILIZED,
+        })
     return obj
 
 
@@ -280,17 +320,31 @@ def _run_cascade(args):
     sys_, head = _system(args)
     m = _modifier_polynomial(args.modifier, canonical_lowpass(sys_))
     rows = cascade_experiment(sys_, m, args.steps)
-    columns = _scalar_columns(
-        [r.diff_norm_sq for r in rows], [r.inner for r in rows], [r.transfer_inner for r in rows]
-    )
     return {
         **head,
         "modifier": args.modifier,
-        "rows": [
-            {"n": r.n, "norm_sq": norm_sq, "inner": inner, "transfer_inner": transfer_inner}
-            for r, norm_sq, inner, transfer_inner in zip(rows, *columns)
-        ],
+        "rows": RowTable(len(rows), {
+            "n": [r.n for r in rows],
+            "norm_sq": _scalars([r.diff_norm_sq for r in rows]),
+            "inner": _scalars([r.inner for r in rows]),
+            "transfer_inner": _scalars([r.transfer_inner for r in rows]),
+        }),
     }
+
+
+def _cascade_text(obj) -> str:
+    r = obj["rows"].columns
+    norm_sq, inner = r["norm_sq"].columns["exact"], r["inner"].columns["exact"]
+    return _lines(f"n={n} |diff|^2={a} inner={b}" for n, a, b in zip(r["n"], norm_sq, inner))
+
+
+def _cascade_csv(obj, args):
+    r = obj["rows"].columns
+    inner = r["inner"].columns
+    return chain(
+        [["n", "norm_sq", "inner_re", "inner_im"]],
+        zip(r["n"], r["norm_sq"].columns["re"], inner["re"], repeat(inner["im"])),
+    )
 
 
 def _run_riesz(args):
@@ -306,12 +360,10 @@ def _run_gram(args):
     if min(args.jrange, args.krange) < 0:
         raise PreconditionError("jrange and krange must be >= 0")
     sys_, head = _system(args)
-    section = gram_section(
-        sys_,
-        wavelet_generators(sys_),
-        range(-args.jrange, args.jrange + 1),
-        range(-args.krange, args.krange + 1),
-    )
+    j_range, k_range = range(-args.jrange, args.jrange + 1), range(-args.krange, args.krange + 1)
+    # the bank's N - 1 generators are counted before they are built
+    check_section_size((sys_.scale - 1) * len(j_range) * len(k_range))
+    section = gram_section(sys_, wavelet_generators(sys_), j_range, k_range)
     return {
         **head,
         "size": section.size,
@@ -325,23 +377,25 @@ def _run_replimit(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
     table = measure_mod.moment_table(op, args.range)
-    ms = range(-args.range, args.range + 1)
-    values = [representation_limit(op, args.level, m) for m in ms]
-    moments = [table.value(m) for m in ms]
-    columns = _scalar_columns(values, moments)
+    ms = list(range(-args.range, args.range + 1))
+    value = _scalars([representation_limit(op, args.level, m) for m in ms])
+    moment = _mirror(_scalars(table.values))
     return {
         **head,
         "level": args.level,
-        "rows": [
-            {
-                "m": m,
-                "value": value_json,
-                "moment": moment_json,
-                "abs_diff": abs(float(value) - float(mom)),
-            }
-            for m, value, mom, value_json, moment_json in zip(ms, values, moments, *columns)
-        ],
+        "rows": RowTable(len(ms), {
+            "m": ms,
+            "value": value,
+            "moment": moment,
+            "abs_diff": [abs(a - b) for a, b in zip(value.columns["re"], moment.columns["re"])],
+        }),
     }
+
+
+def _replimit_text(obj) -> str:
+    r = obj["rows"].columns
+    value, moment = r["value"].columns["exact"], r["moment"].columns["exact"]
+    return _lines(f"m={m} value={a} moment={b}" for m, a, b in zip(r["m"], value, moment))
 
 
 def _run_table(args):
@@ -462,11 +516,7 @@ COMMANDS = {
             _arg("--emit", "which rows the csv format emits",
                  choices=("moments", "wiener"), default="moments"),
         ),
-        lambda o: _lines(
-            f"nu^({m['n']}) = {m['exact']} [{m['status']}]"
-            for m in o["moments"]
-            if m["n"] >= 0
-        ),
+        _moments_text,
         _moments_csv,
     ),
     "cycles": Subcommand(
@@ -503,14 +553,8 @@ COMMANDS = {
         _run_cascade, "cascade iteration distances and inner products", True,
         (_arg("--modifier", "none, neg, or z<int>", default="none"),
          _arg("--steps", "cascade iterations", type=int, default=DEFAULT_CASCADE_STEPS)),
-        lambda o: _lines(
-            f"n={r['n']} |diff|^2={r['norm_sq']['exact']} inner={r['inner']['exact']}"
-            for r in o["rows"]
-        ),
-        lambda o, args: [["n", "norm_sq", "inner_re", "inner_im"]] + [
-            [r["n"], r["norm_sq"]["re"], r["inner"]["re"], r["inner"]["im"]]
-            for r in o["rows"]
-        ],
+        _cascade_text,
+        _cascade_csv,
     ),
     "riesz": Subcommand(
         _run_riesz, "Riesz partial-product samples", False,
@@ -532,10 +576,7 @@ COMMANDS = {
         _run_replimit, "matrix coefficients of dilated translation averages", True,
         (_arg("--level", "dilation power n", type=int, default=8),
          _arg("--range", "exponents |m| up to this", type=int, default=10)),
-        lambda o: _lines(
-            f"m={r['m']} value={r['value']['exact']} moment={r['moment']['exact']}"
-            for r in o["rows"]
-        ),
+        _replimit_text,
     ),
 }
 
@@ -565,11 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LEAF, _DICT, _LIST = 0, 1, 2
+_LEAF, _DICT, _LIST, _TABLE = 0, 1, 2, 3
+_ROWS_PER_PIECE = 512
 
 
 class _Kinds(dict):
-    """type -> _LEAF, _DICT or _LIST, as `json` tells containers apart."""
+    """type -> _LEAF, _DICT, _LIST or _TABLE, as `json` tells containers apart."""
 
     def __missing__(self, cls):
         if issubclass(cls, dict):
@@ -578,9 +620,18 @@ class _Kinds(dict):
 
 
 _KIND = _Kinds({
-    dict: _DICT, list: _LIST, tuple: _LIST,
+    dict: _DICT, list: _LIST, tuple: _LIST, RowTable: _TABLE,
     str: _LEAF, int: _LEAF, float: _LEAF, bool: _LEAF, type(None): _LEAF,
 }).__getitem__
+
+
+def _keys(obj) -> list[tuple[str, str]]:
+    """The keys of a dict in sorted order, each with its text in a
+    %-template: the JSON string with `%` doubled, and ": "."""
+    for k in obj:
+        if not isinstance(k, str):  # no document has other keys
+            raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
+    return [(k, encode_basestring_ascii(k).replace("%", "%%") + ": ") for k in sorted(obj)]
 
 
 def _changes(seq) -> set[int]:
@@ -596,6 +647,8 @@ def _shape_cuts(col, first, kind: int) -> set[int]:
     types = set(map(type, col))
     if len(types) > 1 and len(set(map(_KIND, types))) > 1:
         return _changes(list(map(_KIND, map(type, col))))
+    if kind == _TABLE:  # each table is written on its own
+        return set(range(1, len(col)))
     if kind == _LEAF:
         return set()
     if kind == _DICT and types != {dict}:  # a subclass may answer for a missing key
@@ -608,6 +661,8 @@ def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
     `columns` its leaf columns in the order of the template's `%s`s, when
     the values of `col` share one shape; else return the indices i at which
     col[i] differs in shape from col[i - 1], as far as one column shows.
+    A `RowTable` is one value of its own column: it goes to both lists as a
+    marker, the tuple (table, nl), and `_json_pieces` writes it there.
 
     Two values share a shape when both are leaves, or both dicts with the
     same keys, or both lists or tuples of one length, and their values at
@@ -615,8 +670,8 @@ def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
     is written key by key or position by position, each key's values taken
     at once by `map` and `itemgetter`.  One list is written run by run: the
     items of a run share one shape, so one item template, repeated, writes
-    them all, and `zip` interleaves their leaf columns.  Keys are escaped
-    with `%` doubled."""
+    them all, and `zip` interleaves their leaf columns.  Keys are written
+    by `_keys`."""
     first = col[0]
     kind = _KIND(type(first))
     if len(col) > 1:
@@ -627,18 +682,20 @@ def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
         parts.append("%s")
         columns.append(col)
         return set()
+    if kind == _TABLE:
+        marker = (first, nl)
+        parts.append(marker)
+        columns.append(marker)
+        return set()
     if not first:
         parts.append("{}" if kind == _DICT else "[]")
         return set()
     inner = nl + "  "
     comma = "," + inner
     if kind == _DICT:
-        for k in first:
-            if not isinstance(k, str):  # no document has other keys
-                raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
         sep = "{" + inner
-        for k in sorted(first):
-            parts.append(sep + encode_basestring_ascii(k).replace("%", "%%") + ": ")
+        for k, key in _keys(first):
+            parts.append(sep + key)
             try:
                 values = list(map(itemgetter(k), col))
             except KeyError:  # as many keys as `first`, but other ones
@@ -680,38 +737,116 @@ def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
     return set()
 
 
-def _dumps(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2).
+def _fill(template: str, columns) -> str:
+    """`template` with its `%s`s filled by the JSON text of the leaves of
+    `columns`, in order.  One call of the C encoder writes all the leaves,
+    with "\x00" between them; ensure_ascii output cannot hold a raw
+    "\x00", so the split is exact."""
+    leaves = list(chain.from_iterable(columns))
+    if not leaves:
+        return template % ()
+    return template % tuple(json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00"))
+
+
+def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: list) -> None:
+    """Append to `parts` the %-template of one row of `table`, written at
+    indent `nl`, and to `columns` its list columns in the order of the
+    template's `%s`s.  Constants are written into the template, nested
+    tables inline, and the tables whose id is in `null` as null."""
+    if id(table) in null:
+        parts.append("null")
+        return
+    if not table.columns:
+        parts.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, key in _keys(table.columns):
+        col = table.columns[k]
+        parts.append(sep + key)
+        if type(col) is RowTable:
+            _row_template(col, inner, null, parts, columns)
+        elif type(col) is list:
+            parts.append("%s")
+            columns.append(col)
+        else:
+            parts.append(json.dumps(col).replace("%", "%%"))
+        sep = "," + inner
+    parts.append(nl + "}")
+
+
+def _table_pieces(table: RowTable, nl: str):
+    """The JSON text of the rows of `table` at indent `nl`, in pieces of at
+    most _ROWS_PER_PIECE rows.  The rows between two changes in which
+    tables, nested or not, are null share one row template (`_row_template`),
+    and each piece repeats it once per row and fills it (`_fill`)."""
+    if not table.rows:
+        yield "[]"
+        return
+    tables = [table]
+    for t in tables:  # every nested table, at any depth
+        tables += [c for c in t.columns.values() if type(c) is RowTable]
+    bounds = sorted(
+        {0, table.rows}
+        | {i for t in tables for n in t.nulls for i in (n, n + 1) if i < table.rows}
+    )
+    inner = nl + "  "
+    comma = "," + inner
+    sep = "[" + inner
+    for start, end in zip(bounds, bounds[1:]):
+        parts, columns = [], []
+        _row_template(table, inner, {id(t) for t in tables if start in t.nulls}, parts, columns)
+        template = "".join(parts)
+        for lo in range(start, end, _ROWS_PER_PIECE):
+            hi = min(lo + _ROWS_PER_PIECE, end)
+            yield _fill(
+                sep + template + (comma + template) * (hi - lo - 1),
+                zip(*[col[lo:hi] for col in columns]),
+            )
+            sep = comma
+    yield nl + "]"
+
+
+def _json_pieces(obj):
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), in pieces.
 
     Any `indent` sends `json` to its pure-Python encoder, which encodes each
     leaf with a Python call.  Here the containers are written once into a
     %-template with a `%s` per leaf (`_emit`), one template per run of list
-    items of one shape, and all leaves are encoded by one call of the C
-    encoder with "\\x00" between them; ensure_ascii output cannot hold a raw
-    "\\x00", so the split is exact."""
-    parts: list[str] = []
+    items of one shape, and the leaves are encoded at once (`_fill`).  A
+    `RowTable` is written from its row template (`_table_pieces`), as pieces
+    of its own between those of the template around it."""
+    parts: list = []
     columns: list = []
     _emit([obj], "\n", parts, columns)  # one value always shares its shape
-    template = "".join(parts)
+    cuts = [i for i, part in enumerate(parts) if type(part) is tuple]
+    tables = [parts[i] for i in cuts]
+    templates = ["".join(parts[a + 1:b]) for a, b in zip([-1, *cuts], [*cuts, len(parts)])]
     del parts  # freed before the leaf text and the filled copy exist
-    leaves = list(chain.from_iterable(columns))
-    del columns
-    encoded = tuple(
-        json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00") if leaves else ()
-    )
-    del leaves
-    return template % encoded
+    columns = iter(columns)
+    for template, placed in zip_longest(templates, tables):
+        yield _fill(template, takewhile(functools.partial(is_not, placed), columns))
+        if placed:
+            yield from _table_pieces(*placed)
 
 
-def _render(command: Subcommand, args, obj) -> str:
+def _dumps(obj) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) (`_json_pieces`)."""
+    return "".join(_json_pieces(obj))
+
+
+def _render(command: Subcommand, args, obj):
+    """The output of one request, in pieces."""
     if args.format == "json":
-        return _dumps(obj) + "\n"
-    if args.format == "text":
-        return command.text(obj)
-    import csv  # only --format csv needs it
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(command.csv(obj, args))
-    return buf.getvalue()
+        yield from _json_pieces(obj)
+        yield "\n"
+    elif args.format == "text":
+        yield command.text(obj)
+    else:
+        import csv  # only --format csv needs it
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(command.csv(obj, args))
+        yield buf.getvalue()
 
 
 def main(argv=None) -> int:
@@ -746,12 +881,12 @@ def _request(argv) -> int:
             raise PreconditionError(
                 f"subcommand {args.command!r} has no csv form; use json or text"
             )
-        payload = _render(command, args, command.run(args))
+        pieces = _render(command, args, command.run(args))
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(payload)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(pieces)
     except CapExceededError as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3

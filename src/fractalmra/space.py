@@ -277,6 +277,12 @@ class GramSection:
         )
 
 
+def check_section_size(n: int) -> None:
+    """Refuse a Gram section of n vectors past GRAM_SECTION_CAP."""
+    if n > GRAM_SECTION_CAP:
+        raise CapExceededError(f"section of {n} vectors exceeds cap {GRAM_SECTION_CAP}")
+
+
 def gram_section(
     sys: DigitSystem,
     generators,
@@ -300,10 +306,7 @@ def gram_section(
     refused before any label is built."""
     generators = list(generators)
     n = len(generators) * len(j_range) * len(k_range)
-    if n > GRAM_SECTION_CAP:
-        raise CapExceededError(
-            f"section of {n} vectors exceeds cap {GRAM_SECTION_CAP}"
-        )
+    check_section_size(n)
     labels = tuple(
         (i, j, k)
         for i in range(len(generators))

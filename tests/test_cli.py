@@ -374,6 +374,9 @@ CAP_REFUSALS = [
      "product depth capped at 1075"),
     (("gram", "--scale", "3", "--digits", "0,2", "--jrange", "100000000", "--krange", "0"),
      "section of 400000002 vectors exceeds cap 10000"),
+    # counted before the bank is built: building it ran out of memory
+    (("gram", "--scale", "1000000000", "--digits", "0,1"),
+     "section of 54999999945 vectors exceeds cap 10000"),
 ]
 
 
@@ -384,6 +387,29 @@ def test_work_caps_refuse_at_once(argv, message):
     code, out, err = run_cli(*argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", f"cap exceeded: {message}\n")
+
+
+MOMENTS_CANTOR = ("moments", "--scale", "3", "--digits", "0,2")
+REFUSED = [
+    ((*MOMENTS_CANTOR, "--range", "1000000"), 3),
+    ((*MOMENTS_CANTOR, "--range", "1000000", "--format", "text"), 3),
+    ((*MOMENTS_CANTOR, "--range", "1000000", "--format", "csv", "--emit", "wiener"), 3),
+    (("replimit", "--scale", "3", "--digits", "0,2", "--range", "300000"), 3),
+    (("cascade", "--scale", "3", "--digits", "0,2", "--steps", "13", "--format", "csv"), 3),
+    (("gram", "--scale", "1000000000", "--digits", "0,1"), 3),
+    ((*MOMENTS_CANTOR, "--range", "-1", "--format", "csv"), 2),
+    (("replimit", "--scale", "3", "--digits", "0,2", "--range", "-1", "--format", "text"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", REFUSED, ids=[" ".join(a)[:80] for a, _ in REFUSED])
+def test_refusals_write_no_byte(argv, code, tmp_path):
+    """Output is written in pieces, but only once the handler has returned:
+    a refused request writes nothing to stdout and creates no --output file."""
+    target = tmp_path / "F"
+    assert run_cli(*argv)[:2] == (code, "")
+    assert run_cli(*argv, "--output", str(target))[:2] == (code, "")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,6 +771,80 @@ def test_dumps_long_lists_match_the_stdlib(rows):
     assert cli._dumps(rows) == stdlib_dumps(rows)
     doc = {"rows": rows, "tail": rows[-3:]}
     assert cli._dumps(doc) == stdlib_dumps(doc)
+
+
+# Row tables: columns of leaves, constants written into the row template, and
+# nested tables, which may hold null rows.
+TABLE_CONSTANTS = st.one_of(
+    st.sampled_from([-0.0, float("nan"), True, 1, 1.0, None, "%s", "\x00√"]), JSON_LEAVES
+)
+
+
+@st.composite
+def row_tables(draw, depth=2, rows=None):
+    """A `cli.RowTable` of 0, 1 or many rows (or of `rows`, nested), keyed by
+    JSON_KEYS; each column is a list of leaves, a constant, or, `depth`
+    levels down, a nested table; any rows may be null."""
+    if rows is None:
+        rows = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40)))
+    columns = {}
+    for key in draw(st.lists(JSON_KEYS, unique=True, max_size=4)):
+        kind = draw(st.sampled_from(["leaves", "constant", "table"][: 3 if depth else 2]))
+        if kind == "leaves":
+            columns[key] = draw(st.lists(JSON_LEAVES, min_size=rows, max_size=rows))
+        elif kind == "constant":
+            columns[key] = draw(TABLE_CONSTANTS)
+        else:
+            columns[key] = draw(row_tables(depth - 1, rows))
+    nulls = draw(st.sets(st.integers(0, rows - 1), max_size=rows)) if rows else set()
+    return cli.RowTable(rows, columns, frozenset(nulls))
+
+
+def expand(obj):
+    """`obj` with each table turned back into its list of rows."""
+    if isinstance(obj, cli.RowTable):
+        columns = {
+            k: expand(c) if isinstance(c, (list, cli.RowTable)) else [c] * obj.rows
+            for k, c in obj.columns.items()
+        }
+        return [
+            None if i in obj.nulls else {k: c[i] for k, c in columns.items()}
+            for i in range(obj.rows)
+        ]
+    if isinstance(obj, dict):
+        return {k: expand(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [expand(v) for v in obj]
+    return obj
+
+
+DOCUMENTS_WITH_TABLES = st.recursive(
+    st.one_of(row_tables(), JSON_LEAVES),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS_WITH_TABLES)
+def test_dumps_tables_match_the_stdlib(doc):
+    assert cli._dumps(doc) == stdlib_dumps(expand(doc))
+
+
+def test_dumps_refuses_a_non_str_key_in_a_table():
+    with pytest.raises(TypeError, match="JSON keys must be str"):
+        cli._dumps({"t": cli.RowTable(1, {"a": [0], 2: 0})})
+
+
+def test_table_pieces_hold_bounded_rows():
+    rows = 3 * cli._ROWS_PER_PIECE + 1
+    doc = {"t": cli.RowTable(rows, {"n": list(range(rows)), "s": "%"})}
+    pieces = list(cli._json_pieces(doc))
+    assert "".join(pieces) == stdlib_dumps(expand(doc))
+    assert [p.count('"n"') for p in pieces if '"n"' in p] == [cli._ROWS_PER_PIECE] * 3 + [1]
 
 
 @settings(max_examples=100, deadline=None)
