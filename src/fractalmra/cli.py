@@ -3,8 +3,8 @@ CSV, or text output.
 
 Each subcommand computes one JSON document; its text and csv forms are
 renderings of that document, and csv columns are projections of its fields.
-Lists of rows that share their keys are held as columns (`RowTable`), and
-the output is written in pieces.
+Long lists of rows are held as columns (`RowTable`), and the output is
+written in pieces.
 One table (`COMMANDS`) holds every subcommand's handler, arguments and
 renderers, and drives both the parser and the dispatch.
 
@@ -23,9 +23,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat, takewhile, zip_longest
+from itertools import chain, repeat, takewhile, zip_longest
 from json.encoder import encode_basestring_ascii
-from operator import is_not, itemgetter, ne
+from operator import is_not
 from typing import Callable, NamedTuple
 
 from . import duality as dual_mod
@@ -62,26 +62,24 @@ def _parse_digits(text: str) -> tuple[int, ...]:
         raise PreconditionError(f"invalid digit list: {text!r}") from exc
 
 
-def _scalar_json(s) -> dict:
-    return {"re": float(s), "im": 0.0, "exact": s.exact_str()}
-
-
 class RowTable(NamedTuple):
-    """Rows of JSON objects that share their keys, held as columns.
+    """Rows of JSON objects that share their keys, or of JSON arrays of one
+    length, held as columns.
 
     `columns` maps each key to a list with one leaf per row, to a nested
-    `RowTable` of one object per row, or to any other value: a leaf that
-    every row holds.  The rows in `nulls` are null instead of objects; the
-    column entries at those rows are not read."""
+    `RowTable` of one value per row, or to any other value: a leaf that
+    every row holds.  A tuple of such columns instead makes each row the
+    array of their entries.  The rows in `nulls` are null; the column
+    entries at those rows are not read."""
 
     rows: int
-    columns: dict
+    columns: dict | tuple
     nulls: frozenset = frozenset()
 
 
 def _scalars(values) -> RowTable:
-    """The `_scalar_json` objects of a list of Scalars as a row table, in
-    which a None is a null row."""
+    """The objects {"exact", "im", "re"} of a list of Scalars as a row table,
+    in which a None is a null row."""
     return RowTable(
         len(values),
         {
@@ -103,10 +101,10 @@ def _mirror(column):
 
 
 def _poly_json(poly: LaurentPolynomial) -> dict:
-    return {
-        "terms": [[k, _scalar_json(v)] for k, v in poly.items()],
-        "display": str(poly),
-    }
+    """The terms [k, c_k] of a polynomial, as a table of array rows."""
+    items = poly.items()
+    terms = ([k for k, _ in items], _scalars([c for _, c in items]))
+    return {"terms": RowTable(len(items), terms), "display": str(poly)}
 
 
 def _modifier_polynomial(expr: str, m0: LaurentPolynomial) -> LaurentPolynomial:
@@ -352,7 +350,7 @@ def _run_riesz(args):
     return {
         "depth": args.depth,
         "grid": args.grid,
-        "rows": [[t, v] for t, v in samples],
+        "rows": RowTable(len(samples), tuple(map(list, zip(*samples)))),  # rows [t, value]
     }
 
 
@@ -369,7 +367,8 @@ def _run_gram(args):
         "size": section.size,
         "is_identity": section.is_identity(),
         "max_deviation": section.max_identity_deviation(),
-        "labels": [list(label) for label in section.labels],
+        # the (i, j, k) of each psi_{i,j,k}
+        "labels": RowTable(section.size, tuple(map(list, zip(*section.labels)))),
     }
 
 
@@ -560,8 +559,8 @@ COMMANDS = {
         _run_riesz, "Riesz partial-product samples", False,
         (_arg("--depth", "number of product factors", type=int, default=6),
          _arg("--grid", "grid points on [0, 2 pi)", type=int, default=3 ** 8)),
-        lambda o: f"{len(o['rows'])} samples; first {tuple(o['rows'][0])!r}\n",
-        lambda o, args: [["t", "value"]] + o["rows"],
+        lambda o: f"{o['rows'].rows} samples; first {tuple(c[0] for c in o['rows'].columns)!r}\n",
+        lambda o, args: chain([["t", "value"]], zip(*o["rows"].columns)),
     ),
     "gram": Subcommand(
         _run_gram, "Gram section of the wavelet family", True,
@@ -606,23 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LEAF, _DICT, _LIST, _TABLE = 0, 1, 2, 3
 _ROWS_PER_PIECE = 512
-
-
-class _Kinds(dict):
-    """type -> _LEAF, _DICT, _LIST or _TABLE, as `json` tells containers apart."""
-
-    def __missing__(self, cls):
-        if issubclass(cls, dict):
-            return _DICT
-        return _LIST if issubclass(cls, (list, tuple)) else _LEAF
-
-
-_KIND = _Kinds({
-    dict: _DICT, list: _LIST, tuple: _LIST, RowTable: _TABLE,
-    str: _LEAF, int: _LEAF, float: _LEAF, bool: _LEAF, type(None): _LEAF,
-}).__getitem__
+_CONTAINERS = (dict, list, tuple)  # a RowTable is a tuple too
 
 
 def _keys(obj) -> list[tuple[str, str]]:
@@ -634,107 +618,41 @@ def _keys(obj) -> list[tuple[str, str]]:
     return [(k, encode_basestring_ascii(k).replace("%", "%%") + ": ") for k in sorted(obj)]
 
 
-def _changes(seq) -> set[int]:
-    """The indices i >= 1 with seq[i] != seq[i - 1]."""
-    if seq.count(seq[0]) == len(seq):
-        return set()
-    return set(compress(count(1), map(ne, islice(seq, 1, None), seq)))
+def _emit(obj, nl: str, parts: list, columns: list) -> None:
+    """Append to `parts` the %-template of `obj` written at indent `nl`,
+    and to `columns` its leaf columns in the order of the template's `%s`s.
 
-
-def _shape_cuts(col, first, kind: int) -> set[int]:
-    """Where the values of `col` stop sharing the kind and size of `first`:
-    the indices i >= 1 at which col[i] differs in that from col[i - 1]."""
-    types = set(map(type, col))
-    if len(types) > 1 and len(set(map(_KIND, types))) > 1:
-        return _changes(list(map(_KIND, map(type, col))))
-    if kind == _TABLE:  # each table is written on its own
-        return set(range(1, len(col)))
-    if kind == _LEAF:
-        return set()
-    if kind == _DICT and types != {dict}:  # a subclass may answer for a missing key
-        return _changes(list(map(tuple, col)))
-    return _changes(list(map(len, col)))
-
-
-def _emit(col, nl: str, parts: list, columns: list) -> set[int]:
-    """Append to `parts` the %-template of one value of `col`, and to
-    `columns` its leaf columns in the order of the template's `%s`s, when
-    the values of `col` share one shape; else return the indices i at which
-    col[i] differs in shape from col[i - 1], as far as one column shows.
-    A `RowTable` is one value of its own column: it goes to both lists as a
-    marker, the tuple (table, nl), and `_json_pieces` writes it there.
-
-    Two values share a shape when both are leaves, or both dicts with the
-    same keys, or both lists or tuples of one length, and their values at
-    each key or position share a shape.  A column of several dicts or lists
-    is written key by key or position by position, each key's values taken
-    at once by `map` and `itemgetter`.  One list is written run by run: the
-    items of a run share one shape, so one item template, repeated, writes
-    them all, and `zip` interleaves their leaf columns.  Keys are written
-    by `_keys`."""
-    first = col[0]
-    kind = _KIND(type(first))
-    if len(col) > 1:
-        cuts = _shape_cuts(col, first, kind)
-        if cuts:
-            return cuts
-    if kind == _LEAF:
-        parts.append("%s")
-        columns.append(col)
-        return set()
-    if kind == _TABLE:
-        marker = (first, nl)
+    A dict is written key by key (`_keys`), a list or tuple of leaves as
+    one column under a repeated `%s`, and any other list item by item.  A
+    `RowTable` goes to both lists as a marker, the tuple (table, nl), and
+    `_json_pieces` writes it there."""
+    if type(obj) is RowTable:
+        marker = (obj, nl)
         parts.append(marker)
         columns.append(marker)
-        return set()
-    if not first:
-        parts.append("{}" if kind == _DICT else "[]")
-        return set()
+        return
+    if not isinstance(obj, _CONTAINERS):
+        parts.append("%s")
+        columns.append((obj,))
+        return
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
     inner = nl + "  "
-    comma = "," + inner
-    if kind == _DICT:
-        sep = "{" + inner
-        for k, key in _keys(first):
-            parts.append(sep + key)
-            try:
-                values = list(map(itemgetter(k), col))
-            except KeyError:  # as many keys as `first`, but other ones
-                return _changes(list(map(tuple, col)))
-            cuts = _emit(values, inner, parts, columns)
-            if cuts:
-                return cuts
-            sep = comma
-        parts.append(nl + "}")
-        return set()
-    sep = "[" + inner
-    if len(col) > 1:
-        for i in range(len(first)):
-            parts.append(sep)
-            cuts = _emit(list(map(itemgetter(i), col)), inner, parts, columns)
-            if cuts:
-                return cuts
-            sep = comma
+    if isinstance(obj, dict):
+        brackets, heads = "{}", [(inner + key, obj[k]) for k, key in _keys(obj)]
+    elif any(map(isinstance, obj, repeat(_CONTAINERS))):
+        brackets, heads = "[]", [(inner, item) for item in obj]
     else:
-        runs = [(0, len(first))]  # a stack, next run last
-        while runs:
-            start, end = runs.pop()
-            mark, run_columns = len(parts), []
-            parts.append(sep)
-            cuts = _emit(first[start:end], inner, parts, run_columns)
-            if cuts:  # write the runs between the cuts instead
-                del parts[mark:]
-                bounds = sorted(start + i for i in cuts)
-                runs += reversed(list(zip([start, *bounds], [*bounds, end])))
-                continue
-            if end - start > 1:
-                item = "".join(parts[mark + 1:])
-                parts[mark + 1:] = [item + (comma + item) * (end - start - 1)]
-                columns.append(chain.from_iterable(zip(*run_columns)))
-            else:
-                columns += run_columns
-            sep = comma
-    parts.append(nl + "]")
-    return set()
+        parts.append("[" + inner + "%s" + ("," + inner + "%s") * (len(obj) - 1) + nl + "]")
+        columns.append(obj)
+        return
+    sep = brackets[0]
+    for head, value in heads:
+        parts.append(sep + head)
+        _emit(value, inner, parts, columns)
+        sep = ","
+    parts.append(nl + brackets[1])
 
 
 def _fill(template: str, columns) -> str:
@@ -756,14 +674,17 @@ def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: lis
     if id(table) in null:
         parts.append("null")
         return
-    if not table.columns:
-        parts.append("{}")
-        return
     inner = nl + "  "
-    sep = "{" + inner
-    for k, key in _keys(table.columns):
-        col = table.columns[k]
-        parts.append(sep + key)
+    if type(table.columns) is tuple:
+        brackets, heads = "[]", [(inner, col) for col in table.columns]
+    else:
+        brackets, heads = "{}", [(inner + key, table.columns[k]) for k, key in _keys(table.columns)]
+    if not heads:
+        parts.append(brackets)
+        return
+    sep = brackets[0]
+    for head, col in heads:
+        parts.append(sep + head)
         if type(col) is RowTable:
             _row_template(col, inner, null, parts, columns)
         elif type(col) is list:
@@ -771,8 +692,8 @@ def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: lis
             columns.append(col)
         else:
             parts.append(json.dumps(col).replace("%", "%%"))
-        sep = "," + inner
-    parts.append(nl + "}")
+        sep = ","
+    parts.append(nl + brackets[1])
 
 
 def _table_pieces(table: RowTable, nl: str):
@@ -785,7 +706,8 @@ def _table_pieces(table: RowTable, nl: str):
         return
     tables = [table]
     for t in tables:  # every nested table, at any depth
-        tables += [c for c in t.columns.values() if type(c) is RowTable]
+        cols = t.columns if type(t.columns) is tuple else t.columns.values()
+        tables += [c for c in cols if type(c) is RowTable]
     bounds = sorted(
         {0, table.rows}
         | {i for t in tables for n in t.nulls for i in (n, n + 1) if i < table.rows}
@@ -812,13 +734,13 @@ def _json_pieces(obj):
 
     Any `indent` sends `json` to its pure-Python encoder, which encodes each
     leaf with a Python call.  Here the containers are written once into a
-    %-template with a `%s` per leaf (`_emit`), one template per run of list
-    items of one shape, and the leaves are encoded at once (`_fill`).  A
-    `RowTable` is written from its row template (`_table_pieces`), as pieces
-    of its own between those of the template around it."""
+    %-template with a `%s` per leaf (`_emit`), and the leaves are encoded
+    at once (`_fill`).  A `RowTable` is written from its row template
+    (`_table_pieces`), as pieces of its own between those of the template
+    around it."""
     parts: list = []
     columns: list = []
-    _emit([obj], "\n", parts, columns)  # one value always shares its shape
+    _emit(obj, "\n", parts, columns)
     cuts = [i for i, part in enumerate(parts) if type(part) is tuple]
     tables = [parts[i] for i in cuts]
     templates = ["".join(parts[a + 1:b]) for a, b in zip([-1, *cuts], [*cuts, len(parts)])]

@@ -217,7 +217,8 @@ def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleRep
     division decides every orbit with denominator M, and it can only succeed
     when phi(M) <= 2D.  Period-l points have M dividing N^l - 1, and the
     orbits of denominator M are as long as the first l at which M divides
-    N^l - 1.
+    N^l - 1.  A weight with sum |c_k| < N, as the canonical one of p < N
+    digits (sum p), has no such point and is decided at once.
     """
     N, weight = op.scale, op.weight
     if L < 1:
@@ -229,6 +230,8 @@ def find_cycles(op: TransferOperator, L: int = DEFAULT_CYCLE_LENGTH) -> CycleRep
     D = weight.degree()
     den = math.lcm(*(c.den for c in weight.coeffs.values()))
     P = {k + D: c.p * (den // c.den) for k, c in weight.coeffs.items()}
+    if sum(map(abs, P.values())) < N * den:  # on the circle |W| <= sum |c_k| < N
+        return CycleReport(searched_length=L, scale=N, cycles=())
     P[D] = P.get(D, 0) - N * den  # den * z^D (W - N), in integers
     if not any(P.values()):
         raise PreconditionError("weight is identically N; every orbit qualifies")

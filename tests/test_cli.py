@@ -571,6 +571,73 @@ def test_golden_digests_cover_every_subcommand():
     assert {r.split()[0] for r, _ in GOLDEN_STDOUT} == set(cli.COMMANDS)
 
 
+# sha256 of the text and csv stdout: every sample run in text, each one with
+# a csv form in csv, the default riesz grid and the widest filter bank.  The
+# renderers read the handlers' columns, so these pin them as the JSON
+# digests pin the document.
+TEXT_CSV_STDOUT = [
+    ("cascade --scale 3 --digits 0,2 --modifier z3 --steps 6 --format text",
+     "6f57647099fc188df1b6d72590f5cfa7c5d88ccdadcdb0b26bc332beff7224f8"),
+    ("cascade --scale 3 --digits 0,2 --modifier z3 --steps 6 --format csv",
+     "9e039b35991f160b913efba172e9cc885bbd4b7f2579fa61c6beb17d142a9d75"),
+    ("cascade --scale 3 --digits 0,2 --steps 3 --format text",
+     "a33e8f9d0ff4822679e46f1a00d75aa242ecf56956333998fc610156ff47b427"),
+    ("cascade --scale 3 --digits 0,2 --steps 3 --format csv",
+     "47b8ba332f42f32efe53268fc48ff3bb7feae49cf51ca92c73b22058610861c9"),
+    ("classify --scale 3 --digits 0,2 --length 8 --format text",
+     "185941ac951aaa29cb7e3878371bc73d36937c6204b22ac8acbfa5edd1edcdf0"),
+    ("cycles --scale 2 --digits 0,1 --length 6 --format text",
+     "f0b79c7b633e08c6d67fa2d1a2abbce88e7d62de8c4f5e6bb2ab27f660b2a29a"),
+    ("dimension --scale 3 --digits 0,2 --format text",
+     "1bf52296980fa4dc60e65c69ecf8e1f34905610a5fb24a0b1e53e3458c9610e4"),
+    ("duality --scale 4 --digits 0,2 --dual 0,1 --count 8 --format text",
+     "8a3f9ece929eaa3a22de8cf672dca9742a776565ce8d72b4de5eba8053b5148c"),
+    ("filters --scale 3 --digits 0,2 --format text",
+     "8afcc30ccd5b5c4356a065de0975d320d4056dd513fabe830de0236c6457de1c"),
+    ("gram --scale 3 --digits 0,2 --jrange 1 --krange 2 --format text",
+     "f40b44bf63b5b75740b5aab7fba27a8756068bedaef8ecdaec45e17cbe9dfdf9"),
+    ("moments --scale 3 --digits 0,2 --range 8 --format text",
+     "a2493acb9c7871ba122734b4062a5846ba84dfaecb07463c79e2ceb633f44c8d"),
+    ("moments --scale 3 --digits 0,2 --range 8 --format csv",
+     "08df8d548e5b03a45dbf08206af983c163d4c03ad860a677c732c500656a397c"),
+    ("moments --scale 3 --digits 0,2 --range 8 --emit wiener --format text",
+     "a2493acb9c7871ba122734b4062a5846ba84dfaecb07463c79e2ceb633f44c8d"),
+    ("moments --scale 3 --digits 0,2 --range 8 --emit wiener --format csv",
+     "5fad6ca5c6e45a3b9badcb1fc7607e42aaf51ffeeac02709d9d038a1b27988ed"),
+    ("onb-check --scale 4 --digits 0,2 --dual 0,1 --count 8 --format text",
+     "e91913aeac7f0085d499c1e1e640a6377114f572e47837f109a269a441449950"),
+    ("replimit --scale 3 --digits 0,2 --level 6 --range 4 --format text",
+     "a8885a60bb9fd11c778bc9fcd4c5910c80a93968fd32cd0174dcd19725599b1c"),
+    ("riesz --depth 3 --grid 27 --format text",
+     "6269599bf86d3e40125485d942c9e5a83f53da24690e8177b3390e07dc5772c7"),
+    ("riesz --depth 3 --grid 27 --format csv",
+     "80a11c7286f217ed443f946370bcc695676c7a260c0d91ab430e31f80bdab866"),
+    ("spectrum --scale 3 --digits 0,2 --format text",
+     "d84e5e88afc9051b7de5f7ef13ab306936d86fb230aea7a549645b3c964aaf2e"),
+    ("table --format text",
+     "e0ccac4a320e43f031a4c8d3b836729a05c4b4741a1f6a60e8059c2c404841c7"),
+    ("riesz --format csv",
+     "799e7387698a18e6af7dd0a9222f78023dfb8020319dab919e68d184d1d3b8fb"),
+    ("filters --scale 24 --digits 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23 --format text",
+     "f743e33ee06df0af3e09c0713e600c35594db50e28cf4f3258f6523073b7c456"),
+]
+
+
+@pytest.mark.parametrize("request_line,digest", TEXT_CSV_STDOUT, ids=[r for r, _ in TEXT_CSV_STDOUT])
+def test_text_and_csv_match_golden_digest(request_line, digest):
+    code, out, err = run_cli(*request_line.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_and_csv_digests_cover_every_form():
+    pinned = {r for r, _ in TEXT_CSV_STDOUT}
+    for name, argv in RENDER_RUNS.items():
+        line = " ".join(argv)
+        assert f"{line} --format text" in pinned
+        assert (f"{line} --format csv" in pinned) == (cli.COMMANDS[argv[0]].csv is not None)
+
+
 # -- numpy, dataclasses and csv only where they are needed -----------------------
 
 WATCHED = ("csv", "dataclasses", "numpy")
@@ -728,7 +795,7 @@ def test_dumps_refuses_what_the_stdlib_refuses(obj):
 
 
 # Long lists of dicts that share their keys, one column varied at a time: the
-# renderer writes each run of items of one shape from one item template.
+# renderer walks such a list item by item, and a list of leaves as one column.
 VARIED_COLUMNS = {
     "null or dict": st.one_of(
         st.none(), st.fixed_dictionaries({"re": st.floats(), "exact": st.text(max_size=3)})
@@ -774,7 +841,8 @@ def test_dumps_long_lists_match_the_stdlib(rows):
 
 
 # Row tables: columns of leaves, constants written into the row template, and
-# nested tables, which may hold null rows.
+# nested tables, which may hold null rows; keyed columns give object rows, a
+# tuple of columns array rows.
 TABLE_CONSTANTS = st.one_of(
     st.sampled_from([-0.0, float("nan"), True, 1, 1.0, None, "%s", "\x00√"]), JSON_LEAVES
 )
@@ -783,8 +851,9 @@ TABLE_CONSTANTS = st.one_of(
 @st.composite
 def row_tables(draw, depth=2, rows=None):
     """A `cli.RowTable` of 0, 1 or many rows (or of `rows`, nested), keyed by
-    JSON_KEYS; each column is a list of leaves, a constant, or, `depth`
-    levels down, a nested table; any rows may be null."""
+    JSON_KEYS or, for array rows, a tuple; each column is a list of leaves,
+    a constant, or, `depth` levels down, a nested table; any rows may be
+    null."""
     if rows is None:
         rows = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40)))
     columns = {}
@@ -796,6 +865,8 @@ def row_tables(draw, depth=2, rows=None):
             columns[key] = draw(TABLE_CONSTANTS)
         else:
             columns[key] = draw(row_tables(depth - 1, rows))
+    if draw(st.booleans()):
+        columns = tuple(columns.values())
     nulls = draw(st.sets(st.integers(0, rows - 1), max_size=rows)) if rows else set()
     return cli.RowTable(rows, columns, frozenset(nulls))
 
@@ -803,12 +874,15 @@ def row_tables(draw, depth=2, rows=None):
 def expand(obj):
     """`obj` with each table turned back into its list of rows."""
     if isinstance(obj, cli.RowTable):
+        array = isinstance(obj.columns, tuple)
         columns = {
             k: expand(c) if isinstance(c, (list, cli.RowTable)) else [c] * obj.rows
-            for k, c in obj.columns.items()
+            for k, c in (enumerate(obj.columns) if array else obj.columns.items())
         }
         return [
-            None if i in obj.nulls else {k: c[i] for k, c in columns.items()}
+            None if i in obj.nulls
+            else [c[i] for c in columns.values()] if array
+            else {k: c[i] for k, c in columns.items()}
             for i in range(obj.rows)
         ]
     if isinstance(obj, dict):

@@ -501,6 +501,27 @@ def test_find_cycles_large_scale_default_length():
     assert report.verdict == "NoCycles"
 
 
+def test_find_cycles_decides_weights_below_n_without_division(cantor3_op, monkeypatch):
+    # on the circle |W| <= sum |c_k|, which is p for a canonical weight: with
+    # p < N no point has W = N, and no cyclotomic division is needed (a search
+    # of the divisors of 10^9 - 1 = 3^4 * 37 * 333667 takes minutes)
+    big = DigitSystem(10 ** 9, (0, 10 ** 9 - 1))
+    full = DigitSystem(5, (0, 1, 2, 3, 4))  # p = N: the search runs
+    ops = [TransferOperator.from_filter(canonical_lowpass(s), s.scale) for s in (big, full)]
+    searched = find_cycles(ops[1], 3)
+    assert [c.angles for c in searched.cycles] == [(Fraction(0),)]
+
+    def never(P, M):
+        raise AssertionError("cyclotomic division for a weight below N")
+
+    monkeypatch.setattr("fractalmra.measure.vanishes_at_primitive_roots", never)
+    assert find_cycles(ops[0], 1) == (1, 10 ** 9, ())
+    assert classify_support(ops[0], 1).kind == "full_support"
+    assert find_cycles(cantor3_op, 12) == (12, 3, ())
+    with pytest.raises(AssertionError, match="below N"):
+        find_cycles(ops[1], 3)
+
+
 def test_classify_support_full(cantor3):
     cls = classify_support(TransferOperator.from_filter(canonical_lowpass(cantor3), 3))
     assert cls.kind == "full_support"
