@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -262,14 +261,15 @@ class GramSection:
         return len(self.labels)
 
     def max_identity_deviation(self) -> float:
-        diagonal = sum(1 for r, c in self.entries if r == c)
-        # a diagonal entry that is not stored is 0, one away from the identity
-        dev = 0.0 if diagonal == self.size else 1.0
+        dev, diagonal = 0.0, 0
         for (r, c), v in self.entries.items():
-            d = v - ONE if r == c else v
-            if not d.is_zero():
-                dev = max(dev, abs(float(d)))
-        return dev
+            if r == c:
+                diagonal += 1
+                v = ZERO if v == ONE else v - ONE  # a diagonal 1 deviates by nothing
+            if not v.is_zero():
+                dev = max(dev, abs(float(v)))
+        # a diagonal entry that is not stored is 0, one away from the identity
+        return dev if diagonal == self.size else max(dev, 1.0)
 
     def is_identity(self) -> bool:
         return len(self.entries) == self.size and all(
@@ -293,17 +293,25 @@ def gram_section(
 
     U^-j is unitary, so <U^-j T^k psi_i, U^-j' T^k' psi_i'> =
     <T^k g, U^-D T^k' g'> with D = j' - j and g, g' the generators (refined
-    to resolution 0 if below it, where T^k is an index shift): one table of
-    nonzero (k, k') values per generator pair and D serves every pair of
-    scales (j, j + D) in the section.  Every coefficient is real, so the Gram
-    is symmetric and only D >= 0 is computed, each value stored at its entry
-    and the transpose.  At the finer resolution t of g and U^-D g', the
-    translates shift the indices by k N^t and k' N^(t - D), so an entry is
-    the `_overlap` at the lag k N^t - k' N^(t - D), visited only where the
-    two spans meet; refining D levels spreads an index x over
-    N^D x + [min S, max S] (N^D - 1)/(N - 1).  The ranges are sized and
-    re-iterable (a range or a list), so a section past GRAM_SECTION_CAP is
-    refused before any label is built."""
+    to resolution 0 if below it, where T^k is an index shift): the entry
+    depends only on (i, i', D) and the lag, and one value serves every pair
+    of scales (j, j + D) in the section.  Every coefficient is real, so the
+    Gram is symmetric: only D >= 0 is computed, and at D = 0 only i <= i',
+    each value stored at its entry and the transpose.
+
+    The work follows the entries that can be nonzero.  At resolution top + D,
+    top the finest generator's, refining D levels spreads an index x over
+    N^D x + [min S, max S] (N^D - 1)/(N - 1); T^k shifts g by k N^(top + D)
+    and T^k' shifts U^-D g' by k' N^top.  For each D:
+    - pair join: the g' spans, widened by the translate range, are sorted by
+      start once; each widened g span visits only the g' spans that start
+      inside it or at most the widest span before it;
+    - k windows: a pair meets where m = k N^D - k' lies in an interval, so
+      bisects give the k whose window of k' is nonempty, and each window;
+    - lag table: one `_overlap` per distinct m, at the lag m N^(t - D) of the
+      pair's finer resolution t, serves every (k, k') and j with that m.
+    The ranges are sized and re-iterable (a range or a list), so a section
+    past GRAM_SECTION_CAP is refused before any label is built."""
     generators = list(generators)
     n = len(generators) * len(j_range) * len(k_range)
     check_section_size(n)
@@ -325,32 +333,48 @@ def gram_section(
     else:
         deltas = sorted({b - a for a in js for b in js if b >= a})
     gens = [refine_to(psi, max(psi.resolution, 0)) for psi in generators]
-    N = sys.scale
+    N, top = sys.scale, max(g.resolution for g in gens)
     power = cache(N.__pow__)  # N^e, built once per exponent in the section
+
+    def bounds(g, steps):  # the first and last index of g refined `steps` levels
+        q = power(steps)
+        spread = (q - 1) // (N - 1)
+        return q * min(g.coeffs) + sys.digits[0] * spread, q * max(g.coeffs) + sys.digits[-1] * spread
+
+    live = [(i, g) for i, g in enumerate(gens) if g.coeffs]
+    B = power(top)
+    cols = sorted(
+        (lo + ks[0] * B, hi + ks[-1] * B, lo, hi, i2)
+        for i2, g2 in live for lo, hi in [bounds(g2, top - g2.resolution)]
+    )
+    starts = [col[0] for col in cols]
+    widest = max((col[1] - col[0] for col in cols), default=0)
     entries: dict[tuple[int, int], Scalar] = {}
-    for (i, g), (i2, g2), delta in product(enumerate(gens), enumerate(gens), deltas):
-        if not (g.coeffs and g2.coeffs):
-            continue
-        w = dilate_power(g2, delta)
-        top = max(g.resolution, w.resolution)
-        spans = []
-        for u in (g, w):
-            q = power(top - u.resolution)
-            spread = (q - 1) // (N - 1)
-            spans += [q * min(u.coeffs) + sys.digits[0] * spread,
-                      q * max(u.coeffs) + sys.digits[-1] * spread]
-        lo_v, hi_v, lo_w, hi_w = spans
-        a, b = power(top), power(top - delta)
-        for k in ks:
-            # the spans meet at lags in [lo_w - hi_v, hi_w - lo_v]
-            start = bisect_left(ks, -((hi_w - lo_v - k * a) // b))
-            stop = bisect_right(ks, (k * a - lo_w + hi_v) // b)
-            for k2 in ks[start:stop]:
-                value = _overlap(g, w, k * a - k2 * b)
-                for j in js if not value.is_zero() else ():
-                    for r in rows[i, j, k]:
-                        for c in rows.get((i2, j + delta, k2), ()):
-                            entries[r, c] = entries[c, r] = value
+    for delta in deltas:
+        ND, A = power(delta), power(top + delta)
+        for i, g in live:
+            lv, hv = bounds(g, top + delta - g.resolution)
+            low = lv + ks[0] * A
+            for _, stop, lw, hw, i2 in cols[
+                bisect_left(starts, low - widest):bisect_right(starts, hv + ks[-1] * A)
+            ]:
+                if stop < low or i2 < i and not delta:
+                    continue
+                # the spans meet where m = k N^D - k' is in [m_lo, m_hi]
+                m_lo, m_hi = -((hv - lw) // B), (hw - lv) // B
+                w = dilate_power(gens[i2], delta)
+                b = power(max(g.resolution, w.resolution) - delta)
+                values: dict[int, Scalar] = {}  # by m
+                for k in ks[bisect_left(ks, -((-ks[0] - m_lo) // ND)):bisect_right(ks, (ks[-1] + m_hi) // ND)]:
+                    for k2 in ks[bisect_left(ks, k * ND - m_hi):bisect_right(ks, k * ND - m_lo)]:
+                        m = k * ND - k2
+                        value = values.get(m)
+                        if value is None:
+                            value = values[m] = _overlap(g, w, m * b)
+                        for j in js if not value.is_zero() else ():
+                            for r in rows[i, j, k]:
+                                for c in rows.get((i2, j + delta, k2), ()):
+                                    entries[r, c] = entries[c, r] = value
     return GramSection(labels, dict(sorted(entries.items())))
 
 

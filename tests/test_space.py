@@ -257,6 +257,27 @@ def _reference_deviation(matrix) -> float:
 CANTOR3 = DigitSystem(3, (0, 2))
 
 
+def _mixed_generators(system):
+    """The wavelets of `system` with generators at resolutions 0 and 2 and a
+    zero generator among them.  With one translate, the deltas at resolution
+    2 make spans that meet in one index, one of them at the stop of the
+    widest span."""
+    gens = wavelet_generators(system)
+    N = system.scale
+    return gens[:2] + [
+        basis_delta(system, 0, -3),
+        basis_delta(system, 0, -1),
+        basis_delta(system, 1, -2),
+        basis_delta(system, 2, -4 * N * N),
+        basis_delta(system, 2, 2 * N * N + 2 * N),
+        LatticeVector(system, 1),
+        LatticeVector(system, 2, {3: 1, 2 * N * N + 2 * N: -1, 5 * N + 1: HALF}),
+    ] + gens[2:] + [LatticeVector(system, 0, {-1: 1, 0: HALF})]
+
+
+S9, S12, S40 = DigitSystem(9, (2, 7)), DigitSystem(12, (0, 1)), DigitSystem(40, (0, 5))
+
+
 @pytest.mark.parametrize(
     "system, generators, j_range, k_range",
     [
@@ -274,6 +295,17 @@ CANTOR3 = DigitSystem(3, (0, 2))
             [1, 0, -2],
             [0, 1, -2],
         ),
+        # many generators at resolutions 0, 1 and 2, one of them zero, over
+        # lists with gaps: the pair join, the k windows and the lag table
+        # skip only entries that are 0
+        (S12, _mixed_generators(S12), [0, 3], [-5, 0, 7]),
+        (S12, _mixed_generators(S12), range(-1, 2), range(-3, 4)),
+        (S40, _mixed_generators(S40), [0, 3], [-5, 0, 7]),
+        (S40, _mixed_generators(S40), [2, 0, 1], [1, -1]),
+        (S9, _mixed_generators(S9), [3, 0], [0, 7, -5]),
+        # one translate: spans that meet in one index
+        (S12, _mixed_generators(S12), [0], [0]),
+        (S9, _mixed_generators(S9), [1, 0, 3], [2]),
     ],
 )
 def test_gram_section_matches_pairwise_reference(system, generators, j_range, k_range):
@@ -303,6 +335,31 @@ def test_gram_section_matches_pairwise_reference(system, generators, j_range, k_
         for r, row in enumerate(reference)
         for c, value in enumerate(row)
     )
+
+
+def test_gram_section_one_overlap_per_lag(monkeypatch):
+    """Within one section no (generator, generator, lag) is computed twice:
+    a value serves every translate pair and scale pair with its lag."""
+    calls = []
+
+    def recording(v, w, d):
+        calls.append((
+            v.resolution, w.resolution,
+            tuple(sorted(v.coeffs.items())), tuple(sorted(w.coeffs.items())), d,
+        ))
+        return overlap(v, w, d)
+
+    overlap = space._overlap
+    monkeypatch.setattr(space, "_overlap", recording)
+    for system, js, ks in [
+        (CANTOR3, range(-2, 3), range(-5, 6)),
+        (DigitSystem(4, (0, 1, 3)), range(-1, 2), range(-3, 4)),
+        (S12, [0, 3], [-5, 0, 7]),
+    ]:
+        calls.clear()
+        section = gram_section(system, _mixed_generators(system), js, ks)
+        assert section.entries and calls
+        assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("system", [
