@@ -23,9 +23,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, repeat, takewhile, zip_longest
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_not
 from typing import Callable, NamedTuple
 
 from . import duality as dual_mod
@@ -618,18 +617,18 @@ def _keys(obj) -> list[tuple[str, str]]:
     return [(k, encode_basestring_ascii(k).replace("%", "%%") + ": ") for k in sorted(obj)]
 
 
-def _emit(obj, nl: str, parts: list, columns: list) -> None:
+def _emit(obj, nl: str, parts: list, columns: list):
     """Append to `parts` the %-template of `obj` written at indent `nl`,
     and to `columns` its leaf columns in the order of the template's `%s`s.
 
     A dict is written key by key (`_keys`), a list or tuple of leaves as
-    one column under a repeated `%s`, and any other list item by item.  A
-    `RowTable` goes to both lists as a marker, the tuple (table, nl), and
-    `_json_pieces` writes it there."""
+    one column under a repeated `%s`, and any other list item by item.  At a
+    `RowTable` the template so far is filled and yielded (`_fill`), both
+    lists are cleared, and the table's pieces follow (`_table_pieces`)."""
     if type(obj) is RowTable:
-        marker = (obj, nl)
-        parts.append(marker)
-        columns.append(marker)
+        yield _fill("".join(parts), columns)
+        del parts[:], columns[:]
+        yield from _table_pieces(obj, nl)
         return
     if not isinstance(obj, _CONTAINERS):
         parts.append("%s")
@@ -650,7 +649,7 @@ def _emit(obj, nl: str, parts: list, columns: list) -> None:
     sep = brackets[0]
     for head, value in heads:
         parts.append(sep + head)
-        _emit(value, inner, parts, columns)
+        yield from _emit(value, inner, parts, columns)
         sep = ","
     parts.append(nl + brackets[1])
 
@@ -740,16 +739,8 @@ def _json_pieces(obj):
     around it."""
     parts: list = []
     columns: list = []
-    _emit(obj, "\n", parts, columns)
-    cuts = [i for i, part in enumerate(parts) if type(part) is tuple]
-    tables = [parts[i] for i in cuts]
-    templates = ["".join(parts[a + 1:b]) for a, b in zip([-1, *cuts], [*cuts, len(parts)])]
-    del parts  # freed before the leaf text and the filled copy exist
-    columns = iter(columns)
-    for template, placed in zip_longest(templates, tables):
-        yield _fill(template, takewhile(functools.partial(is_not, placed), columns))
-        if placed:
-            yield from _table_pieces(*placed)
+    yield from _emit(obj, "\n", parts, columns)
+    yield _fill("".join(parts), columns)
 
 
 def _dumps(obj) -> str:

@@ -192,15 +192,7 @@ class Scalar:
         return x
 
     def __sub__(self, other):
-        """self + (-other) in one step."""
-        if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
-        q, q2 = self.q, other.q
-        if q and q2 and self.d != other.d:
-            _mixed_fields(self, other)
-        d = self.d if q else other.d
-        den, den2 = self.den, other.den
-        return _exact(self.p * den2 - other.p * den, q * den2 - q2 * den, d, den * den2)
+        return self + -Scalar.coerce(other)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self

@@ -84,12 +84,12 @@ class LatticeVector:
             return NotImplemented
         if self.system != other.system:
             return False
-        m = max(self.resolution, other.resolution)
-        return refine_to(self, m).poly == refine_to(other, m).poly
+        # ||v - w||^2 = ||v||^2 + ||w||^2 - 2<v, w>: neither vector is refined
+        ip = _overlap(self, other, 0)
+        return (self.norm_sq() + other.norm_sq() - ip - ip).is_zero()
 
     def __hash__(self):
-        # equality refines to a common resolution, so hash only through
-        # refinement-invariant data
+        # equal vectors have equal norms, whatever their resolutions
         return hash((self.system, self.norm_sq()))
 
     def __repr__(self):
@@ -116,7 +116,7 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     The scaling equation phi = U^-1 m0(T) phi, iterated D = m - res(v) times,
     sends f(z) to f(z^(N^D)) P_D(z) with P_D = p^(-D/2) sum_e z^e over the
     digit sums e = sum_{i<D} a_i N^i; the digits are distinct, so no two
-    terms of the product meet."""
+    terms of the product meet: the term N^D x + e is a_x p^(-D/2)."""
     if m < v.resolution:
         raise CoarseningError(
             f"cannot coarsen resolution {v.resolution} to {m}; "
@@ -127,8 +127,8 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
         return v
     sys = v.system
     sums = digit_sums(sys.digits, sys.scale, steps)
-    P = LaurentPolynomial(dict.fromkeys(sums, _inv_sqrt_power(sys.p, steps)))
-    return LatticeVector(sys, m, v.poly.compose_power(sys.scale ** steps) * P)
+    q, c = sys.scale ** steps, _inv_sqrt_power(sys.p, steps)
+    return LatticeVector(sys, m, {q * x + e: a * c for x, a in v.coeffs.items() for e in sums})
 
 
 def _ancestor(y: int, steps: int, q: int, sys: DigitSystem) -> int | None:
@@ -236,10 +236,9 @@ def correlation(v: LatticeVector, w: LatticeVector) -> LaurentPolynomial:
 
 
 def wavelet_generators(sys: DigitSystem) -> list[LatticeVector]:
-    """The N-1 wavelet generators U^-1 m_i(T) phi from the canonical bank."""
-    phi = scaling_vector(sys)
-    bank = build_bank(sys)
-    return [cascade_step(phi, m) for m in bank.filters[1:]]
+    """The N-1 wavelet generators U^-1 m_i(T) phi from the canonical bank:
+    each is the filter m_i itself, read at resolution 1."""
+    return [LatticeVector(sys, 1, m) for m in build_bank(sys).filters[1:]]
 
 
 class GramSection:

@@ -10,6 +10,7 @@ support and cascade dichotomies; its peripheral verdicts are decided exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,8 +23,18 @@ ITERATED_SUPPORT_CAP = 10 ** 6
 
 
 def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
-    """|m0|^2 = m0(z^-1) m0(z) for real coefficients: W^(k) = sum_j a_j a_{j+k}."""
-    return m0.compose_power(-1) * m0
+    """|m0|^2 = m0(z^-1) m0(z) for real coefficients: W^(k) = sum_j a_j a_{j+k},
+    with the indices grouped by value: a pair of values (a, b) met n times at
+    difference k adds n a b, one product per value pair and difference."""
+    groups: dict[Scalar, list[int]] = {}
+    for j, a in m0.coeffs.items():
+        groups.setdefault(a, []).append(j)
+    data: dict[int, Scalar] = {}
+    for a, js in groups.items():
+        for b, ks in groups.items():
+            for k, n in Counter(y - x for x in js for y in ks).items():
+                data[k] = data.get(k, ZERO) + a * b * n
+    return LaurentPolynomial(data)
 
 
 class TransferOperator:

@@ -297,8 +297,7 @@ def scalar_bits(x):
 @given(st.sampled_from(RADICANDS), fractions_, fractions_, st.one_of(
     fractions_, st.integers(-5, 5), st.tuples(fractions_, fractions_)))
 def test_subtraction_has_the_bits_of_adding_the_negation(d, a, b, y):
-    """x - y is computed in one step, part for part as x + (-y), whichever
-    operand is a Scalar."""
+    """x - y is x + (-y), part for part, whichever operand is a Scalar."""
     x = Scalar(a, b, d)
     if isinstance(y, tuple):  # a second value of x's field
         y = Scalar(*y, d)

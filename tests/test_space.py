@@ -205,6 +205,58 @@ def test_wavelet_generators_cantor4_and_haar(cantor4, haar2):
     assert haar_gens[0].norm_sq() == Scalar(1)
 
 
+def test_wavelet_generators_are_the_cascade_of_phi():
+    """psi_i = U^-1 m_i(T) phi is the filter m_i read at resolution 1: the
+    same terms, in the same order and with the same bits, as the cascade
+    step from phi, on every digit system with N <= 6."""
+    for N in range(2, 7):
+        for size in range(1, N + 1):
+            for digits in itertools.combinations(range(N), size):
+                system = DigitSystem(N, digits)
+                phi = scaling_vector(system)
+                gens = wavelet_generators(system)
+                filters = build_bank(system).filters[1:]
+                assert len(gens) == len(filters) == N - 1
+                for psi, m in zip(gens, filters):
+                    step = cascade_step(phi, m)
+                    _assert_same_terms(psi, step.resolution, step.coeffs)
+
+
+def test_equality_never_refines(monkeypatch):
+    """== decides equal and unequal vectors up to 40 levels apart from
+    `_overlap` sums at their own resolutions; refining to a common
+    resolution would build p^40 terms."""
+    pairs = []  # (v, w, v == w)
+    for N, S in ((2, (0,)), (3, (1,)), (5, (4,))):  # one digit: x -> N x + a
+        system = DigitSystem(N, S)
+        for D in (1, 17, 40):
+            a = S[0] * (N ** D - 1) // (N - 1)
+            v = LatticeVector(system, -3, {0: 2, 5: -HALF})
+            w = LatticeVector(system, D - 3, {a: 2, 5 * N ** D + a: -HALF})
+            pairs += [(v, w, True), (v, w.scaled(2), False), (v, dilate_power(w, 1), False)]
+    for N, S in ((3, (0, 2)), (4, (0, 1, 3)), (5, (0, 3))):
+        system = DigitSystem(N, S)
+        phi, m0 = scaling_vector(system), canonical_lowpass(system)
+        pairs.append((cascade_step(phi, m0), phi, True))
+        pairs.append((cascade_step(phi, monomial(1) * m0), phi, False))
+        v = LatticeVector(system, 0, {0: 1, 4: Scalar(0, 1, system.p)})
+        fine = refine_to(v, 5)
+        pairs += [(v, fine, True), (fine, v, True), (v, fine + basis_delta(system, 5, 7), False)]
+        for D in (18, 40):  # unit vectors D levels apart; <v, w> = p^(-D/2) or 0
+            pairs += [(phi, basis_delta(system, D, 0), False),
+                      (basis_delta(system, D, 1), phi, False)]
+
+    def refuse(*args):
+        raise AssertionError("equality refined a vector")
+
+    monkeypatch.setattr(space, "refine_to", refuse)
+    for v, w, equal in pairs:
+        assert (v == w) is equal
+        assert (v != w) is not equal
+        if equal:
+            assert hash(v) == hash(w)
+
+
 def test_gram_sections_identity(cantor3, cantor4):
     section = gram_section(
         cantor3, wavelet_generators(cantor3), range(-2, 3), range(-5, 6)

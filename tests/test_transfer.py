@@ -40,6 +40,27 @@ def test_weight_from_filter_examples(cantor3, haar2):
     assert Wh == LaurentPolynomial({-1: HALF, 0: 1, 1: HALF})
 
 
+@st.composite
+def _filters(draw):
+    """A filter whose coefficients come from a pool of 1-8 values, so they
+    repeat or are distinct, rational (d = 1) or in Q(sqrt d)."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    pool = draw(st.lists(st.builds(
+        lambda a, den, b: Scalar(Fraction(a, den), b, d),
+        st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2),
+    ), min_size=1, max_size=8))
+    return LaurentPolynomial(draw(st.dictionaries(
+        st.integers(-12, 12), st.sampled_from(pool), max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_filters())
+def test_weight_from_filter_matches_the_laurent_product(m):
+    """Grouping the coefficients by value gives |m|^2 = m(z^-1) m(z), the
+    full Laurent product."""
+    assert weight_from_filter(m) == m.compose_power(-1) * m
+
+
 def test_apply_transfer_examples(cantor3):
     op = TransferOperator.from_filter(canonical_lowpass(cantor3), 3)
     assert op.apply(one()) == one()
