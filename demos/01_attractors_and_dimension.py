@@ -3,18 +3,11 @@
 A digit system (N, S) generates the maps sigma_a(x) = (x + a)/N for a in S.
 Their attractor is a Cantor-type set: for (3, {0,2}) the middle-third Cantor
 set, for (4, {0,2}) the quarter Cantor set of dimension 1/2.  This script
-walks the basic geometry: exact cylinder endpoints, Hausdorff dimension, and
-the Fourier transform B(k) of the self-similar (Hutchinson) measure.
+walks the basic geometry: the Hausdorff dimension, and the Fourier transform
+B(k) of the self-similar (Hutchinson) measure.
 """
 
-from fractalmra import (
-    CylinderAddress,
-    DigitSystem,
-    HutchinsonTransform,
-    attractor_sample,
-    cylinder_translate_index,
-    hausdorff_dimension,
-)
+from fractalmra import DigitSystem, HutchinsonTransform, hausdorff_dimension
 
 for scale, digits in [(3, (0, 2)), (4, (0, 2)), (6, (0, 2, 4)), (2, (0, 1))]:
     sys = DigitSystem(scale, digits)
@@ -22,16 +15,6 @@ for scale, digits in [(3, (0, 2)), (4, (0, 2)), (6, (0, 2, 4)), (2, (0, 1))]:
 
 print()
 cantor = DigitSystem(3, (0, 2))
-print("depth-3 cylinder endpoints of the middle-third Cantor set:")
-print("  ", [str(x) for x in attractor_sample(cantor, 3)])
-
-# Every cylinder is a basis vector of the lattice model: depth n and the
-# translate l = sum a_k N^(n-k).
-for word in [(2,), (2, 0), (0, 2, 2)]:
-    n, l = cylinder_translate_index(CylinderAddress(cantor, word))
-    print(f"cylinder word {word} -> resolution {n}, translate {l}")
-
-print()
 print("Fourier transform of the Hutchinson measure (truncated product):")
 H3 = HutchinsonTransform(cantor, depth=40)
 H4 = HutchinsonTransform(DigitSystem(4, (0, 2)), depth=40)

@@ -16,9 +16,7 @@ from fractalmra import (
     TransferOperator,
     canonical_lowpass,
     classify_support,
-    compare_filters,
     find_cycles,
-    monomial,
     moment_table,
     riesz_samples,
     wiener_profile,
@@ -58,12 +56,6 @@ print("stretched-Haar classification:", cls2.kind)
 for atom in cls2.atoms:
     print("  orbit", tuple(map(str, atom.cycle.angles)), "weights",
           tuple(map(str, atom.weights)))
-
-print()
-print("same measure? m0 vs z^3 m0:",
-      compare_filters(op, TransferOperator.from_filter(monomial(3) * m0, 3)).verdict)
-print("same measure? m0 vs (1+z)/sqrt2 at N=3:",
-      compare_filters(op, TransferOperator.from_filter(haar_m0, 3)).verdict, "(representations disjoint)")
 
 print()
 rows = riesz_samples(4, 9)

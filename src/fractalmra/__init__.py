@@ -8,33 +8,20 @@ moments, spectral-set duality, and the cascade-convergence dichotomy.
 from .errors import (
     CapExceededError,
     CoarseningError,
-    CyclesFoundError,
     FractalMRAError,
     InvalidDigitError,
     NotNormalizedError,
-    NotUnitaryError,
     PreconditionError,
-    ScaleMismatchError,
     SystemMismatchError,
 )
 from .scalars import Scalar
 from .laurent import LaurentPolynomial, constant, monomial, one, zero
-from .ifs import (
-    CylinderAddress,
-    DigitSystem,
-    HutchinsonTransform,
-    attractor_sample,
-    cylinder_translate_index,
-    hausdorff_dimension,
-)
+from .ifs import DigitSystem, HutchinsonTransform, hausdorff_dimension
 from .filterbank import (
     FilterBank,
-    LoopMatrix,
     build_bank,
     canonical_lowpass,
-    connecting_matrix,
     detail_filters,
-    loop_apply,
     pairing,
     unitarity_defect,
 )
@@ -48,13 +35,11 @@ from .measure import (
     AtomicMeasure,
     Cycle,
     CycleReport,
-    FilterComparison,
     MomentEntry,
     MomentTable,
     SupportClassification,
     WienerProfile,
     classify_support,
-    compare_filters,
     find_cycles,
     moment,
     moment_table,

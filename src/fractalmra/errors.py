@@ -17,10 +17,6 @@ class InvalidDigitError(PreconditionError):
     """A digit lies outside the digit set of its system."""
 
 
-class ScaleMismatchError(PreconditionError):
-    """Two objects built over different scales were combined."""
-
-
 class SystemMismatchError(PreconditionError):
     """Two lattice vectors over different digit systems were combined."""
 
@@ -31,11 +27,3 @@ class CoarseningError(PreconditionError):
 
 class NotNormalizedError(PreconditionError):
     """A filter does not satisfy the transfer-operator normalization R(1) = 1."""
-
-
-class NotUnitaryError(PreconditionError):
-    """A filter bank or matrix expected to be unitary is not."""
-
-
-class CyclesFoundError(PreconditionError):
-    """An operation requiring a unique invariant measure met a cycle."""

@@ -10,16 +10,15 @@ module provides the subsampled pairing
 
     <m, m'>_N (z) = (1/N) sum_{w^N = z} m(w^-1) m'(w),
 
-which is the transfer step with weight m(z^-1) applied to m', the polyphase
-unitarity defect, and the loop-group action A: m -> A(z^N) m(z)
-with its connecting matrix.
+which is the transfer step with weight m(z^-1) applied to m', and the
+polyphase unitarity defect.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotUnitaryError, PreconditionError, ScaleMismatchError
+from .errors import PreconditionError
 from .ifs import DigitSystem, FrozenRecord
 from .laurent import LaurentPolynomial, monomial, one, zero
 from .scalars import Scalar
@@ -88,103 +87,11 @@ def pairing(m: LaurentPolynomial, m2: LaurentPolynomial, N: int) -> LaurentPolyn
     return TransferOperator(N, m.compose_power(-1)).apply(m2)
 
 
-def _identity_residue(gram: list[list[LaurentPolynomial]]) -> list[Scalar]:
-    """The nonzero coefficients of G - I for the N x N Laurent matrix G:
-    none exactly when G is the identity."""
-    return [c for i, row in enumerate(gram) for j, g in enumerate(row)
-            for c in (g - one() if i == j else g).coeffs.values()]
-
-
-def _defect(residue: list[Scalar]) -> float:
-    """The largest modulus in a residue, for reports only: it may underflow."""
-    return max((abs(float(c)) for c in residue), default=0.0)
-
-
-def _pairing_gram(bank: FilterBank) -> list[list[LaurentPolynomial]]:
-    """G_ij = <m_i, m_j>_N, which equals the identity iff the bank is unitary."""
-    return [
-        [pairing(mi, mj, bank.scale) for mj in bank.filters] for mi in bank.filters
-    ]
-
-
 def unitarity_defect(bank: FilterBank) -> float:
-    """Distance of the polyphase matrix from unitary, from the pairing Gram."""
-    return _defect(_identity_residue(_pairing_gram(bank)))
-
-
-class LoopMatrix(FrozenRecord):
-    """An N x N matrix of Laurent polynomials, acting on banks by
-    m -> A(z^N) m(z); immutable."""
-
-    __slots__ = ("scale", "entries")
-
-    def __init__(self, scale: int, entries: tuple[tuple[LaurentPolynomial, ...], ...]):
-        if len(entries) != scale or any(len(row) != scale for row in entries):
-            raise PreconditionError("loop matrix must be N x N")
-        super().__init__(scale, entries)
-
-    @classmethod
-    def diagonal(cls, diag) -> "LoopMatrix":
-        diag = tuple(diag)
-        N = len(diag)
-        return cls(
-            N,
-            tuple(
-                tuple(diag[i] if i == j else zero() for j in range(N))
-                for i in range(N)
-            ),
-        )
-
-    def unitarity_defect(self) -> float:
-        """Distance of A(z) from unitary on the torus: A(z) A(z)* against I."""
-        N = self.scale
-        gram = [
-            [
-                sum(
-                    (self.entries[i][k] * self.entries[j][k].compose_power(-1)
-                     for k in range(N)),
-                    zero(),
-                )
-                for j in range(N)
-            ]
-            for i in range(N)
-        ]
-        return _defect(_identity_residue(gram))
-
-
-def loop_apply(A: LoopMatrix, bank: FilterBank) -> FilterBank:
-    """Transformed bank with components sum_k A_jk(z^N) m_k(z)."""
-    if A.scale != bank.scale:
-        raise ScaleMismatchError(
-            f"loop matrix scale {A.scale} != bank scale {bank.scale}"
-        )
-    N = bank.scale
-    out = []
-    for j in range(N):
-        acc = zero()
-        for k in range(N):
-            entry = A.entries[j][k]
-            if entry.is_zero():
-                continue
-            acc = acc + entry.compose_power(N) * bank.filters[k]
-        out.append(acc)
-    return FilterBank(N, tuple(out))
-
-
-def connecting_matrix(bank: FilterBank, bank2: FilterBank) -> LoopMatrix:
-    """The unique loop matrix A with loop_apply(A, bank) = bank2,
-    A_jk = <m_k, m'_j>_N.  Both banks must be unitary."""
-    if bank.scale != bank2.scale:
-        raise ScaleMismatchError("banks have different scales")
-    for which, b in (("first", bank), ("second", bank2)):
-        residue = _identity_residue(_pairing_gram(b))
-        if residue:
-            raise NotUnitaryError(
-                f"{which} bank has unitarity defect {_defect(residue):.3e}"
-            )
-    N = bank.scale
-    entries = tuple(
-        tuple(pairing(bank.filters[k], bank2.filters[j], N) for k in range(N))
-        for j in range(N)
-    )
-    return LoopMatrix(N, entries)
+    """Distance of the polyphase matrix from unitary: the largest modulus in
+    G - I for the pairing Gram G_ij = <m_i, m_j>_N, which equals the identity
+    iff the bank is unitary.  For reports only: it may underflow."""
+    N, filters = bank.scale, bank.filters
+    residue = (c for i, mi in enumerate(filters) for j, mj in enumerate(filters)
+               for c in (pairing(mi, mj, N) - (one() if i == j else zero())).coeffs.values())
+    return max((abs(float(c)) for c in residue), default=0.0)

@@ -1,5 +1,5 @@
-"""Affine digit systems: attractor geometry, cylinder addressing, and the
-Fourier transform of the Hutchinson measure.
+"""Affine digit systems, their digit strings, and the Fourier transform of the
+Hutchinson measure.
 
 A digit system (N, S) with S a set of distinct digits in {0, ..., N-1}
 generates the iterated function system sigma_a(x) = (x + a)/N.  Its attractor
@@ -10,7 +10,6 @@ Cantor set is (3, {0, 2}).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import CapExceededError, InvalidDigitError, PreconditionError
 
@@ -48,9 +47,12 @@ class DigitSystem(FrozenRecord):
     __slots__ = ("scale", "digits")
 
     def __init__(self, scale: int, digits):
-        digits = tuple(sorted(int(d) for d in digits))
         if scale != int(scale):
             raise PreconditionError(f"scale must be an integer, got {scale!r}")
+        digits = tuple(digits)
+        if any(d != int(d) for d in digits):
+            raise PreconditionError(f"digits must be integers, got {digits!r}")
+        digits = tuple(sorted(map(int, digits)))
         if scale < 2:
             raise PreconditionError(f"scale must be >= 2, got {scale}")
         if not digits:
@@ -89,43 +91,9 @@ class DigitSystem(FrozenRecord):
         return f"({self.scale},{{{','.join(map(str, self.digits))}}})"
 
 
-class CylinderAddress(FrozenRecord):
-    """A depth-n cylinder of the attractor, addressed by its digit word."""
-
-    __slots__ = ("system", "word")
-
-    def __init__(self, system: DigitSystem, word):
-        word = tuple(int(a) for a in word)
-        if not word:
-            raise PreconditionError("cylinder word must have depth >= 1")
-        for a in word:
-            if a not in system.digits:
-                raise InvalidDigitError(f"letter {a} not in digit set {system.digits}")
-        super().__init__(system, word)
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
-
 def hausdorff_dimension(sys: DigitSystem) -> float:
     """Dimension log_N(p) of the attractor and of the Hutchinson measure."""
     return math.log(sys.p) / math.log(sys.scale)
-
-
-def cylinder_translate_index(addr: CylinderAddress) -> tuple[int, int]:
-    """Map a cylinder to the (depth, translate) index of its basis vector.
-
-    The depth-n cylinder with word (a_1, ..., a_n) is the scaled translate
-    N^-n (C + l) with l = sum a_k N^(n-k); its indicator is the lattice basis
-    vector at resolution n and translate l, up to the norm factor p^(-n/2).
-    """
-    n = addr.depth
-    N = addr.system.scale
-    l = 0
-    for a in addr.word:
-        l = l * N + a
-    return n, l
 
 
 def digit_sums(digits, N: int, n: int) -> list[int]:
@@ -136,16 +104,6 @@ def digit_sums(digits, N: int, n: int) -> list[int]:
     for _ in range(n):
         sums = [N * e + a for e in sums for a in digits]
     return sums
-
-
-def attractor_sample(sys: DigitSystem, depth: int, cap: int = 10 ** 6) -> list[Fraction]:
-    """Left endpoints of all depth-n cylinders, as exact sorted rationals."""
-    if depth < 0:
-        raise PreconditionError("depth must be >= 0")
-    if sys.p ** depth > cap:
-        raise CapExceededError(f"p^depth = {sys.p ** depth} exceeds cap {cap}")
-    q = sys.scale ** depth
-    return sorted(Fraction(e, q) for e in digit_sums(sys.digits, sys.scale, depth))
 
 
 class HutchinsonTransform:

@@ -1,8 +1,8 @@
 """Sparse Laurent polynomials with Scalar coefficients.
 
 These carry the low-pass/high-pass filters, the transfer-operator weights
-|m0|^2, correlation functions of lattice vectors, and loop-matrix entries.
-Coefficients are exact real Scalars, so all of this arithmetic is exact.
+|m0|^2 and the correlation functions of lattice vectors.  Coefficients are
+exact real Scalars, so all of this arithmetic is exact.
 Cyclotomic reduction lives here too: `vanishes_at_primitive_roots` is the one
 exact root-of-unity test, behind the dual digit sets of `duality.dual_matrix`
 and the peak-weight cycles of `measure.find_cycles`.
@@ -24,18 +24,18 @@ class LaurentPolynomial:
         data = {}
         if coeffs:
             for k, v in coeffs.items():
+                e = int(k)
+                if e != k:
+                    raise ValueError(f"exponents must be integers, got {k!r}")
                 v = Scalar.coerce(v)
                 if not v.is_zero():
-                    data[int(k)] = v
+                    data[e] = v
         self.coeffs = data
 
     # -- inspection ---------------------------------------------------------
 
     def __getitem__(self, k: int) -> Scalar:
         return self.coeffs.get(k, ZERO)
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def items(self):
         return [(k, self.coeffs[k]) for k in sorted(self.coeffs)]

@@ -5,9 +5,8 @@ Fourier coefficients nu^(n) = lim_k W^(k)-coefficient; no density object ever
 exists (for the Cantor filters nu is singular).  The module computes moment
 tables as the exact solution of the invariance equation R*nu = nu, detects
 cycles of theta -> N theta on which the weight peaks, classifies the support
-(full vs atomic-on-cycles), evaluates Wiener averages, Riesz-product partial
-samples, and compares two filters through their invariant
-measures.
+(full vs atomic-on-cycles), and evaluates Wiener averages and Riesz-product
+partial samples.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    CapExceededError,
-    CyclesFoundError,
-    NotNormalizedError,
-    PreconditionError,
-)
+from .errors import CapExceededError, NotNormalizedError, PreconditionError
 from .laurent import _prime_factors, vanishes_at_primitive_roots
 from .scalars import ONE, Scalar, ZERO, _exact
 from .transfer import TransferOperator
@@ -370,42 +364,3 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
     for k in range(1, n + 1):
         vals *= 1.0 + np.cos(2.0 * 3 ** k * t)
     return [(float(tt), float(v)) for tt, v in zip(t, vals)]
-
-
-class FilterComparison(NamedTuple):
-    verdict: str  # "SameMeasure" | "DifferentMeasure"
-    max_difference: float
-    same_modulus: bool | None
-    representations_disjoint: bool
-
-
-def compare_filters(
-    op_a: TransferOperator,
-    op_b: TransferOperator,
-    R: int = 50,
-    L: int = DEFAULT_CYCLE_LENGTH,
-) -> FilterComparison:
-    """Compare the invariant measures of two cycle-free normalized operators.
-
-    Equal moment tables mean equal measures (SameMeasure also reports whether
-    the weights |m0|^2 are equal as Laurent data, which equality of measures
-    forces for cycle-free filters); distinct tables mean the associated
-    wavelet representations are disjoint."""
-    for name, op in (("first", op_a), ("second", op_b)):
-        if not op.fixes_constant:
-            raise NotNormalizedError(
-                f"{name} filter not normalized ({op.normalization_defect():.3e})"
-            )
-        if find_cycles(op, L).cycles:
-            raise CyclesFoundError(
-                f"{name} filter has cycles up to length {L}; the invariant "
-                "measure is not unique -- use classify_support"
-            )
-    table_a = moment_table(op_a, R)
-    table_b = moment_table(op_b, R)
-    diffs = [a - b for a, b in zip(table_a.values, table_b.values)]
-    if all(d.is_zero() for d in diffs):
-        same_mod = op_a.weight == op_b.weight
-        return FilterComparison("SameMeasure", 0.0, same_mod, False)
-    max_diff = max(abs(float(d)) for d in diffs)
-    return FilterComparison("DifferentMeasure", max_diff, None, True)

@@ -54,6 +54,8 @@ class LatticeVector:
     __slots__ = ("system", "resolution", "poly", "coeffs")
 
     def __init__(self, system: DigitSystem, resolution: int, coeffs=None):
+        if resolution != int(resolution):
+            raise PreconditionError(f"resolution must be an integer, got {resolution!r}")
         self.system = system
         self.resolution = int(resolution)
         if not isinstance(coeffs, LaurentPolynomial):
@@ -116,7 +118,8 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     The scaling equation phi = U^-1 m0(T) phi, iterated D = m - res(v) times,
     sends f(z) to f(z^(N^D)) P_D(z) with P_D = p^(-D/2) sum_e z^e over the
     digit sums e = sum_{i<D} a_i N^i; the digits are distinct, so no two
-    terms of the product meet: the term N^D x + e is a_x p^(-D/2)."""
+    terms of the product meet: the term N^D x + e is a_x p^(-D/2).  A result
+    of more than CASCADE_TERM_CAP terms is refused before any is built."""
     if m < v.resolution:
         raise CoarseningError(
             f"cannot coarsen resolution {v.resolution} to {m}; "
@@ -126,6 +129,11 @@ def refine_to(v: LatticeVector, m: int) -> LatticeVector:
     if not steps:
         return v
     sys = v.system
+    # for p >= 2, p^D exceeds the cap once D reaches the cap's bit length
+    if len(v.coeffs) * sys.p ** min(steps, CASCADE_TERM_CAP.bit_length()) > CASCADE_TERM_CAP:
+        raise CapExceededError(
+            f"refining {len(v.coeffs)} terms by {steps} levels exceeds cap {CASCADE_TERM_CAP}"
+        )
     sums = digit_sums(sys.digits, sys.scale, steps)
     q, c = sys.scale ** steps, _inv_sqrt_power(sys.p, steps)
     return LatticeVector(sys, m, {q * x + e: a * c for x, a in v.coeffs.items() for e in sums})

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded exact random vectors, polynomials, and matrices."""
+"""Shared helpers: seeded exact random scalars, vectors and polynomials."""
 
 import random
 import warnings
@@ -8,8 +8,6 @@ from fractions import Fraction
 import pytest
 
 from fractalmra import DigitSystem, LatticeVector, LaurentPolynomial, Scalar
-from fractalmra.filterbank import FilterBank, LoopMatrix
-from fractalmra.laurent import monomial, one, zero
 
 # To report a failing property, the hypothesis plugin imports this module
 # (and does without it when libcst is missing); its import of libcst warns
@@ -61,50 +59,3 @@ def random_polynomial(rng: random.Random, span: int = 4, terms: int = 3) -> Laur
     for _ in range(terms):
         coeffs[rng.randint(-span, span)] = random_exact_scalar(rng)
     return LaurentPolynomial(coeffs)
-
-
-def random_exact_loop_matrix(N: int, rng: random.Random) -> LoopMatrix:
-    """A unitary loop matrix with exact rational data: a product of monomial
-    diagonals, signed permutations, and a rational 2x2 rotation block."""
-
-    def permutation():
-        perm = list(range(N))
-        rng.shuffle(perm)
-        signs = [rng.choice([1, -1]) for _ in range(N)]
-        return [
-            [monomial(0, signs[i]) if perm[i] == j else zero() for j in range(N)]
-            for i in range(N)
-        ]
-
-    def diag_monomials():
-        return [
-            [monomial(rng.randint(0, 2)) if i == j else zero() for j in range(N)]
-            for i in range(N)
-        ]
-
-    def rotation():
-        rows = [[one() if i == j else zero() for j in range(N)] for i in range(N)]
-        if N >= 2:
-            i, j = sorted(rng.sample(range(N), 2))
-            c, s = Fraction(3, 5), Fraction(4, 5)
-            rows[i][i] = monomial(0, c)
-            rows[i][j] = monomial(0, s)
-            rows[j][i] = monomial(0, -s)
-            rows[j][j] = monomial(0, c)
-        return rows
-
-    def matmul(a, b):
-        return [
-            [
-                sum((a[i][k] * b[k][j] for k in range(N)), zero())
-                for j in range(N)
-            ]
-            for i in range(N)
-        ]
-
-    entries = matmul(matmul(diag_monomials(), permutation()), rotation())
-    return LoopMatrix(N, tuple(tuple(row) for row in entries))
-
-
-def filters_of(bank: FilterBank):
-    return list(bank.filters)

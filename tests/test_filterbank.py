@@ -7,23 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalmra.errors import NotUnitaryError, PreconditionError, ScaleMismatchError
+from fractalmra.errors import PreconditionError
 from fractalmra.filterbank import (
     FilterBank,
-    LoopMatrix,
     build_bank,
     canonical_lowpass,
-    connecting_matrix,
-    loop_apply,
     pairing,
     unitarity_defect,
 )
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one, zero
 from fractalmra.scalars import Scalar, _squarefree_split
-
-from conftest import random_exact_loop_matrix
-
 
 R2 = Scalar.inv_sqrt(2)
 
@@ -71,15 +65,11 @@ def test_unitarity_defect_examples(cantor3, cantor4):
     assert unitarity_defect(build_bank(cantor4)) == 0.0
     bad = FilterBank(3, (canonical_lowpass(cantor3), monomial(1), monomial(2)))
     assert unitarity_defect(bad) >= 0.5
-    # the largest coefficient of A A* - I = diag(-3/4, 0)
-    half = LoopMatrix.diagonal([LaurentPolynomial({0: Fraction(1, 2)}), one()])
-    assert half.unitarity_defect() == 0.75
 
 
 def test_bank_and_loop_records(cantor3):
     bank = build_bank(cantor3)
-    A = LoopMatrix.diagonal((one(),) * 3)
-    for record, name in ((bank, "scale"), (bank, "filters"), (A, "scale"), (A, "entries")):
+    for record, name in ((bank, "scale"), (bank, "filters")):
         value = getattr(record, name)
         message = f"cannot change '{name}' of a {type(record).__name__}$"
         with pytest.raises(AttributeError, match=message):
@@ -89,16 +79,9 @@ def test_bank_and_loop_records(cantor3):
         assert getattr(record, name) is value
     with pytest.raises(PreconditionError):
         FilterBank(3, bank.filters[:2])
-    with pytest.raises(PreconditionError):
-        LoopMatrix(3, A.entries[:2])
-    with pytest.raises(PreconditionError):
-        LoopMatrix(3, (A.entries[0][:2],) + A.entries[1:])
     for copied in (pickle.loads(pickle.dumps(bank)), copy.deepcopy(bank)):
         assert type(copied) is FilterBank
         assert (copied.scale, copied.filters) == (3, bank.filters)
-    for copied in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
-        assert type(copied) is LoopMatrix
-        assert (copied.scale, copied.entries) == (3, A.entries)
 
 
 def test_unitarity_all_systems_up_to_scale_8():
@@ -131,95 +114,6 @@ def test_pairing_parseval():
         N = rng.choice([2, 3, 4])
         norm_sq = sum((c * c for c in m.coeffs.values()), Scalar(0))
         assert pairing(m, m, N)[0] == norm_sq
-
-
-def test_loop_apply_examples(cantor3, haar2):
-    bank = build_bank(cantor3)
-    ident = LoopMatrix.diagonal((one(),) * 3)
-    assert loop_apply(ident, bank).filters == bank.filters
-
-    A = LoopMatrix.diagonal((monomial(1), monomial(0), monomial(0)))
-    out = loop_apply(A, bank)
-    assert out.filters[0] == monomial(3) * bank.filters[0]
-    assert out.filters[1:] == bank.filters[1:]
-    assert unitarity_defect(out) == 0.0
-
-    # constant rational rotation on the Haar bank stays exactly unitary
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    rot = LoopMatrix(
-        2,
-        (
-            (monomial(0, c), monomial(0, s)),
-            (monomial(0, -s), monomial(0, c)),
-        ),
-    )
-    rotated = loop_apply(rot, build_bank(haar2))
-    assert unitarity_defect(rotated) == 0.0
-
-    with pytest.raises(ScaleMismatchError):
-        loop_apply(LoopMatrix.diagonal((one(),) * 2), bank)
-
-
-def test_connecting_matrix_examples(cantor3, haar2):
-    bank = build_bank(cantor3)
-    ident = connecting_matrix(bank, bank)
-    for i in range(3):
-        for j in range(3):
-            assert ident.entries[i][j] == (one() if i == j else zero())
-
-    shifted = loop_apply(LoopMatrix.diagonal((monomial(1), monomial(0), monomial(0))), bank)
-    A = connecting_matrix(bank, shifted)
-    assert A.entries[0][0] == monomial(1)
-
-    hbank = build_bank(haar2)
-    negated = FilterBank(2, tuple(f * (-1) for f in hbank.filters))
-    A2 = connecting_matrix(hbank, negated)
-    for i in range(2):
-        for j in range(2):
-            assert A2.entries[i][j] == (monomial(0, -1) if i == j else zero())
-
-    bad = FilterBank(3, (canonical_lowpass(cantor3), monomial(1), monomial(2)))
-    with pytest.raises(NotUnitaryError):
-        connecting_matrix(bank, bad)
-
-
-def test_connecting_matrix_decides_unitarity_exactly(cantor3):
-    """A defect below the smallest double still makes the bank not unitary:
-    the float defect underflows to 0.0, the exact check does not."""
-    bank = build_bank(cantor3)
-    m0, *rest = bank.filters
-    bad = FilterBank(3, (m0 * Scalar(1 + Fraction(1, 10 ** 400)), *rest))
-    assert unitarity_defect(bad) == 0.0
-    with pytest.raises(NotUnitaryError, match="second bank has unitarity defect 0.000e"):
-        connecting_matrix(bank, bad)
-
-
-def test_loop_round_trip_exact(cantor3, haar2, cantor4):
-    rng = random.Random(23)
-    for sys in (cantor3, haar2, cantor4):
-        bank = build_bank(sys)
-        for _ in range(5):
-            A = random_exact_loop_matrix(sys.scale, rng)
-            assert A.unitarity_defect() == 0.0
-            transformed = loop_apply(A, bank)
-            assert unitarity_defect(transformed) == 0.0
-            back = connecting_matrix(bank, transformed)
-            assert back.entries == A.entries
-
-
-def test_loop_round_trip_numeric():
-    """The round trip on banks with p >= 3, whose detail filters carry
-    irrational Householder entries (Q(sqrt 3), Q(sqrt 5)) or rational ones
-    (p = 4), is exact as well."""
-    rng = random.Random(5)
-    for sys in (DigitSystem(3, (0, 1, 2)), DigitSystem(4, (0, 1, 3)),
-                DigitSystem(5, (0, 2, 3, 4)), DigitSystem(4, (0, 1, 2, 3))):
-        bank = build_bank(sys)
-        for _ in range(3):
-            A = random_exact_loop_matrix(sys.scale, rng)
-            transformed = loop_apply(A, bank)
-            assert unitarity_defect(transformed) == 0.0
-            assert connecting_matrix(bank, transformed).entries == A.entries
 
 
 @st.composite

@@ -8,16 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fractalmra.errors import CapExceededError, InvalidDigitError, PreconditionError
-from fractalmra.ifs import (
-    CylinderAddress,
-    DigitSystem,
-    HutchinsonTransform,
-    attractor_sample,
-    cylinder_translate_index,
-    digit_sums,
-    hausdorff_dimension,
-)
+from fractalmra.errors import InvalidDigitError, PreconditionError
+from fractalmra.ifs import DigitSystem, HutchinsonTransform, digit_sums, hausdorff_dimension
 
 
 def test_digit_validation():
@@ -40,6 +32,15 @@ def test_scale_must_be_integral():
     system = DigitSystem(np.int64(3), (0, 2))
     assert system == DigitSystem(3, (0, 2)) and type(system.scale) is int
     assert DigitSystem(3.0, (0, 2)) == system
+
+
+def test_digits_must_be_integral():
+    for digits in ((0, 2.7), ("0", "2"), (0, Fraction(3, 2))):
+        with pytest.raises(PreconditionError, match="digits must be integers"):
+            DigitSystem(3, digits)
+    np = pytest.importorskip("numpy")
+    system = DigitSystem(3, (np.int64(2), 0.0))
+    assert system == DigitSystem(3, (0, 2)) and all(type(d) is int for d in system.digits)
 
 
 def test_digit_sums_order():
@@ -66,18 +67,13 @@ def test_digit_system_is_a_value(system):
 
 
 def test_records_are_immutable(cantor3):
-    addr = CylinderAddress(cantor3, (2, 0))
-    for record, name, value in ((cantor3, "scale", 4), (cantor3, "digits", (0, 1)),
-                                (cantor3, "p", 3), (addr, "word", (0,)), (addr, "system", None)):
-        message = f"cannot change '{name}' of a {type(record).__name__}$"
+    for name, value in (("scale", 4), ("digits", (0, 1)), ("p", 3)):
+        message = f"cannot change '{name}' of a DigitSystem$"
         with pytest.raises(AttributeError, match=message):
-            setattr(record, name, value)
+            setattr(cantor3, name, value)
         with pytest.raises(AttributeError, match=message):
-            delattr(record, name)
-    assert (cantor3.scale, cantor3.digits, addr.word) == (3, (0, 2), (2, 0))
-    for copied in (pickle.loads(pickle.dumps(addr)), copy.deepcopy(addr)):
-        assert type(copied) is CylinderAddress
-        assert (copied.system, copied.word) == (cantor3, (2, 0))
+            delattr(cantor3, name)
+    assert (cantor3.scale, cantor3.digits) == (3, (0, 2))
 
 
 def test_digit_system_text():
@@ -92,35 +88,6 @@ def test_hausdorff_dimension_values(cantor3, cantor4):
     assert hausdorff_dimension(DigitSystem(6, (0, 2, 4))) == pytest.approx(
         math.log(3) / math.log(6)
     )
-
-
-def test_cylinder_translate_index(cantor3):
-    assert cylinder_translate_index(CylinderAddress(cantor3, (2,))) == (1, 2)
-    assert cylinder_translate_index(CylinderAddress(cantor3, (2, 0))) == (2, 6)
-    assert cylinder_translate_index(CylinderAddress(cantor3, (0, 0, 0))) == (3, 0)
-    with pytest.raises(InvalidDigitError):
-        CylinderAddress(cantor3, (1,))
-
-
-def test_attractor_samples(cantor3, cantor4):
-    assert attractor_sample(cantor3, 1) == [0, Fraction(2, 3)]
-    assert attractor_sample(cantor3, 2) == [
-        0, Fraction(2, 9), Fraction(2, 3), Fraction(8, 9)
-    ]
-    assert attractor_sample(cantor4, 2) == [
-        0, Fraction(1, 8), Fraction(1, 2), Fraction(5, 8)
-    ]
-    with pytest.raises(CapExceededError):
-        attractor_sample(cantor3, 4, cap=10)
-
-
-def test_attractor_refinement_invariant(cantor3):
-    for sys in (cantor3, DigitSystem(5, (0, 1, 4))):
-        for n in range(3):
-            coarse = attractor_sample(sys, n)
-            fine = set(attractor_sample(sys, n + 1))
-            for a in sys.digits:
-                assert all((x + a) / sys.scale in fine for x in coarse)
 
 
 def test_transform_normalization(cantor3):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalmra.errors import (
-    CapExceededError,
-    CyclesFoundError,
-    NotNormalizedError,
-    PreconditionError,
-)
+from fractalmra.errors import CapExceededError, NotNormalizedError, PreconditionError
 from fractalmra.filterbank import canonical_lowpass
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
@@ -22,7 +17,6 @@ from fractalmra.measure import (
     _divisors_with_small_totient,
     _stabilization_thresholds,
     classify_support,
-    compare_filters,
     find_cycles,
     moment,
     moment_table,
@@ -582,34 +576,3 @@ def test_classify_rejects_unnormalized():
     nearly = TransferOperator(2, LaurentPolynomial({0: 1 + Fraction(1, 10 ** 20)}))
     with pytest.raises(NotNormalizedError, match="deviates by 1.000e-20"):
         classify_support(nearly)
-
-
-def test_compare_filters_same(cantor3):
-    m0 = canonical_lowpass(cantor3)
-    op = TransferOperator.from_filter(m0, 3)
-    report = compare_filters(op, op)
-    assert report.verdict == "SameMeasure"
-    report2 = compare_filters(op, TransferOperator.from_filter(monomial(3) * m0, 3), R=50)
-    assert report2.verdict == "SameMeasure"
-    assert report2.same_modulus
-    assert not report2.representations_disjoint
-
-
-def test_compare_filters_different(cantor3, haar2):
-    # (1+z)/sqrt2 is transfer-normalized at N=3 as well, with a different measure
-    other = canonical_lowpass(haar2)
-    report = compare_filters(TransferOperator.from_filter(canonical_lowpass(cantor3), 3),
-                             TransferOperator.from_filter(other, 3))
-    assert report.verdict == "DifferentMeasure"
-    assert report.representations_disjoint
-
-
-def test_compare_filters_gates(cantor3):
-    m0 = canonical_lowpass(cantor3)
-    unnormalized = LaurentPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    with pytest.raises(NotNormalizedError):
-        compare_filters(TransferOperator.from_filter(m0, 3),
-                        TransferOperator.from_filter(unnormalized, 3))
-    with pytest.raises(CyclesFoundError):
-        haar = TransferOperator.from_filter(canonical_lowpass(DigitSystem(2, (0, 1))), 2)
-        compare_filters(haar, haar)

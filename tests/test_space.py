@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractalmra import space, transfer
-from fractalmra.errors import CapExceededError, CoarseningError, SystemMismatchError
+from fractalmra.errors import (
+    CapExceededError,
+    CoarseningError,
+    PreconditionError,
+    SystemMismatchError,
+)
 from fractalmra.filterbank import build_bank, canonical_lowpass, pairing
 from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, monomial, one
@@ -58,6 +63,29 @@ def test_refine_examples(cantor3):
         assert refine_to(v, m).norm_sq() == v.norm_sq()
     with pytest.raises(CoarseningError):
         refine_to(refined, 0)
+
+
+def test_resolution_must_be_integral(cantor3):
+    for resolution in (1.5, "1"):
+        with pytest.raises(PreconditionError, match="resolution must be an integer"):
+            LatticeVector(cantor3, resolution, {0: 1})
+    np = pytest.importorskip("numpy")
+    for resolution in (1.0, np.int64(1)):
+        v = LatticeVector(cantor3, resolution, {0: 1})
+        assert type(v.resolution) is int and v == basis_delta(cantor3, 1, 0)
+
+
+def test_refinement_below_resolution_zero_is_capped(cantor3):
+    """A generator 30 levels below 0 would refine to 2^30 terms: refused before
+    any is built.  At 16 levels (2^16 terms) the section is still the identity."""
+    deep = LatticeVector(cantor3, -30, {0: 1})
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="by 30 levels exceeds cap 1000000"):
+        gram_section(cantor3, [deep], [0], [0])
+    with pytest.raises(CapExceededError):
+        refine_to(deep, 0)
+    assert time.perf_counter() - start < 1.0
+    assert gram_section(cantor3, [LatticeVector(cantor3, -16, {0: 1})], [0], [0]).is_identity()
 
 
 def test_inner_examples(cantor3):
