@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -155,17 +156,20 @@ class BCycleReport(NamedTuple):
 
 
 def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
-    """Enumerate dual-digit cycles up to word length K.
+    """Dual-digit cycles up to word length K; p^K > B_CYCLE_WORD_CAP is
+    refused, and a one-digit system counts as 2^K.
 
-    The p^K words of length K are capped at B_CYCLE_WORD_CAP; a one-digit
-    system counts as 2^K, since its one word per length still costs O(K).
+    A word (b_1, ..., b_k) closes at xi_1 = c/(N^k - 1), its value c =
+    b_k + N b_{k-1} + ... + N^(k-1) b_1; the cycle is kept when the canonical
+    low-pass modulus |m0|^2 equals p at every point.  That happens at xi
+    exactly when all p terms of m0 share one phase, i.e. when g xi is an
+    integer for g the gcd of the digit differences; the orbit N^i xi_1 then
+    stays on (1/g)Z, so the test at xi_1 decides the whole cycle.
 
-    A word (b_1, ..., b_k) closes at xi_1 = (b_k + N b_{k-1} + ... +
-    N^(k-1) b_1)/(N^k - 1); the cycle is kept when the canonical low-pass
-    modulus |m0|^2 equals p at every point.  That happens at xi exactly when
-    all p terms of m0 share one phase, i.e. when g xi is an integer for g the
-    gcd of the digit differences; the orbit N^i xi_1 then stays on (1/g)Z, so
-    the test at xi_1 decides the whole cycle."""
+    As g c = 0 mod N^k - 1 is a congruence, the words are met in the middle:
+    high halves of k // 2 letters and low halves are matched by residue, at
+    a cost of p^ceil(k/2) per length.  Matches come in the order of
+    `ifs.digit_sums`, and each cycle keeps its first word there."""
     if K < 1:
         raise PreconditionError("K must be >= 1")
     sys, dual = pair.system, pair.dual
@@ -175,29 +179,36 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
     m0 = canonical_lowpass(sys)
     g = math.gcd(*(a - sys.digits[0] for a in sys.digits))
 
+    halves = cache(partial(digit_sums, dual, N))  # word halves by length
     seen: set[frozenset] = set()
     found: list[BCycle] = []
     for k in range(1, K + 1):
         modulus = N ** k - 1
-        # the i-th value, of the word whose letters are the base-p digits of i
-        for i, c in enumerate(digit_sums(dual, N, k)):
-            if g * c % modulus:
-                continue
-            # rotating the word multiplies the value by N mod (N^k - 1)
-            angles = [Fraction(c * N ** j % modulus, modulus) for j in range(k)]
-            key = frozenset(angles)
-            if key in seen:
-                continue
-            seen.add(key)
-            start = angles.index(min(angles))
-            ordered = angles[start:] + angles[:start]
-            found.append(
-                BCycle(
-                    tuple(ordered),
-                    tuple(dual[i // p ** (k - 1 - j) % p] for j in range(k)),
-                    tuple(abs(m0.eval_turns(float(a))) ** 2 for a in ordered),
+        step = modulus // math.gcd(g, modulus)  # a word closes when step | c
+        h = k // 2
+        lows, shift = halves(k - h), N ** (k - h)
+        buckets: dict[int, list[int]] = {}
+        for i_low, low in enumerate(lows):
+            buckets.setdefault(low % step, []).append(i_low)
+        for i_high, high in enumerate(halves(h)):
+            for i_low in buckets.get(-high * shift % step, ()):
+                # the i-th word has the base-p digits of i as letters
+                i, c = i_high * len(lows) + i_low, high * shift + lows[i_low]
+                # rotating the word multiplies the value by N mod (N^k - 1)
+                angles = [Fraction(c * N ** j % modulus, modulus) for j in range(k)]
+                key = frozenset(angles)
+                if key in seen:
+                    continue
+                seen.add(key)
+                start = angles.index(min(angles))
+                ordered = angles[start:] + angles[:start]
+                found.append(
+                    BCycle(
+                        tuple(ordered),
+                        tuple(dual[i // p ** (k - 1 - j) % p] for j in range(k)),
+                        tuple(abs(m0.eval_turns(float(a))) ** 2 for a in ordered),
+                    )
                 )
-            )
     found.sort(key=lambda cyc: cyc.angles)
     trivial_only = all(c.is_trivial() for c in found)
     return BCycleReport(max_length=K, cycles=tuple(found), trivial_only=trivial_only)

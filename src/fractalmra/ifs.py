@@ -137,7 +137,8 @@ class HutchinsonTransform:
           is below 2^-27 despite the roundings, where a correctly rounded
           libm (glibc by explicit branches) returns cos x = 1 and sin x = x.
           The factor is then (p * 1.0) / p + i (sum_a phase * a) / p, the
-          sum in digit order.  tests/test_duality.py checks the libm."""
+          sum in digit order, and its real part 1.0 leaves the products by
+          it out.  tests/test_duality.py checks the libm."""
         import numpy as np
         sys = self.system
         twopik = (2.0 * math.pi) * np.asarray(ks, dtype=float)
@@ -153,8 +154,8 @@ class HutchinsonTransform:
             scale /= sys.scale
             tiny = reach * scale < 2.0 ** -28
             np.multiply(twopik, scale, out=phase)
-            # the cosines summed so far: all p when they are all exactly 1
-            f_re.fill(sys.p if tiny else float(skip_zero))
+            if not tiny:
+                f_re.fill(float(skip_zero))  # the cosines summed so far
             f_im.fill(0.0)
             for a in digits:
                 np.multiply(phase, a, out=x)
@@ -162,9 +163,14 @@ class HutchinsonTransform:
                     f_re += np.cos(x, out=y)
                     np.sin(x, out=x)
                 f_im += x
-            f_re /= sys.p
             f_im /= sys.p
             np.multiply(re, f_im, out=x)
+            if tiny:  # f_re = (p * 1.0) / p = 1.0, and a product by it is exact
+                np.multiply(im, f_im, out=y)
+                re -= y
+                im += x
+                continue
+            f_re /= sys.p
             np.multiply(im, f_re, out=y)
             re *= f_re
             im *= f_im

@@ -272,15 +272,18 @@ class GramSection:
         for (r, c), v in self.entries.items():
             if r == c:
                 diagonal += 1
-                v = ZERO if v == ONE else v - ONE  # a diagonal 1 deviates by nothing
-            if not v.is_zero():
+                if v.p == v.den == 1 and not v.q:  # a diagonal 1 deviates by nothing
+                    continue
+                v = v - ONE
+            if v.p or v.q:
                 dev = max(dev, abs(float(v)))
         # a diagonal entry that is not stored is 0, one away from the identity
         return dev if diagonal == self.size else max(dev, 1.0)
 
     def is_identity(self) -> bool:
         return len(self.entries) == self.size and all(
-            r == c and v == ONE for (r, c), v in self.entries.items()
+            r == c and v.p == v.den == 1 and not v.q
+            for (r, c), v in self.entries.items()
         )
 
 

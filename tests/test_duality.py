@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fractalmra import duality
 from fractalmra.errors import CapExceededError, PreconditionError
 from fractalmra.duality import (
+    BCycle,
+    BCycleReport,
     b_cycles,
     dual_matrix,
     dual_transfer_eval,
@@ -19,7 +22,7 @@ from fractalmra.duality import (
     onb_defect,
 )
 from fractalmra.filterbank import canonical_lowpass
-from fractalmra.ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform
+from fractalmra.ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, HutchinsonTransform, digit_sums
 
 TABLE_PAIRS = (
     (4, (0, 2), (0, 1)),
@@ -235,6 +238,76 @@ def test_b_cycles_match_float_word_enumeration(c4_pair):
         assert [(c.angles, c.word, c.values) for c in report.cycles] == expected
         nontrivial += not report.trivial_only
     assert len(pairs) > 80 and nontrivial >= 5
+
+
+def enumerated_b_cycles(pair, K):
+    """Exact reference: the word loop that lists every one of the
+    sum_k p^k words up to length K in the order of `digit_sums`, keeps each
+    closing word's cycle at its first word, and reports as b_cycles does."""
+    sys, dual = pair.system, pair.dual
+    N, p = sys.scale, sys.p
+    m0 = canonical_lowpass(sys)
+    g = math.gcd(*(a - sys.digits[0] for a in sys.digits))
+    seen, found = set(), []
+    for k in range(1, K + 1):
+        modulus = N ** k - 1
+        for i, c in enumerate(digit_sums(dual, N, k)):
+            if g * c % modulus:
+                continue
+            angles = [Fraction(c * N ** j % modulus, modulus) for j in range(k)]
+            key = frozenset(angles)
+            if key in seen:
+                continue
+            seen.add(key)
+            start = angles.index(min(angles))
+            ordered = angles[start:] + angles[:start]
+            found.append(BCycle(
+                tuple(ordered),
+                tuple(dual[i // p ** (k - 1 - j) % p] for j in range(k)),
+                tuple(abs(m0.eval_turns(float(a))) ** 2 for a in ordered),
+            ))
+    found.sort(key=lambda cyc: cyc.angles)
+    return BCycleReport(K, tuple(found), all(c.is_trivial() for c in found))
+
+
+def every_pair(max_N, max_p):
+    """Every pair, Dual or not, with N <= max_N, p <= max_p and dual digits
+    in [-N, 2N) (0 among them)."""
+    for N in range(2, max_N + 1):
+        for p in range(1, min(N, max_p) + 1):
+            for S in itertools.combinations(range(N), p):
+                sys = DigitSystem(N, S)
+                for rest in itertools.combinations(
+                    [b for b in range(-N, 2 * N) if b], p - 1
+                ):
+                    yield dual_matrix(sys, (0,) + rest)
+
+
+def test_b_cycles_equal_word_loop():
+    pairs = [(pair, K) for pair in every_pair(6, 3) for K in range(1, 6)]
+    pairs += [(dual_matrix(DigitSystem(3, (1,)), (0,)), K) for K in (1, 7, 19)]
+    # the two duality systems of the spectral_duality benchmark
+    pairs += [(dual_matrix(DigitSystem(6, (0, 1, 2)), (0, 2, 4)), 7),
+              (dual_matrix(DigitSystem(9, (0, 3, 6)), (0, 1, 2)), 7)]
+    kinds = set()
+    for pair, K in pairs:
+        report = b_cycles(pair, K)
+        assert report == enumerated_b_cycles(pair, K), (pair, K)
+        kinds.add((pair.is_dual, report.trivial_only))
+    assert len(kinds) == 4  # Dual or not, with and without nontrivial cycles
+
+
+def test_b_cycles_build_half_words_only(c4_pair, monkeypatch):
+    lengths = []
+
+    def recording_digit_sums(digits, N, n):
+        lengths.append(n)
+        return digit_sums(digits, N, n)
+
+    monkeypatch.setattr(duality, "digit_sums", recording_digit_sums)
+    report = b_cycles(c4_pair, 19)  # p^K = 2^19, at the word cap
+    assert report.trivial_only and report.max_length == 19
+    assert lengths and max(lengths) == 10  # ceil(19 / 2)
 
 
 def test_one_digit_dual_spectrum_stops_growing():
