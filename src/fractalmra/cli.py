@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -33,6 +33,7 @@ from .errors import CapExceededError, FractalMRAError, PreconditionError
 from .filterbank import UNITARITY_SCALE_CAP, build_bank, canonical_lowpass, unitarity_defect
 from .ifs import DEFAULT_TRANSFORM_DEPTH, DigitSystem, hausdorff_dimension
 from .laurent import LaurentPolynomial, monomial
+from .scalars import _real, _text
 from .space import (
     cascade_experiment,
     check_section_size,
@@ -76,18 +77,26 @@ class RowTable(NamedTuple):
     nulls: frozenset = frozenset()
 
 
+def _reals(ps, qs, ds, dens, nulls=frozenset()) -> RowTable:
+    """The objects {"exact", "im", "re"} of the reals (p + q sqrt(d))/den whose
+    integer parts, in any terms, are the four columns, as a row table.  Each
+    is brought to lowest terms with one gcd and written as `Scalar.exact_str`
+    and `float` write it; the rows in `nulls` (any den but 0) become None."""
+    exact, re = [], []
+    for p, q, d, den in zip(ps, qs, ds, dens):
+        g = math.gcd(p, q, den)
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
+        exact.append(_text(p, q, d, den))
+        re.append(_real(p, q, d, den) if q else p / den)
+    for i in nulls:  # the csv forms read the columns as they stand
+        exact[i] = re[i] = None
+    return RowTable(len(exact), {"exact": exact, "im": 0.0, "re": re}, frozenset(nulls))
+
+
 def _scalars(values) -> RowTable:
-    """The objects {"exact", "im", "re"} of a list of Scalars as a row table,
-    in which a None is a null row."""
-    return RowTable(
-        len(values),
-        {
-            "exact": [None if v is None else v.exact_str() for v in values],
-            "im": 0.0,
-            "re": [None if v is None else float(v) for v in values],
-        },
-        frozenset(i for i, v in enumerate(values) if v is None),
-    )
+    """The objects {"exact", "im", "re"} of a list of Scalars (`_reals`)."""
+    return _reals(*([getattr(v, part) for v in values] for part in ("p", "q", "d", "den")))
 
 
 def _mirror(column):
@@ -128,8 +137,14 @@ def _system(args) -> tuple[DigitSystem, dict]:
     return sys_, {"scale": sys_.scale, "digits": list(sys_.digits)}
 
 
-def _lines(lines) -> str:
-    return "\n".join(lines) + "\n"
+def _lines(lines):
+    """The text of `lines`, one a line, in pieces of at most _ROWS_PER_PIECE
+    lines; no line at all is one newline."""
+    lines = iter(lines)
+    piece = list(islice(lines, _ROWS_PER_PIECE))
+    yield "\n".join(piece) + "\n"
+    while piece := list(islice(lines, _ROWS_PER_PIECE)):
+        yield "\n".join(piece) + "\n"
 
 
 # -- subcommand handlers: each returns its JSON document ---------------------
@@ -172,9 +187,9 @@ def _run_spectrum(args):
 def _run_moments(args):
     sys_, head = _system(args)
     op = TransferOperator.from_filter(canonical_lowpass(sys_), sys_.scale)
-    table = measure_mod.moment_table(op, args.range)
-    wiener = measure_mod.wiener_profile(table, args.range).rows
     R = args.range
+    table = measure_mod.moment_table(op, R)
+    sums, cross, d, den = measure_mod.wiener_profile(table, R)
     return {
         **head,
         "range": R,
@@ -186,17 +201,18 @@ def _run_moments(args):
             "cesaro": False,
         }),
         "wiener": {
-            "rows": RowTable(len(wiener), {
-                "k": [r.k for r in wiener],
-                "s": _scalars([r.partial_sum for r in wiener]),
-                "ratio": _scalars([r.ratio for r in wiener]),
+            "rows": RowTable(R + 1, {
+                "k": list(range(R + 1)),
+                "s": _reals(sums, cross, repeat(d), repeat(den)),
+                "ratio": _reals(sums, cross, repeat(d),  # s_k/k; null at k = 0
+                                chain([den], range(den, den * (R + 1), den)), {0}),
             }),
             "unsettled": [],
         },
     }
 
 
-def _moments_text(obj) -> str:
+def _moments_text(obj):
     m = obj["moments"].columns
     return _lines(
         f"nu^({n}) = {exact} [{m['status']}]" for n, exact in zip(m["n"], m["exact"]) if n >= 0
@@ -329,7 +345,7 @@ def _run_cascade(args):
     }
 
 
-def _cascade_text(obj) -> str:
+def _cascade_text(obj):
     r = obj["rows"].columns
     norm_sq, inner = r["norm_sq"].columns["exact"], r["inner"].columns["exact"]
     return _lines(f"n={n} |diff|^2={a} inner={b}" for n, a, b in zip(r["n"], norm_sq, inner))
@@ -390,7 +406,7 @@ def _run_replimit(args):
     }
 
 
-def _replimit_text(obj) -> str:
+def _replimit_text(obj):
     r = obj["rows"].columns
     value, moment = r["value"].columns["exact"], r["moment"].columns["exact"]
     return _lines(f"m={m} value={a} moment={b}" for m, a, b in zip(r["m"], value, moment))
@@ -450,7 +466,7 @@ def _run_table(args):
     return obj
 
 
-def _table_text(obj) -> str:
+def _table_text(obj):
     lines = ["N  p  S          B          dim"]
     for row in obj["dual_systems"]:
         lines.append(
@@ -473,7 +489,8 @@ def _table_text(obj) -> str:
 class Subcommand(NamedTuple):
     """One row of the command table: the handler (args -> JSON document), its
     help, whether it reads --scale/--digits, its own (flag, options) arguments,
-    and the renderers text(doc) and csv(doc, args) (None: no csv form)."""
+    and the renderers text(doc), which gives pieces of text, and csv(doc, args)
+    (None: no csv form)."""
 
     run: Callable
     help: str
@@ -490,7 +507,7 @@ def _arg(flag: str, help: str, **options) -> tuple[str, dict]:
 COMMANDS = {
     "dimension": Subcommand(
         _run_dimension, "Hausdorff dimension of the attractor", True, (),
-        lambda o: f"dimension {o['dimension']!r}\n",
+        lambda o: [f"dimension {o['dimension']!r}\n"],
     ),
     "filters": Subcommand(
         _run_filters, "canonical filter bank and unitarity defect", True, (),
@@ -501,10 +518,10 @@ COMMANDS = {
     ),
     "spectrum": Subcommand(
         _run_spectrum, "invariant spectral block of the transfer operator", True, (),
-        lambda o: (
+        lambda o: [
             f"block dimension {o['dimension']} (halfwidth {o['halfwidth']})\n"
             f"eigenvalues: {o['eigenvalues']!r}\n"
-        ),
+        ],
     ),
     "moments": Subcommand(
         _run_moments, "invariant-measure moments and Wiener profile", True,
@@ -521,20 +538,20 @@ COMMANDS = {
         _run_cycles, "cycles of theta -> N theta carrying peak weight", True,
         (_arg("--length", "max cycle length (clamped to keep N^L - 1 within the cycle cap)",
               type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
-        lambda o: f"{o['verdict']}: {[c['angles'] for c in o['cycles']]!r}\n",
+        lambda o: [f"{o['verdict']}: {[c['angles'] for c in o['cycles']]!r}\n"],
     ),
     "classify": Subcommand(
         _run_classify, "support dichotomy of the invariant measure", True,
         (_arg("--length", "max cycle length (clamped to keep N^L - 1 within the cycle cap)",
               type=int, default=measure_mod.DEFAULT_CYCLE_LENGTH),),
-        lambda o: f"{o['kind']}\n",
+        lambda o: [f"{o['kind']}\n"],
     ),
     "duality": Subcommand(
         _run_duality, "dual matrix, spectrum prefix, and dual-digit cycles", True,
         (_arg("--dual", "comma-separated dual digits", required=True),
          _arg("--count", "spectrum prefix length", type=int, default=8),
          _arg("--cycle-length", "max dual-digit word length", type=int, default=6)),
-        lambda o: f"{o['verdict']}; lambda prefix {o.get('lambda_prefix')!r}\n",
+        lambda o: [f"{o['verdict']}; lambda prefix {o.get('lambda_prefix')!r}\n"],
     ),
     "onb-check": Subcommand(
         _run_onb_check, "exponential Gram and spectral partial sums", True,
@@ -542,10 +559,10 @@ COMMANDS = {
          _arg("--count", "spectrum prefix length", type=int, default=8),
          _arg("--depth", "transform product depth", type=int, default=DEFAULT_TRANSFORM_DEPTH),
          _arg("--xi", "frequency for the partial sums", type=float, default=0.0)),
-        lambda o: (
+        lambda o: [
             f"gram deviation {o['gram_max_deviation']!r}; partial sums "
             f"monotone={o['monotone']} max={max(o['partial_sums'])!r}\n"
-        ),
+        ],
     ),
     "cascade": Subcommand(
         _run_cascade, "cascade iteration distances and inner products", True,
@@ -558,14 +575,14 @@ COMMANDS = {
         _run_riesz, "Riesz partial-product samples", False,
         (_arg("--depth", "number of product factors", type=int, default=6),
          _arg("--grid", "grid points on [0, 2 pi)", type=int, default=3 ** 8)),
-        lambda o: f"{o['rows'].rows} samples; first {tuple(c[0] for c in o['rows'].columns)!r}\n",
+        lambda o: [f"{o['rows'].rows} samples; first {tuple(c[0] for c in o['rows'].columns)!r}\n"],
         lambda o, args: chain([["t", "value"]], zip(*o["rows"].columns)),
     ),
     "gram": Subcommand(
         _run_gram, "Gram section of the wavelet family", True,
         (_arg("--jrange", "scales |j| <= jrange", type=int, default=2),
          _arg("--krange", "translates |k| <= krange", type=int, default=5)),
-        lambda o: f"section size {o['size']}; identity={o['is_identity']}\n",
+        lambda o: [f"section size {o['size']}; identity={o['is_identity']}\n"],
     ),
     "table": Subcommand(
         _run_table, "reference tables of dual systems", False, (), _table_text,
@@ -754,7 +771,7 @@ def _render(command: Subcommand, args, obj):
         yield from _json_pieces(obj)
         yield "\n"
     elif args.format == "text":
-        yield command.text(obj)
+        yield from command.text(obj)
     else:
         import csv  # only --format csv needs it
         buf = io.StringIO()

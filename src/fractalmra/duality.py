@@ -156,8 +156,9 @@ class BCycleReport(NamedTuple):
 
 
 def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
-    """Dual-digit cycles up to word length K; p^K > B_CYCLE_WORD_CAP is
-    refused, and a one-digit system counts as 2^K.
+    """Dual-digit cycles up to word length K; more than B_CYCLE_WORD_CAP
+    low half-words, sum of p^ceil(k/2) over k <= K, are refused, and a
+    one-digit system counts as p = 2.
 
     A word (b_1, ..., b_k) closes at xi_1 = c/(N^k - 1), its value c =
     b_k + N b_{k-1} + ... + N^(k-1) b_1; the cycle is kept when the canonical
@@ -174,8 +175,9 @@ def b_cycles(pair: SpectralPair, K: int = 6) -> BCycleReport:
         raise PreconditionError("K must be >= 1")
     sys, dual = pair.system, pair.dual
     N, p = sys.scale, sys.p
-    if max(p, 2) ** K > B_CYCLE_WORD_CAP:
-        raise CapExceededError(f"p^K exceeds cap {B_CYCLE_WORD_CAP}")
+    built = accumulate(max(p, 2) ** (k - k // 2) for k in range(1, K + 1))
+    if any(w > B_CYCLE_WORD_CAP for w in built):  # stops at the first k past the cap
+        raise CapExceededError(f"sum of p^ceil(k/2) over k <= K exceeds cap {B_CYCLE_WORD_CAP}")
     m0 = canonical_lowpass(sys)
     g = math.gcd(*(a - sys.digits[0] for a in sys.digits))
 

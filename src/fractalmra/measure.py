@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import CapExceededError, NotNormalizedError, PreconditionError
 from .laurent import _prime_factors, vanishes_at_primitive_roots
-from .scalars import ONE, Scalar, ZERO, _exact
+from .scalars import ONE, Scalar, ZERO, _exact, _mixed_fields
 from .transfer import TransferOperator
 
 STABILIZED = "stabilized"
@@ -84,7 +85,8 @@ def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
     if j_min < c:
         return [None] * (R + 1)
     if j_min == c:
-        return [1 if n < c else None for n in range(R + 1)]
+        short = min(math.ceil(c), R + 1)  # the n < c
+        return [1] * short + [None] * (R + 1 - short)
     thresholds = []
     k, margin = 1, j_min * N - op.support_bound(1)
     for n in range(R + 1):
@@ -93,6 +95,15 @@ def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
             margin = j_min * N ** k - op.support_bound(k)
         thresholds.append(k)
     return thresholds
+
+
+def _radicand(values) -> int:
+    """The one d of the irrational Scalars among `values` (0 if none);
+    two are refused, as `+` and `*` do."""
+    fields = {v.d: v for v in values if v.q}
+    if len(fields) > 1:
+        _mixed_fields(*list(fields.values())[:2])
+    return next(iter(fields), 0)
 
 
 def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
@@ -106,6 +117,8 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     image is fixed too, and only n >= 0 is computed.  An entry with a finite
     threshold t (`_stabilization_thresholds`) reports iterations
     max(t + 1, 2), the step at which the product-weight iterate reaches it.
+    The recursion runs on the integers Q nu^(b) = x + y sqrt d over one
+    common denominator Q, and each value becomes a Scalar once.
     """
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
@@ -124,14 +137,27 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     if center.is_zero():
         raise PreconditionError("the block's fixed vector has nu^(0) = 0")
     nu = [x / center for x in basis[0][D:]]
-    N = op.scale
+    N, weights = op.scale, op.weight.coeffs.values()
+    d = _radicand(chain(nu, weights))
+    # every m on the right is at most (b + D(N - 1)) // N, and each step of
+    # that map multiplies a denominator by at most L
+    L = math.lcm(*(w.den for w in weights))
+    depth, b = 0, moment_range
+    while b > D:
+        depth, b = depth + 1, (b + D * (N - 1)) // N
+    Q = math.lcm(*(v.den for v in nu)) * L ** depth
+    X, Y = [v.p * Q // v.den for v in nu], [v.q * Q // v.den for v in nu]
+    terms = {r: [(k, w.p * L // w.den, w.q * L // w.den) for k, w in kw]  # L W^(k) = a + c sqrt d
+             for r, kw in op.by_residue.items()}
     for b in range(D + 1, moment_range + 1):
-        total = ZERO
-        for k, w in op.by_residue.get(-b % N, ()):  # exactly the k with N | b + k
-            m = nu[abs((b + k) // N)]
-            if not m.is_zero():
-                total = total + w * m
-        nu.append(total)
+        x = y = 0
+        for k, a, c in terms.get(-b % N, ()):  # exactly the k with N | b + k
+            m = abs((b + k) // N)
+            x += a * X[m] + c * d * Y[m]
+            y += a * Y[m] + c * X[m]
+        X.append(x // L)  # exact: Q nu^(b) is a pair of integers
+        Y.append(y // L)
+    nu += [_exact(x, y, d, Q) if x or y else ZERO for x, y in zip(X[D + 1:], Y[D + 1:])]
     thresholds = _stabilization_thresholds(op, moment_range)
     iterations = [0 if t is None else max(t + 1, 2) for t in thresholds]
     return MomentTable(nu[: moment_range + 1], iterations)
@@ -325,23 +351,41 @@ class WienerRow(NamedTuple):
 
 
 class WienerProfile(NamedTuple):
-    rows: tuple[WienerRow, ...]
+    """s_k = (sums[k] + cross[k] sqrt(d))/den for k = 0..K, in integers."""
+
+    sums: list[int]
+    cross: list[int]
+    d: int
+    den: int
+
+    @property
+    def rows(self) -> tuple[WienerRow, ...]:
+        """(k, s_k, s_k/k) for each k, the ratio None at k = 0; built on each access."""
+        d, den = self.d, self.den
+        return tuple(WienerRow(k, _exact(s, t, d, den), _exact(s, t, d, den * k) if k else None)
+                     for k, (s, t) in enumerate(zip(self.sums, self.cross)))
 
 
 def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     """Partial sums s_k = sum_{j<=k} |nu^(j)|^2 and the Cesaro ratios s_k/k.
 
-    A vanishing ratio limit certifies that the measure has no atoms."""
+    Over the common denominator Q of nu^(0..K), nu^(j) = (x_j + y_j sqrt d)/Q,
+    so s_k is (S_k + T_k sqrt d)/Q^2 with S_k = sum x_j^2 + d y_j^2 and
+    T_k = 2 sum x_j y_j.  A vanishing ratio limit certifies that the measure
+    has no atoms."""
     if K >= len(table.values):
         raise PreconditionError(f"moment table does not cover 0..{K}")
-    rows = []
-    s = ZERO
-    for k, v in zip(range(K + 1), table.values):
-        if not v.is_zero():
-            s = s + v * v
-        ratio = _exact(s.p, s.q, s.d, s.den * k) if k else None  # s/k with one gcd
-        rows.append(WienerRow(k, s, ratio))
-    return WienerProfile(tuple(rows))
+    values = table.values[: K + 1]
+    d = _radicand(values)
+    Q = math.lcm(*{v.den for v in values})
+    S, T, sums, cross = 0, 0, [], []
+    for v in values:
+        x, y = v.p * Q // v.den, v.q * Q // v.den
+        S += x * x + d * y * y
+        T += 2 * x * y
+        sums.append(S)
+        cross.append(T)
+    return WienerProfile(sums, cross, d, Q * Q)
 
 
 def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:

@@ -74,6 +74,30 @@ def _exact(p: int, q: int, d: int, den: int) -> "Scalar":
     return x
 
 
+def _real(p: int, q: int, d: int, den: int) -> float:
+    """(p + q*sqrt(d))/den as a float: int / int is correctly rounded, as
+    float(Fraction) is, so p/den alone is the float of a rational."""
+    return p / den + q / den * math.sqrt(d)
+
+
+def _text(p: int, q: int, d: int, den: int) -> str:
+    """'a+b√d' for the canonical parts of (p + q*sqrt(d))/den."""
+    if not q:  # gcd(p, den) = 1 already
+        return str(p) if den == 1 else f"{p}/{den}"
+    root = f"√{d}"
+    if q == den:
+        irr = root
+    elif q == -den:
+        irr = "-" + root
+    else:
+        irr = f"{Fraction(q, den)}{root}"
+    if not p:
+        return irr
+    if q > 0:
+        return f"{Fraction(p, den)}+{irr}"
+    return f"{Fraction(p, den)}{irr}"
+
+
 def _mixed_fields(x: "Scalar", y: "Scalar"):
     raise ValueError(f"operands lie in different fields Q(√{x.d}) and Q(√{y.d})")
 
@@ -150,27 +174,12 @@ class Scalar:
     # -- conversions --------------------------------------------------------
 
     def __float__(self) -> float:
-        # int / int is correctly rounded, as float(Fraction) is; every Scalar
-        # is real, and complex(s) falls back to this
-        return self.p / self.den + self.q / self.den * math.sqrt(self.d)
+        # every Scalar is real, and complex(s) falls back to this
+        return _real(self.p, self.q, self.d, self.den)
 
     def exact_str(self) -> str:
         """Render 'a+b√d'."""
-        p, q, den = self.p, self.q, self.den
-        if not q:  # gcd(p, den) = 1 already
-            return str(p) if den == 1 else f"{p}/{den}"
-        root = f"√{self.d}"
-        if q == den:
-            irr = root
-        elif q == -den:
-            irr = "-" + root
-        else:
-            irr = f"{Fraction(q, den)}{root}"
-        if not p:
-            return irr
-        if q > 0:
-            return f"{Fraction(p, den)}+{irr}"
-        return f"{Fraction(p, den)}{irr}"
+        return _text(self.p, self.q, self.d, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalmra import cli, transfer
+from fractalmra import cli, measure, transfer
+from fractalmra.filterbank import canonical_lowpass
+from fractalmra.ifs import DigitSystem
+from fractalmra.scalars import Scalar
 
 
 def run_cli(*argv):
@@ -117,6 +121,52 @@ def test_moments_csv_and_wiener_csv():
                            "--range", "4", "--emit", "wiener", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "k,s_k,ratio"
+
+
+@pytest.mark.parametrize("scale,digits", [(3, (0, 2)), (7, (0, 1, 6)), (5, (0, 1, 4))])
+def test_moment_columns_are_the_library_values(scale, digits):
+    """The exact and re columns, written from integer parts, are exact_str()
+    and float() of `moment_table` and `wiener_profile`; the ratio at k = 0 is
+    null in json and empty in csv."""
+    R = 60
+    op = transfer.TransferOperator.from_filter(canonical_lowpass(DigitSystem(scale, digits)), scale)
+    table = measure.moment_table(op, R)
+    rows = measure.wiener_profile(table, R).rows
+    argv = ("moments", "--scale", str(scale), "--digits", ",".join(map(str, digits)),
+            "--range", str(R))
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    obj = json.loads(out)
+    for entry in obj["moments"]:
+        v = table.value(entry["n"])
+        assert (entry["exact"], entry["re"]) == (v.exact_str(), float(v))
+    assert obj["wiener"]["rows"][0]["ratio"] is None
+    for entry, row in zip(obj["wiener"]["rows"], rows, strict=True):
+        assert entry["k"] == row.k
+        assert (entry["s"]["exact"], entry["s"]["re"]) == (row.partial_sum.exact_str(),
+                                                            float(row.partial_sum))
+        if row.k:
+            assert (entry["ratio"]["exact"], entry["ratio"]["re"]) == (row.ratio.exact_str(),
+                                                                        float(row.ratio))
+    code, out, _ = run_cli(*argv, "--format", "csv", "--emit", "wiener")
+    assert code == 0
+    expected = [[str(r.k), repr(float(r.partial_sum)), r.k and repr(float(r.ratio)) or ""]
+                for r in rows]
+    assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 12),
+       st.integers(1, 10 ** 6), st.sampled_from((0, 2, 3, 7)))
+def test_reals_write_what_scalars_write(p, q, den, g, d):
+    """Parts in any terms, rational or in Q(sqrt d), are written as the
+    Scalar they equal."""
+    q = q if d else 0
+    x = Scalar(Fraction(p, den), Fraction(q, den), d)
+    table = cli._reals([1, p * g], [0, q * g], [0, d], [1, den * g], {0})
+    assert table.nulls == {0} and table.columns["exact"][0] is table.columns["re"][0] is None
+    assert table.columns["exact"][1] == x.exact_str()
+    assert table.columns["re"][1] == float(x)
 
 
 RENDER_RUNS = {
@@ -470,18 +520,20 @@ def test_one_digit_dual_pair(command):
 
 
 def test_duality_word_cap_counts_one_digit_systems_as_two():
-    """b_cycles refuses max(p, 2)^K > 10^6 words: a one-digit system, one
-    word per length, is refused past K = 19 rather than looping for
-    minutes; refusals for p >= 2 stand."""
+    """b_cycles refuses more than 10^6 half-words, sum of max(p, 2)^ceil(k/2)
+    over k <= K: a one-digit system, one word per length, is refused past
+    K = 35 rather than looping for minutes, as a p = 2 system is."""
     one_digit = ("duality", "--scale", "3", "--digits", "1", "--dual", "0")
     start = time.perf_counter()
-    code, out, err = run_cli(*one_digit, "--cycle-length", "20")
+    code, out, err = run_cli(*one_digit, "--cycle-length", "36")
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (3, "", "cap exceeded: p^K exceeds cap 1000000\n")
-    code, _, err = run_cli(*one_digit, "--cycle-length", "19")
+    assert (code, out, err) == (
+        3, "", "cap exceeded: sum of p^ceil(k/2) over k <= K exceeds cap 1000000\n"
+    )
+    code, _, err = run_cli(*one_digit, "--cycle-length", "35")
     assert code == 0, err
     code, _, _ = run_cli("duality", "--scale", "4", "--digits", "0,2", "--dual", "0,1",
-                         "--cycle-length", "20")
+                         "--cycle-length", "36")
     assert code == 3
 
 

@@ -305,7 +305,7 @@ def test_b_cycles_build_half_words_only(c4_pair, monkeypatch):
         return digit_sums(digits, N, n)
 
     monkeypatch.setattr(duality, "digit_sums", recording_digit_sums)
-    report = b_cycles(c4_pair, 19)  # p^K = 2^19, at the word cap
+    report = b_cycles(c4_pair, 19)  # words of 19 letters from halves of 9 and 10
     assert report.trivial_only and report.max_length == 19
     assert lengths and max(lengths) == 10  # ceil(19 / 2)
 

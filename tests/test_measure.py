@@ -265,6 +265,63 @@ def test_wiener_profile_off_the_rationals():
     assert_same_wiener(hand_table([Scalar(1), Scalar(0), HALF, Scalar(0), Scalar(0)]), 4)
 
 
+def recursion_depth(op, b):
+    """Steps of b -> (b + D(N - 1)) // N from b into the block [-D, D]."""
+    D, N, steps = op.block_halfwidth, op.scale, 0
+    while b > D:
+        b, steps = (b + D * (N - 1)) // N, steps + 1
+    return steps
+
+
+# L W^(k) over Q(sqrt2): rational and sqrt2 numerators and a denominator per lag
+SQRT2_COEFFICIENT = st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.sampled_from((2, 3, 5, 7, 12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda N: st.tuples(
+        st.just(N),
+        st.dictionaries(st.integers(1, 6).filter(lambda k: k % N), SQRT2_COEFFICIENT,
+                        min_size=1, max_size=4),
+    )),
+    st.integers(0, 40),
+)
+def test_integer_recursion_matches_the_first_form_off_the_rationals(weight, R):
+    """Even Q(sqrt2) weights with unequal denominators, W^(0) = 1 and no other
+    lag divisible by N (so R(1) = 1): `moment_table` and `wiener_profile` equal
+    the first-form oracles field by field, at ranges inside the block too.
+    The denominator of nu^(b) divides lcm(block denominators) L^depth(b), so
+    each recursion step divides its integer sum by L exactly."""
+    N, lags = weight
+    coeffs = {0: Scalar(1)}
+    for k, (a, b, den) in lags.items():
+        coeffs[k] = coeffs[-k] = Scalar(Fraction(a, den), Fraction(b, den), 2)
+    op = TransferOperator(N, LaurentPolynomial({k: c for k, c in coeffs.items() if c}))
+    try:
+        table = moment_table(op, R)
+    except PreconditionError:  # eigenvalue 1 not simple, or nu^(0) = 0
+        return
+    nu = reference_moments(op, R)
+    for n in range(-R, R + 1):
+        assert scalar_fields(table.value(n)) == scalar_fields(nu[n]), n
+    assert_same_wiener(table, R)
+    D = op.block_halfwidth
+    block_den = math.lcm(*(nu[b].den for b in range(D + 1)))
+    L = math.lcm(*(w.den for w in op.weight.coeffs.values()))
+    for b in range(R + 1):
+        assert block_den * L ** recursion_depth(op, b) % table.value(b).den == 0, b
+
+
+def test_two_radicands_are_refused():
+    r2, r3 = Scalar(0, Fraction(1, 4), 2), Scalar(0, Fraction(1, 5), 3)
+    with pytest.raises(ValueError, match="different fields"):
+        moment_table(TransferOperator(3, LaurentPolynomial({0: Scalar(1), 1: r2, -1: r2,
+                                                             2: r3, -2: r3})), 8)
+    table = MomentTable([Scalar(1), Scalar(1) + r2, Scalar(1) + r3], [0, 0, 0])
+    with pytest.raises(ValueError, match="different fields"):
+        wiener_profile(table, 2)
+
+
 def reference_threshold(op, idx):
     """The per-index stabilization rule, kept as the reference for the
     one-pass `_stabilization_thresholds`."""
