@@ -99,6 +99,13 @@ def _scalars(values) -> RowTable:
     return _reals(*([getattr(v, part) for v in values] for part in ("p", "q", "d", "den")))
 
 
+def _moments(table: measure_mod.MomentTable) -> RowTable:
+    """The objects {"exact", "im", "re"} of nu^(0..range) from the table's
+    integer columns (`_reals`)."""
+    xs, ys, d, den = table.columns
+    return _reals(xs, ys, repeat(d), repeat(den))
+
+
 def _mirror(column):
     """A list or `RowTable` (without null rows) column of rows n = 0..R
     extended to n = -R..R by row(-n) = row(n), as the moments of an even
@@ -194,7 +201,7 @@ def _run_moments(args):
         **head,
         "range": R,
         "moments": RowTable(2 * R + 1, {
-            **_mirror(_scalars(table.values)).columns,  # the table holds n >= 0
+            **_mirror(_moments(table)).columns,  # the table holds n >= 0
             "n": list(range(-R, R + 1)),
             "status": measure_mod.STABILIZED,
             "iterations": _mirror(table.iterations),
@@ -273,7 +280,7 @@ def _run_classify(args):
         ],
     }
     if cls.moments is not None:
-        values = _scalars(cls.moments.values)
+        values = _moments(cls.moments)
         obj["moments"] = RowTable(values.rows, {
             **values.columns, "n": list(range(values.rows)), "status": measure_mod.STABILIZED,
         })
@@ -393,7 +400,7 @@ def _run_replimit(args):
     table = measure_mod.moment_table(op, args.range)
     ms = list(range(-args.range, args.range + 1))
     value = _scalars([representation_limit(op, args.level, m) for m in ms])
-    moment = _mirror(_scalars(table.values))
+    moment = _mirror(_moments(table))
     return {
         **head,
         "level": args.level,
@@ -626,30 +633,29 @@ _CONTAINERS = (dict, list, tuple)  # a RowTable is a tuple too
 
 
 def _keys(obj) -> list[tuple[str, str]]:
-    """The keys of a dict in sorted order, each with its text in a
-    %-template: the JSON string with `%` doubled, and ": "."""
+    """The keys of a dict in sorted order, each with its JSON text and ": "."""
     for k in obj:
         if not isinstance(k, str):  # no document has other keys
             raise TypeError(f"JSON keys must be str, not {k.__class__.__name__}")
-    return [(k, encode_basestring_ascii(k).replace("%", "%%") + ": ") for k in sorted(obj)]
+    return [(k, encode_basestring_ascii(k) + ": ") for k in sorted(obj)]
 
 
-def _emit(obj, nl: str, parts: list, columns: list):
-    """Append to `parts` the %-template of `obj` written at indent `nl`,
-    and to `columns` its leaf columns in the order of the template's `%s`s.
+def _emit(obj, nl: str, parts: list, leaves: list):
+    """Append to `parts` the template of `obj` written at indent `nl`, with a
+    "\x00" for each leaf, and to `leaves` its leaves in order.
 
-    A dict is written key by key (`_keys`), a list or tuple of leaves as
-    one column under a repeated `%s`, and any other list item by item.  At a
-    `RowTable` the template so far is filled and yielded (`_fill`), both
-    lists are cleared, and the table's pieces follow (`_table_pieces`)."""
+    A dict is written key by key (`_keys`), a list or tuple of leaves as one
+    run of leaves, and any other list item by item.  At a `RowTable` the
+    template so far is filled and yielded (`_fill`), both lists are cleared,
+    and the table's pieces follow (`_table_pieces`)."""
     if type(obj) is RowTable:
-        yield _fill("".join(parts), columns)
-        del parts[:], columns[:]
+        yield _fill("".join(parts), leaves)
+        del parts[:], leaves[:]
         yield from _table_pieces(obj, nl)
         return
     if not isinstance(obj, _CONTAINERS):
-        parts.append("%s")
-        columns.append((obj,))
+        parts.append("\x00")
+        leaves.append(obj)
         return
     if not obj:
         parts.append("{}" if isinstance(obj, dict) else "[]")
@@ -660,32 +666,43 @@ def _emit(obj, nl: str, parts: list, columns: list):
     elif any(map(isinstance, obj, repeat(_CONTAINERS))):
         brackets, heads = "[]", [(inner, item) for item in obj]
     else:
-        parts.append("[" + inner + "%s" + ("," + inner + "%s") * (len(obj) - 1) + nl + "]")
-        columns.append(obj)
+        parts.append("[" + inner + "\x00" + ("," + inner + "\x00") * (len(obj) - 1) + nl + "]")
+        leaves += obj
         return
     sep = brackets[0]
     for head, value in heads:
         parts.append(sep + head)
-        yield from _emit(value, inner, parts, columns)
+        yield from _emit(value, inner, parts, leaves)
         sep = ","
     parts.append(nl + brackets[1])
 
 
-def _fill(template: str, columns) -> str:
-    """`template` with its `%s`s filled by the JSON text of the leaves of
-    `columns`, in order.  One call of the C encoder writes all the leaves,
-    with "\x00" between them; ensure_ascii output cannot hold a raw
-    "\x00", so the split is exact."""
-    leaves = list(chain.from_iterable(columns))
+def _fill(template: str, leaves: list, rows: int = 1) -> str:
+    """`rows` copies of `template` with each "\x00" replaced by the JSON text
+    of a leaf, the leaves of every row's first "\x00" first.  One call of the
+    C encoder writes all the leaves, with "\x00" between them; ensure_ascii
+    output, as the template is, cannot hold a raw "\x00", so both splits are
+    exact.  Each literal and each "\x00"'s leaves go into place in one slice."""
     if not leaves:
-        return template % ()
-    return template % tuple(json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00"))
+        return template * rows
+    lits = template.split("\x00")
+    step = 2 * len(lits) - 1
+    text = [None] * (step * rows)
+    encoded = json.dumps(leaves, separators=("\x00", ":"))[1:-1].split("\x00")
+    if rows == 1:
+        text[::2], text[1::2] = lits, encoded
+    else:
+        for k, lit in enumerate(lits):
+            text[2 * k::step] = [lit] * rows
+        for k in range(len(lits) - 1):
+            text[2 * k + 1::step] = encoded[k * rows:(k + 1) * rows]
+    return "".join(text)
 
 
 def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: list) -> None:
-    """Append to `parts` the %-template of one row of `table`, written at
+    """Append to `parts` the template of one row of `table`, written at
     indent `nl`, and to `columns` its list columns in the order of the
-    template's `%s`s.  Constants are written into the template, nested
+    template's "\x00"s.  Constants are written into the template, nested
     tables inline, and the tables whose id is in `null` as null."""
     if id(table) in null:
         parts.append("null")
@@ -704,10 +721,10 @@ def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: lis
         if type(col) is RowTable:
             _row_template(col, inner, null, parts, columns)
         elif type(col) is list:
-            parts.append("%s")
+            parts.append("\x00")
             columns.append(col)
         else:
-            parts.append(json.dumps(col).replace("%", "%%"))
+            parts.append(json.dumps(col))
         sep = ","
     parts.append(nl + brackets[1])
 
@@ -716,7 +733,8 @@ def _table_pieces(table: RowTable, nl: str):
     """The JSON text of the rows of `table` at indent `nl`, in pieces of at
     most _ROWS_PER_PIECE rows.  The rows between two changes in which
     tables, nested or not, are null share one row template (`_row_template`),
-    and each piece repeats it once per row and fills it (`_fill`)."""
+    and each piece repeats it once per row and fills it with the rows' leaves
+    (`_fill`)."""
     if not table.rows:
         yield "[]"
         return
@@ -729,19 +747,14 @@ def _table_pieces(table: RowTable, nl: str):
         | {i for t in tables for n in t.nulls for i in (n, n + 1) if i < table.rows}
     )
     inner = nl + "  "
-    comma = "," + inner
-    sep = "[" + inner
     for start, end in zip(bounds, bounds[1:]):
-        parts, columns = [], []
+        parts, columns = ["," + inner], []
         _row_template(table, inner, {id(t) for t in tables if start in t.nulls}, parts, columns)
         template = "".join(parts)
         for lo in range(start, end, _ROWS_PER_PIECE):
             hi = min(lo + _ROWS_PER_PIECE, end)
-            yield _fill(
-                sep + template + (comma + template) * (hi - lo - 1),
-                zip(*[col[lo:hi] for col in columns]),
-            )
-            sep = comma
+            piece = _fill(template, list(chain.from_iterable(col[lo:hi] for col in columns)), hi - lo)
+            yield piece if lo else "[" + piece[1:]  # the first row opens the list
     yield nl + "]"
 
 
@@ -750,14 +763,14 @@ def _json_pieces(obj):
 
     Any `indent` sends `json` to its pure-Python encoder, which encodes each
     leaf with a Python call.  Here the containers are written once into a
-    %-template with a `%s` per leaf (`_emit`), and the leaves are encoded
+    template with a "\x00" per leaf (`_emit`), and the leaves are encoded
     at once (`_fill`).  A `RowTable` is written from its row template
     (`_table_pieces`), as pieces of its own between those of the template
     around it."""
     parts: list = []
-    columns: list = []
-    yield from _emit(obj, "\n", parts, columns)
-    yield _fill("".join(parts), columns)
+    leaves: list = []
+    yield from _emit(obj, "\n", parts, leaves)
+    yield _fill("".join(parts), leaves)
 
 
 def _dumps(obj) -> str:

@@ -117,8 +117,8 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
     if count > LAMBDA_CAP:
         raise CapExceededError(f"count exceeds cap {LAMBDA_CAP}")
     N = pair.system.scale
-    B = pair.dual
-    if min(B) < 0:
+    B = sorted(pair.dual)
+    if B[0] < 0:
         if len(B) ** SIGNED_LAMBDA_DEPTH > LAMBDA_CAP:
             raise CapExceededError(
                 f"p^{SIGNED_LAMBDA_DEPTH} signed dual strings exceed cap {LAMBDA_CAP}"
@@ -128,12 +128,14 @@ def lambda_set(pair: SpectralPair, count: int) -> LambdaSet:
         return LambdaSet(pair, tuple(sorted(nearest)))
     depth, strings = 0, [0]
     # a string with a nonzero digit at position `depth` or past it is at least
-    # N^depth, so the prefix is final once `count` strings lie below N^depth
+    # N^depth, so the prefix is final once `count` strings lie below N^depth;
+    # each depth extends the strings by one digit (`digit_sums`), and with
+    # every digit below N they stay sorted
     while len(B) > 1 and (
         len(strings) < count or count > sum(map((N ** depth).__gt__, strings))
     ):
         depth += 1
-        strings = digit_sums(B, N, depth)
+        strings = [N * e + a for e in strings for a in B]
     return LambdaSet(pair, tuple(sorted(strings)[:count]))
 
 

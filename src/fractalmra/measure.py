@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, NotNormalizedError, PreconditionError
 from .laurent import _prime_factors, vanishes_at_primitive_roots
-from .scalars import ONE, Scalar, ZERO, _exact, _mixed_fields
+from .scalars import ONE, Scalar, _exact, _mixed_fields
 from .transfer import TransferOperator
 
 STABILIZED = "stabilized"
@@ -44,22 +44,40 @@ class MomentEntry(NamedTuple):
     status = STABILIZED  # unannotated: a class attribute, not a field
 
 
-class MomentTable(NamedTuple):
+class MomentTable:
     """Moments nu^(n) for 0 <= n <= range, and the `MomentEntry.iterations`
     of each.  The weight is even, so nu^(-n) = nu^(n) and only n >= 0 is
-    stored."""
+    stored: as Scalars, or as the integer `columns` that `moment_table`
+    computes, whose Scalars are built on the first read of `values`."""
 
-    values: list[Scalar]
-    iterations: list[int]
+    def __init__(self, values: list[Scalar] | None, iterations: list[int], columns=None):
+        self._values, self.iterations, self._columns = values, iterations, columns
+
+    @property
+    def values(self) -> list[Scalar]:
+        if self._values is None:
+            xs, ys, d, den = self._columns
+            self._values = [_exact(x, y, d, den) for x, y in zip(xs, ys)]
+        return self._values
+
+    @property
+    def columns(self) -> tuple[list[int], list[int], int, int]:
+        """(xs, ys, d, den) with nu^(n) = (xs[n] + ys[n] sqrt d)/den, in any terms."""
+        if self._columns is None:
+            values = self._values
+            d, den = _radicand(values), math.lcm(*{v.den for v in values})
+            self._columns = ([v.p * den // v.den for v in values],
+                             [v.q * den // v.den for v in values], d, den)
+        return self._columns
 
     def value(self, n: int) -> Scalar:
-        if abs(n) >= len(self.values):
+        if abs(n) >= len(self.iterations):
             raise PreconditionError(f"moment {n} not in table")
         return self.values[abs(n)]
 
     def rows(self) -> list[MomentEntry]:
         """The entries for -range <= n <= range, in order of n."""
-        R = len(self.values) - 1
+        R = len(self.iterations) - 1
         return [MomentEntry(n, self.value(n), self.iterations[abs(n)]) for n in range(-R, R + 1)]
 
 
@@ -118,7 +136,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     threshold t (`_stabilization_thresholds`) reports iterations
     max(t + 1, 2), the step at which the product-weight iterate reaches it.
     The recursion runs on the integers Q nu^(b) = x + y sqrt d over one
-    common denominator Q, and each value becomes a Scalar once.
+    common denominator Q, and the table keeps them (`MomentTable.columns`).
     """
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
@@ -157,10 +175,9 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
             y += a * Y[m] + c * X[m]
         X.append(x // L)  # exact: Q nu^(b) is a pair of integers
         Y.append(y // L)
-    nu += [_exact(x, y, d, Q) if x or y else ZERO for x, y in zip(X[D + 1:], Y[D + 1:])]
     thresholds = _stabilization_thresholds(op, moment_range)
     iterations = [0 if t is None else max(t + 1, 2) for t in thresholds]
-    return MomentTable(nu[: moment_range + 1], iterations)
+    return MomentTable(None, iterations, (X[: moment_range + 1], Y[: moment_range + 1], d, Q))
 
 
 def moment(op: TransferOperator, n: int) -> MomentEntry:
@@ -369,18 +386,15 @@ class WienerProfile(NamedTuple):
 def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     """Partial sums s_k = sum_{j<=k} |nu^(j)|^2 and the Cesaro ratios s_k/k.
 
-    Over the common denominator Q of nu^(0..K), nu^(j) = (x_j + y_j sqrt d)/Q,
-    so s_k is (S_k + T_k sqrt d)/Q^2 with S_k = sum x_j^2 + d y_j^2 and
-    T_k = 2 sum x_j y_j.  A vanishing ratio limit certifies that the measure
+    Over the table's common denominator Q (`MomentTable.columns`),
+    nu^(j) = (x_j + y_j sqrt d)/Q, so s_k is (S_k + T_k sqrt d)/Q^2 with
+    S_k = sum x_j^2 + d y_j^2 and T_k = 2 sum x_j y_j.  A vanishing ratio limit certifies that the measure
     has no atoms."""
-    if K >= len(table.values):
+    if K >= len(table.iterations):
         raise PreconditionError(f"moment table does not cover 0..{K}")
-    values = table.values[: K + 1]
-    d = _radicand(values)
-    Q = math.lcm(*{v.den for v in values})
+    xs, ys, d, Q = table.columns
     S, T, sums, cross = 0, 0, [], []
-    for v in values:
-        x, y = v.p * Q // v.den, v.q * Q // v.den
+    for x, y in zip(xs[: K + 1], ys[: K + 1]):
         S += x * x + d * y * y
         T += 2 * x * y
         sums.append(S)

@@ -10,6 +10,8 @@ support and cascade dichotomies; its peripheral verdicts are decided exactly.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
@@ -22,17 +24,40 @@ BLOCK_DIMENSION_CAP = 2001
 ITERATED_SUPPORT_CAP = 10 ** 6
 
 
+def _difference_counts(js: list[int], ks: list[int]) -> dict[int, int]:
+    """How often each difference y - x, x in js and y in ks, occurs: read off
+    one big-integer product (Kronecker substitution) of the 0/1 slot strings
+    of ks and of js reversed, each slot wide enough for any count, or counted
+    pair by pair where there are fewer pairs than slots ({0, N - 1})."""
+    top, low = max(js), min(ks)
+    span = max(ks) - low + top - min(js) + 1  # slot e holds the difference e + low - top
+    if span > len(js) * len(ks):
+        return Counter(y - x for x in js for y in ks)
+    most = min(len(js), len(ks))  # no difference occurs more often
+    code = next(c for c in "BHIQ" if most < 1 << 8 * array(c).itemsize)
+    product = 1
+    for offsets in ([y - low for y in ks], [top - x for x in js]):
+        slots = array(code, [0]) * (max(offsets) + 1)
+        for i in offsets:
+            slots[i] = 1
+        product *= int.from_bytes(slots, sys.byteorder)
+    counts = array(code)
+    counts.frombytes(product.to_bytes(counts.itemsize * span, sys.byteorder))
+    return {e + low - top: c for e, c in enumerate(counts) if c}
+
+
 def weight_from_filter(m0: LaurentPolynomial) -> LaurentPolynomial:
     """|m0|^2 = m0(z^-1) m0(z) for real coefficients: W^(k) = sum_j a_j a_{j+k},
     with the indices grouped by value: a pair of values (a, b) met n times at
-    difference k adds n a b, one product per value pair and difference."""
+    difference k (`_difference_counts`) adds n a b, one product per value pair
+    and difference."""
     groups: dict[Scalar, list[int]] = {}
     for j, a in m0.coeffs.items():
         groups.setdefault(a, []).append(j)
     data: dict[int, Scalar] = {}
     for a, js in groups.items():
         for b, ks in groups.items():
-            for k, n in Counter(y - x for x in js for y in ks).items():
+            for k, n in _difference_counts(js, ks).items():
                 data[k] = data.get(k, ZERO) + a * b * n
     return LaurentPolynomial(data)
 

@@ -169,6 +169,25 @@ def test_reals_write_what_scalars_write(p, q, den, g, d):
     assert table.columns["re"][1] == float(x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(-60, 60)), max_size=12),
+       st.integers(1, 10 ** 6), st.sampled_from((0, 2)))
+def test_reals_of_unreduced_moment_columns(rows, den, d):
+    """Integer columns over one denominator in any terms, as
+    `MomentTable.columns` holds them, zero rows and negative numerators
+    included: each row is written as the exact text and float of the
+    canonical Scalar it equals, as `_scalars` writes the Scalars."""
+    rows = [(0, 0), *rows, (-den, 0), (2 * den, 4 * den if d else 0)]
+    xs, ys = [x for x, _ in rows], [y if d else 0 for _, y in rows]
+    table = cli._reals(xs, ys, itertools.repeat(d), itertools.repeat(den))
+    values = [Scalar(Fraction(x, den), Fraction(y, den), d) for x, y in zip(xs, ys)]
+    assert table.columns["exact"] == [v.exact_str() for v in values]
+    assert [r.hex() for r in table.columns["re"]] == [float(v).hex() for v in values]
+    hand = cli._moments(measure.MomentTable(values, [0] * len(values)))
+    assert hand.columns["exact"] == cli._scalars(values).columns["exact"]
+    assert [r.hex() for r in hand.columns["re"]] == [float(v).hex() for v in values]
+
+
 RENDER_RUNS = {
     **SAMPLE_RUNS,
     "moments-wiener": SAMPLE_RUNS["moments"] + ("--emit", "wiener"),

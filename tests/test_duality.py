@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from fractalmra import duality
 from fractalmra.errors import CapExceededError, PreconditionError
 from fractalmra.duality import (
+    SIGNED_LAMBDA_DEPTH,
     BCycle,
     BCycleReport,
     b_cycles,
@@ -136,6 +137,45 @@ def test_lambda_set_digit_oracle(c4_pair):
         return True
 
     assert all(representable(n) for n in prefix)
+
+
+def reference_lambda_prefix(pair, count):
+    """The prefix as first written: every depth rebuilds its strings with
+    `digit_sums` and recounts those below N^depth."""
+    N, B = pair.system.scale, pair.dual
+    if min(B) < 0:
+        strings = digit_sums(B, N, SIGNED_LAMBDA_DEPTH)
+        return tuple(sorted(sorted(strings, key=lambda n: (abs(n), n))[:count]))
+    depth, strings = 0, [0]
+    while len(B) > 1 and (
+        len(strings) < count or count > sum(map((N ** depth).__gt__, strings))
+    ):
+        depth += 1
+        strings = digit_sums(B, N, depth)
+    return tuple(sorted(strings)[:count])
+
+
+@st.composite
+def hadamard_pairs(draw):
+    """S = s{0..p-1} with B = b{0..p-1} at N = psb, each nonzero dual digit
+    moved by a multiple of N (below 0 or past N - 1 too) and B in any order."""
+    p, s, b = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    N = max(p * s * b, 2)
+    shifts = st.integers(-1 if p < 3 else 0, 2)  # 3^12 signed strings are slow to list twice
+    B = [0] + [b * i + N * draw(shifts) for i in range(1, p)]
+    return dual_matrix(DigitSystem(N, tuple(s * i for i in range(p))), draw(st.permutations(B)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hadamard_pairs(), st.integers(1, 300))
+@example(dual_matrix(DigitSystem(4, (0, 2)), (0, -1)), 8)
+@example(dual_matrix(DigitSystem(4, (0, 2)), (5, 0)), 100)
+@example(dual_matrix(DigitSystem(6, (0, 2, 4)), (2, 0, 1)), 300)
+def test_lambda_set_extends_strings_as_the_first_form_rebuilds_them(pair, count):
+    """One digit more per depth gives the prefix of the rebuild-and-recount
+    loop, for nonnegative and signed duals, digits past N - 1 and unsorted B."""
+    assert pair.is_dual
+    assert lambda_set(pair, count).prefix == reference_lambda_prefix(pair, count)
 
 
 def test_lambda_set_refuses_signed_duals_beyond_the_cap():

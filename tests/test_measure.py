@@ -265,6 +265,36 @@ def test_wiener_profile_off_the_rationals():
     assert_same_wiener(hand_table([Scalar(1), Scalar(0), HALF, Scalar(0), Scalar(0)]), 4)
 
 
+def exact_strs(row):
+    return row.k, row.partial_sum.exact_str(), row.ratio and row.ratio.exact_str()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda N: st.tuples(
+    st.just(N), st.sets(st.integers(0, N - 1), min_size=1),
+)), st.integers(0, 64), st.data())
+def test_integer_columns_read_as_the_first_form(system, R, data):
+    """The Scalars that `moment_table` builds from its integer columns on a
+    read of `values`, `value(n)` or `rows()`, and the Wiener rows summed from
+    those columns, equal the first-form recursion and Wiener profile by ==
+    and by exact_str."""
+    N, S = system
+    op = TransferOperator.from_filter(canonical_lowpass(DigitSystem(N, tuple(sorted(S)))), N)
+    table = moment_table(op, R)
+    nu = reference_moments(op, R)
+    expected = [nu[n] for n in range(R + 1)]
+    assert table.values == expected
+    assert [v.exact_str() for v in table.values] == [v.exact_str() for v in expected]
+    assert [(e.n, e.value.exact_str()) for e in table.rows()] == [
+        (n, nu[n].exact_str()) for n in range(-R, R + 1)]
+    assert [e.value for e in table.rows()] == [nu[n] for n in range(-R, R + 1)]
+    K = data.draw(st.integers(0, R))
+    rows = wiener_profile(table, K).rows
+    reference = reference_wiener(MomentTable(expected, table.iterations), K)
+    assert list(rows) == reference
+    assert [exact_strs(row) for row in rows] == [exact_strs(row) for row in reference]
+
+
 def recursion_depth(op, b):
     """Steps of b -> (b + D(N - 1)) // N from b into the block [-D, D]."""
     D, N, steps = op.block_halfwidth, op.scale, 0

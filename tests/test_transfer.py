@@ -2,11 +2,12 @@ import cmath
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalmra.errors import PreconditionError
 from fractalmra.filterbank import canonical_lowpass, pairing
@@ -14,7 +15,12 @@ from fractalmra.ifs import DigitSystem
 from fractalmra.laurent import LaurentPolynomial, constant, monomial, one
 from fractalmra.measure import classify_support
 from fractalmra.scalars import Scalar
-from fractalmra.transfer import TransferOperator, spectral_block, weight_from_filter
+from fractalmra.transfer import (
+    TransferOperator,
+    _difference_counts,
+    spectral_block,
+    weight_from_filter,
+)
 
 from conftest import random_polynomial
 
@@ -59,6 +65,22 @@ def test_weight_from_filter_matches_the_laurent_product(m):
     """Grouping the coefficients by value gives |m|^2 = m(z^-1) m(z), the
     full Laurent product."""
     assert weight_from_filter(m) == m.compose_power(-1) * m
+
+
+INDEX_SETS = st.sets(st.integers(-400, 400), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INDEX_SETS, INDEX_SETS)
+@example({0}, {0})
+@example({7}, {-3, 9})
+@example(set(range(300)), set(range(-5, 300)))  # counts past 255: two-byte slots
+@example({0, 10 ** 9 - 1}, {0, 10 ** 9 - 1})  # far more slots than pairs
+def test_difference_counts_match_the_counter(js, ks):
+    """The Kronecker product's slots count each difference y - x as the
+    pairwise Counter does, singletons, wide slots and sparse sets included."""
+    js, ks = sorted(js), sorted(ks, reverse=True)
+    assert _difference_counts(js, ks) == Counter(y - x for x in js for y in ks)
 
 
 def test_apply_transfer_examples(cantor3):
