@@ -58,7 +58,7 @@ for atom in cls2.atoms:
           tuple(map(str, atom.weights)))
 
 print()
-rows = riesz_samples(4, 9)
+_, samples = riesz_samples(4, 9)
 print("Riesz partial product (depth 4) at 9 grid points of [0, 2 pi):")
-print("  ", [f"{v:.4f}" for _, v in rows])
+print("  ", [f"{v:.4f}" for v in samples])
 print("(a pre-limit density; the weak-* limit is singular and has none)")

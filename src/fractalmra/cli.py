@@ -67,10 +67,11 @@ class RowTable(NamedTuple):
     length, held as columns.
 
     `columns` maps each key to a list with one leaf per row, to a nested
-    `RowTable` of one value per row, or to any other value: a leaf that
-    every row holds.  A tuple of such columns instead makes each row the
-    array of their entries.  The rows in `nulls` are null; the column
-    entries at those rows are not read."""
+    `RowTable` of one value per row, or to any other JSON value (a leaf, a
+    dict or a tuple, nested or not): a constant that every row holds.  A
+    tuple of such columns instead makes each row the array of their
+    entries.  The rows in `nulls` are null; the column entries at those
+    rows are not read."""
 
     rows: int
     columns: dict | tuple
@@ -101,9 +102,8 @@ def _scalars(values) -> RowTable:
 
 def _moments(table: measure_mod.MomentTable) -> RowTable:
     """The objects {"exact", "im", "re"} of nu^(0..range) from the table's
-    integer columns (`_reals`)."""
-    xs, ys, d, den = table.columns
-    return _reals(xs, ys, repeat(d), repeat(den))
+    integers (`_reals`)."""
+    return _reals(table.xs, table.ys, repeat(table.d), repeat(table.den))
 
 
 def _mirror(column):
@@ -368,11 +368,11 @@ def _cascade_csv(obj, args):
 
 
 def _run_riesz(args):
-    samples = measure_mod.riesz_samples(args.depth, args.grid)
+    t, values = measure_mod.riesz_samples(args.depth, args.grid)
     return {
         "depth": args.depth,
         "grid": args.grid,
-        "rows": RowTable(len(samples), tuple(map(list, zip(*samples)))),  # rows [t, value]
+        "rows": RowTable(len(t), (t, values)),  # rows [t, value]
     }
 
 
@@ -699,41 +699,33 @@ def _fill(template: str, leaves: list, rows: int = 1) -> str:
     return "".join(text)
 
 
-def _row_template(table: RowTable, nl: str, null: set, parts: list, columns: list) -> None:
-    """Append to `parts` the template of one row of `table`, written at
-    indent `nl`, and to `columns` its list columns in the order of the
-    template's "\x00"s.  Constants are written into the template, nested
-    tables inline, and the tables whose id is in `null` as null."""
-    if id(table) in null:
-        parts.append("null")
-        return
-    inner = nl + "  "
-    if type(table.columns) is tuple:
-        brackets, heads = "[]", [(inner, col) for col in table.columns]
-    else:
-        brackets, heads = "{}", [(inner + key, table.columns[k]) for k, key in _keys(table.columns)]
-    if not heads:
-        parts.append(brackets)
-        return
-    sep = brackets[0]
-    for head, col in heads:
-        parts.append(sep + head)
-        if type(col) is RowTable:
-            _row_template(col, inner, null, parts, columns)
-        elif type(col) is list:
-            parts.append("\x00")
-            columns.append(col)
-        else:
-            parts.append(json.dumps(col))
-        sep = ","
-    parts.append(nl + brackets[1])
+class _Column:
+    """A list column of a `RowTable`, as a leaf of its row view (`_row_view`)."""
+
+    def __init__(self, values: list):
+        self.values = values
+
+
+def _row_view(table: RowTable, row: int):
+    """The row `row` of `table` as a document for `_emit`: each list column
+    a `_Column` leaf, each nested table its own view or None where the row
+    is null, and each constant as it stands."""
+    if row in table.nulls:
+        return None
+
+    def cell(c):
+        return _row_view(c, row) if type(c) is RowTable else _Column(c) if type(c) is list else c
+    cols = table.columns
+    return [cell(c) for c in cols] if type(cols) is tuple else {k: cell(c) for k, c in cols.items()}
 
 
 def _table_pieces(table: RowTable, nl: str):
     """The JSON text of the rows of `table` at indent `nl`, in pieces of at
     most _ROWS_PER_PIECE rows.  The rows between two changes in which
-    tables, nested or not, are null share one row template (`_row_template`),
-    and each piece repeats it once per row and fills it with the rows' leaves
+    tables, nested or not, are null share one row template: `_emit` writes
+    the view of the run's first row (`_row_view`), its constants go into
+    the template once, and each `_Column` keeps its "\x00".  Each piece
+    repeats the template once per row and fills it with the rows' leaves
     (`_fill`)."""
     if not table.rows:
         yield "[]"
@@ -748,9 +740,18 @@ def _table_pieces(table: RowTable, nl: str):
     )
     inner = nl + "  "
     for start, end in zip(bounds, bounds[1:]):
-        parts, columns = ["," + inner], []
-        _row_template(table, inner, {id(t) for t in tables if start in t.nulls}, parts, columns)
-        template = "".join(parts)
+        parts, leaves = ["," + inner], []
+        list(_emit(_row_view(table, start), inner, parts, leaves))  # a view holds no table
+        lits = "".join(parts).split("\x00")
+        text, columns = [lits[0]], []
+        for leaf, lit in zip(leaves, lits[1:]):
+            if type(leaf) is _Column:
+                text.append("\x00")
+                columns.append(leaf.values)
+            else:
+                text.append(json.dumps(leaf))
+            text.append(lit)
+        template = "".join(text)
         for lo in range(start, end, _ROWS_PER_PIECE):
             hi = min(lo + _ROWS_PER_PIECE, end)
             piece = _fill(template, list(chain.from_iterable(col[lo:hi] for col in columns)), hi - lo)

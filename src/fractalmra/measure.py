@@ -44,41 +44,32 @@ class MomentEntry(NamedTuple):
     status = STABILIZED  # unannotated: a class attribute, not a field
 
 
-class MomentTable:
-    """Moments nu^(n) for 0 <= n <= range, and the `MomentEntry.iterations`
-    of each.  The weight is even, so nu^(-n) = nu^(n) and only n >= 0 is
-    stored: as Scalars, or as the integer `columns` that `moment_table`
-    computes, whose Scalars are built on the first read of `values`."""
+class MomentTable(NamedTuple):
+    """Moments nu^(n) = (xs[n] + ys[n] sqrt d)/den for 0 <= n <= range, in
+    integers in any terms, and the `MomentEntry.iterations` of each.  The
+    weight is even, so nu^(-n) = nu^(n) and only n >= 0 is stored; the
+    Scalars of `values`, `value(n)` and `rows()` are built on each read."""
 
-    def __init__(self, values: list[Scalar] | None, iterations: list[int], columns=None):
-        self._values, self.iterations, self._columns = values, iterations, columns
+    xs: list[int]
+    ys: list[int]
+    d: int
+    den: int
+    iterations: list[int]
 
     @property
     def values(self) -> list[Scalar]:
-        if self._values is None:
-            xs, ys, d, den = self._columns
-            self._values = [_exact(x, y, d, den) for x, y in zip(xs, ys)]
-        return self._values
-
-    @property
-    def columns(self) -> tuple[list[int], list[int], int, int]:
-        """(xs, ys, d, den) with nu^(n) = (xs[n] + ys[n] sqrt d)/den, in any terms."""
-        if self._columns is None:
-            values = self._values
-            d, den = _radicand(values), math.lcm(*{v.den for v in values})
-            self._columns = ([v.p * den // v.den for v in values],
-                             [v.q * den // v.den for v in values], d, den)
-        return self._columns
+        d, den = self.d, self.den
+        return [_exact(x, y, d, den) for x, y in zip(self.xs, self.ys)]
 
     def value(self, n: int) -> Scalar:
         if abs(n) >= len(self.iterations):
             raise PreconditionError(f"moment {n} not in table")
-        return self.values[abs(n)]
+        return _exact(self.xs[abs(n)], self.ys[abs(n)], self.d, self.den)
 
     def rows(self) -> list[MomentEntry]:
         """The entries for -range <= n <= range, in order of n."""
-        R = len(self.iterations) - 1
-        return [MomentEntry(n, self.value(n), self.iterations[abs(n)]) for n in range(-R, R + 1)]
+        values, R = self.values, len(self.iterations) - 1
+        return [MomentEntry(n, values[abs(n)], self.iterations[abs(n)]) for n in range(-R, R + 1)]
 
 
 def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
@@ -115,15 +106,6 @@ def _stabilization_thresholds(op: TransferOperator, R: int) -> list[int | None]:
     return thresholds
 
 
-def _radicand(values) -> int:
-    """The one d of the irrational Scalars among `values` (0 if none);
-    two are refused, as `+` and `*` do."""
-    fields = {v.d: v for v in values if v.q}
-    if len(fields) > 1:
-        _mixed_fields(*list(fields.values())[:2])
-    return next(iter(fields), 0)
-
-
 def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     """Moments for |n| <= moment_range: the exact solution of the invariance
     equation nu^(b) = sum_m W^(Nm - b) nu^(m) with nu^(0) = 1.
@@ -136,7 +118,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
     threshold t (`_stabilization_thresholds`) reports iterations
     max(t + 1, 2), the step at which the product-weight iterate reaches it.
     The recursion runs on the integers Q nu^(b) = x + y sqrt d over one
-    common denominator Q, and the table keeps them (`MomentTable.columns`).
+    common denominator Q, and the table keeps them.
     """
     if moment_range < 0:
         raise PreconditionError("moment range must be >= 0")
@@ -156,7 +138,10 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
         raise PreconditionError("the block's fixed vector has nu^(0) = 0")
     nu = [x / center for x in basis[0][D:]]
     N, weights = op.scale, op.weight.coeffs.values()
-    d = _radicand(chain(nu, weights))
+    fields = {v.d: v for v in chain(nu, weights) if v.q}  # one d, or 0 if none
+    if len(fields) > 1:  # refused, as `+` and `*` refuse it
+        _mixed_fields(*list(fields.values())[:2])
+    d = next(iter(fields), 0)
     # every m on the right is at most (b + D(N - 1)) // N, and each step of
     # that map multiplies a denominator by at most L
     L = math.lcm(*(w.den for w in weights))
@@ -177,7 +162,7 @@ def moment_table(op: TransferOperator, moment_range: int) -> MomentTable:
         Y.append(y // L)
     thresholds = _stabilization_thresholds(op, moment_range)
     iterations = [0 if t is None else max(t + 1, 2) for t in thresholds]
-    return MomentTable(None, iterations, (X[: moment_range + 1], Y[: moment_range + 1], d, Q))
+    return MomentTable(X[: moment_range + 1], Y[: moment_range + 1], d, Q, iterations)
 
 
 def moment(op: TransferOperator, n: int) -> MomentEntry:
@@ -386,15 +371,15 @@ class WienerProfile(NamedTuple):
 def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     """Partial sums s_k = sum_{j<=k} |nu^(j)|^2 and the Cesaro ratios s_k/k.
 
-    Over the table's common denominator Q (`MomentTable.columns`),
-    nu^(j) = (x_j + y_j sqrt d)/Q, so s_k is (S_k + T_k sqrt d)/Q^2 with
-    S_k = sum x_j^2 + d y_j^2 and T_k = 2 sum x_j y_j.  A vanishing ratio limit certifies that the measure
+    Over the table's denominator Q, nu^(j) = (x_j + y_j sqrt d)/Q, so s_k is
+    (S_k + T_k sqrt d)/Q^2 with S_k = sum x_j^2 + d y_j^2 and
+    T_k = 2 sum x_j y_j.  A vanishing ratio limit certifies that the measure
     has no atoms."""
     if K >= len(table.iterations):
         raise PreconditionError(f"moment table does not cover 0..{K}")
-    xs, ys, d, Q = table.columns
+    d, Q = table.d, table.den
     S, T, sums, cross = 0, 0, [], []
-    for x, y in zip(xs[: K + 1], ys[: K + 1]):
+    for x, y in zip(table.xs[: K + 1], table.ys[: K + 1]):
         S += x * x + d * y * y
         T += 2 * x * y
         sums.append(S)
@@ -402,9 +387,10 @@ def wiener_profile(table: MomentTable, K: int) -> WienerProfile:
     return WienerProfile(sums, cross, d, Q * Q)
 
 
-def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
-    """Samples of the degree-n Riesz partial product
-    (1/2pi) prod_{k=1..n} (1 + cos(2*3^k t)) on a uniform grid of [0, 2pi).
+def riesz_samples(n: int, grid: int) -> tuple[list[float], list[float]]:
+    """The grid points t of a uniform grid of [0, 2pi) and the samples there
+    of the degree-n Riesz partial product (1/2pi) prod_{k=1..n} (1 + cos(2*3^k t)),
+    as two columns.
 
     This is a pre-limit object: the weak-* limit is the singular invariant
     measure of the Cantor-3 filter and has no density."""
@@ -421,4 +407,4 @@ def riesz_samples(n: int, grid: int) -> list[tuple[float, float]]:
     vals = np.full(grid, 1.0 / (2.0 * math.pi))
     for k in range(1, n + 1):
         vals *= 1.0 + np.cos(2.0 * 3 ** k * t)
-    return [(float(tt), float(v)) for tt, v in zip(t, vals)]
+    return t.tolist(), vals.tolist()

@@ -173,8 +173,8 @@ def test_reals_write_what_scalars_write(p, q, den, g, d):
 @given(st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(-60, 60)), max_size=12),
        st.integers(1, 10 ** 6), st.sampled_from((0, 2)))
 def test_reals_of_unreduced_moment_columns(rows, den, d):
-    """Integer columns over one denominator in any terms, as
-    `MomentTable.columns` holds them, zero rows and negative numerators
+    """Integer columns over one denominator in any terms, as a
+    `MomentTable` holds them, zero rows and negative numerators
     included: each row is written as the exact text and float of the
     canonical Scalar it equals, as `_scalars` writes the Scalars."""
     rows = [(0, 0), *rows, (-den, 0), (2 * den, 4 * den if d else 0)]
@@ -183,7 +183,7 @@ def test_reals_of_unreduced_moment_columns(rows, den, d):
     values = [Scalar(Fraction(x, den), Fraction(y, den), d) for x, y in zip(xs, ys)]
     assert table.columns["exact"] == [v.exact_str() for v in values]
     assert [r.hex() for r in table.columns["re"]] == [float(v).hex() for v in values]
-    hand = cli._moments(measure.MomentTable(values, [0] * len(values)))
+    hand = cli._moments(measure.MomentTable(xs, ys, d, den, [0] * len(xs)))
     assert hand.columns["exact"] == cli._scalars(values).columns["exact"]
     assert [r.hex() for r in hand.columns["re"]] == [float(v).hex() for v in values]
 
@@ -913,9 +913,19 @@ def test_dumps_long_lists_match_the_stdlib(rows):
 
 # Row tables: columns of leaves, constants written into the row template, and
 # nested tables, which may hold null rows; keyed columns give object rows, a
-# tuple of columns array rows.
+# tuple of columns array rows.  A constant is any JSON value but a list (a
+# list is a column): a leaf, or a dict or tuple holding any JSON values.
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(JSON_KEYS, children, max_size=3)),
+    max_leaves=5,
+)
 TABLE_CONSTANTS = st.one_of(
-    st.sampled_from([-0.0, float("nan"), True, 1, 1.0, None, "%s", "\x00√"]), JSON_LEAVES
+    st.sampled_from([-0.0, float("nan"), True, 1, 1.0, None, "%s", "\x00√"]), JSON_LEAVES,
+    st.sampled_from([{}, (), {"x": 1, "y": [3, None]}, (4, 5), ({"a": ()}, [[]], {})]),
+    st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3),
+    st.lists(JSON_VALUES, max_size=3).map(tuple),
 )
 
 
